@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
   }
 
   if (profile) {
-    // [bench] lines are stripped by the golden/fastpath gates, so the
+    // [bench] lines are stripped by the golden gates, so the
     // profile announcement never perturbs byte-identity checks.
     std::printf("[bench] profile=%s\n", profile->name.c_str());
   }

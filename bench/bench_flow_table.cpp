@@ -13,10 +13,10 @@
 // a hit and all of it on a miss, but the dst-MAC index visits only the
 // packet's own bucket plus the wildcard rules.
 //
-// --trials N sets the op count (default 400k, --quick 40k);
-// --no-fastpath runs every op through the original linear-scan
-// algorithms. The printed checksum (lookup hits, expired entries, final
-// table size) is identical in both modes — only the wall clock moves.
+// --trials N sets the op count (default 400k, --quick 40k). The printed
+// checksum (lookup hits, expired entries, final table size) is a pure
+// function of the op count; tests/fastpath_test.cpp holds the indexed
+// table to its linear-scan reference.
 // Registered in ctest as a non-failing info test (bench.flow_table.info).
 #include <cstdio>
 

@@ -8,7 +8,6 @@
 
 #include "obs/observability.hpp"
 #include "scenario/trial_runner.hpp"
-#include "sim/fastpath.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace tmg::bench {
@@ -39,8 +38,6 @@ HarnessOptions parse_harness_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       opts.quick = true;
-    } else if (std::strcmp(argv[i], "--no-fastpath") == 0) {
-      opts.no_fastpath = true;
     } else if (std::strcmp(argv[i], "--obs") == 0) {
       opts.obs = true;
     } else if (std::strcmp(argv[i], "--legacy-runner") == 0) {
@@ -68,9 +65,6 @@ HarnessOptions parse_harness_args(int argc, char** argv) {
   if (!opts.obs_out_path.empty() || !opts.trace_out_path.empty()) {
     opts.obs = true;
   }
-  // Applied here so every bench honours the flag without plumbing it
-  // through its workload; worker threads inherit the process-global.
-  if (opts.no_fastpath) sim::set_fastpath_enabled(false);
   return opts;
 }
 

@@ -16,11 +16,6 @@
 //                   also write the observed trial's trace log to PATH as
 //                   JSONL (implies --obs). tools/train_profile consumes
 //                   these exports to learn behavior profiles.
-//   --no-fastpath   disable the algorithmic fast paths (path cache,
-//                   indexed flow tables, incremental statistics) and run
-//                   the naive reference algorithms instead. Simulated
-//                   output must be byte-identical either way; CI diffs
-//                   the attack-matrix stdout across the two modes.
 //   --legacy-runner schedule one pool task per trial (the pre-chunking
 //                   TrialRunner path) instead of contiguous chunks —
 //                   the A/B baseline tools/run_bench.py --speedup uses
@@ -47,7 +42,6 @@ struct HarnessOptions {
   std::size_t trials = 0;  // 0 = use the bench's default
   std::size_t jobs = 0;    // 0 = hardware concurrency
   bool quick = false;
-  bool no_fastpath = false;    // already applied by parse_harness_args
   bool obs = false;            // --obs: collect an observability snapshot
   bool legacy_runner = false;  // --legacy-runner: per-trial task baseline
   std::string json_path;

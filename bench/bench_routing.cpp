@@ -9,12 +9,11 @@
 // same (src, dst) path — so 80% of queries draw from a small hot set of
 // switch pairs (re-drawn after each churn) and 20% are uniform.
 //
-// --trials N sets the query count (default 200k, --quick 20k);
-// --no-fastpath sends every query through a fresh BFS instead of the
-// cache. The printed checksum (total traversals over all queries) is
-// identical in both modes — only the wall clock moves. Cache hit/miss
-// counters are printed on a [bench] line so the main stdout stays
-// diffable across modes.
+// --trials N sets the query count (default 200k, --quick 20k). The
+// printed checksum (total traversals over all queries) equals what a
+// fresh BFS per query would give; tests/fastpath_test.cpp holds the
+// cache to that reference. Cache hit/miss counters are printed on a
+// [bench] line so the main stdout stays diffable across builds.
 // Registered in ctest as a non-failing info test (bench.routing.info).
 #include <cstdio>
 #include <map>
@@ -132,7 +131,7 @@ int main(int argc, char** argv) {
   const double wall_ms = timer.elapsed_ms();
 
   // Grid stays connected (churn restores every edge), so unreachable
-  // must be 0 and the checksum is identical with --no-fastpath.
+  // must be 0.
   std::printf("  checksum: traversals=%llu unreachable=%llu churns=%llu\n",
               static_cast<unsigned long long>(total_traversals),
               static_cast<unsigned long long>(unreachable),

@@ -537,8 +537,8 @@ void Controller::dispatch(of::Dpid dpid, const of::SwitchToCtrl& msg) {
     void operator()(const of::PacketIn& pi) {
       // Streaming traffic stats ride the same null-obs guard as every
       // other observability hook: unobserved runs skip the accounting
-      // entirely (fastpath equivalence holds because FlowStats feeds no
-      // control decision).
+      // entirely (the goldens hold because FlowStats feeds no control
+      // decision).
       if (c.obs_ != nullptr) {
         c.obs_->flow_stats().record(
             pi.dpid, stats::FlowStats::port_key(pi.dpid, pi.in_port),

@@ -166,7 +166,7 @@ class MessagePipeline {
   /// is the default and the zero-cost path). `loop` supplies sim-time
   /// stamps for dispatch spans and queue-depth readings. With a null
   /// obs pointer dispatch behavior is bit-identical to an unobserved
-  /// pipeline — the fastpath-equivalence CI leg holds this to goldens.
+  /// pipeline — the pipeline-equivalence goldens hold this.
   void set_observability(obs::Observability* obs, const sim::EventLoop* loop);
   [[nodiscard]] obs::Observability* observability() const { return obs_; }
 

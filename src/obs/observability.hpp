@@ -3,8 +3,8 @@
 //
 // Consumers (Controller, the services, both attacks, the testbeds) hold
 // a borrowed `obs::Observability*` that is null by default — the null
-// check is the zero-cost-when-disabled guard the fastpath-equivalence
-// CI leg relies on. Everything recorded here is sim-time derived, so a
+// check is the zero-cost-when-disabled guard the attack-matrix goldens
+// rely on. Everything recorded here is sim-time derived, so a
 // run's exports are byte-identical across repetitions and `--jobs`
 // counts (tests/obs_test.cpp).
 #pragma once

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/fastpath.hpp"
-
 namespace tmg::of {
 
 namespace {
@@ -66,25 +64,8 @@ void FlowTable::add(FlowEntry entry, sim::SimTime now) {
   entry.installed_at = now;
   entry.last_matched_at = now;
   // Replacements pair on an equal match, so the gate only moves on
-  // a genuine insert (both paths below).
+  // a genuine insert.
   const bool lldp = pins_lldp(entry.match);
-  if (!sim::fastpath_enabled()) {
-    // Replace an existing identical (match, priority) rule, as OpenFlow
-    // does.
-    for (auto& e : entries_) {
-      if (e.priority == entry.priority && e.match == entry.match) {
-        e = entry;
-        return;
-      }
-    }
-    const auto pos = std::find_if(
-        entries_.begin(), entries_.end(),
-        [&](const FlowEntry& e) { return e.priority < entry.priority; });
-    entries_.insert(pos, std::move(entry));
-    if (lldp) ++lldp_rules_;
-    return;
-  }
-
   // Replacement candidates share the entry's dst key, so only that
   // bucket needs scanning. The (match, priority) pair is unique in the
   // table, so "any hit" == "first hit" of the linear scan.
@@ -144,20 +125,6 @@ FlowEntry* FlowTable::lookup_lldp_override(const net::Packet& pkt,
 
 std::vector<FlowEntry> FlowTable::remove_matching(const FlowMatch& match) {
   std::vector<FlowEntry> removed;
-  if (!sim::fastpath_enabled()) {
-    auto it = entries_.begin();
-    while (it != entries_.end()) {
-      if (it->match == match) {
-        removed.push_back(*it);
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (pins_lldp(match)) lldp_rules_ -= removed.size();
-    return removed;
-  }
-
   // Exact-match removal: every victim lives in the bucket keyed by
   // match.dst_mac (ascending positions == table order).
   ensure_index();
@@ -205,13 +172,6 @@ FlowEntry* FlowTable::lookup(const net::Packet& pkt, PortNo in_port,
     e.last_matched_at = now;  // idle deadline moves later; heap is lazy
     return &e;
   };
-  if (!sim::fastpath_enabled()) {
-    for (auto& e : entries_) {
-      if (e.match.matches(pkt, in_port)) return hit(e);
-    }
-    return nullptr;
-  }
-
   // Merge-walk the packet's dst bucket and the wildcard bucket in
   // ascending position order. Entries in other dst buckets require
   // match.dst_mac == their key != pkt.dst_mac, so the linear scan would
@@ -248,26 +208,6 @@ std::vector<ExpiredEntry> FlowTable::expire(sim::SimTime now) {
     return hard ? FlowRemoved::Reason::HardTimeout
                 : FlowRemoved::Reason::IdleTimeout;
   };
-  if (!sim::fastpath_enabled()) {
-    auto it = entries_.begin();
-    while (it != entries_.end()) {
-      const bool hard = it->hard_timeout > sim::Duration::zero() &&
-                        now - it->installed_at >= it->hard_timeout;
-      const bool idle = it->idle_timeout > sim::Duration::zero() &&
-                        now - it->last_matched_at >= it->idle_timeout;
-      if (hard || idle) {
-        if (pins_lldp(it->match)) --lldp_rules_;
-        expired.push_back(ExpiredEntry{
-            *it, hard ? FlowRemoved::Reason::HardTimeout
-                      : FlowRemoved::Reason::IdleTimeout});
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    return expired;
-  }
-
   // Drain heap items due at or before `now`; each is a lower bound, so
   // re-check the live entry's true deadline and re-push survivors.
   std::vector<std::uint32_t> victims;
@@ -342,10 +282,6 @@ std::vector<std::string> FlowTable::audit() const {
   if (lldp_actual != lldp_rules_) {
     issues.push_back("lldp rule gate " + std::to_string(lldp_rules_) +
                      " != recount " + std::to_string(lldp_actual));
-  }
-  if (!sim::fastpath_enabled()) {
-    std::sort(issues.begin(), issues.end());
-    return issues;
   }
   if (ids_.size() != entries_.size()) {
     issues.push_back("id column size " + std::to_string(ids_.size()) +

@@ -21,9 +21,9 @@
 //    its true deadline and re-pushed if still alive. A sweep that
 //    expires nothing costs O(1) instead of O(table).
 //
-// With the fast path disabled (sim::fastpath_enabled() == false) every
-// operation runs the original linear algorithms; audit() cross-checks
-// the index and heap against the vector for the invariant checker.
+// audit() cross-checks the index and heap against the vector for the
+// invariant checker; tests/fastpath_test.cpp fuzzes every operation
+// against a linear-scan reference table.
 #pragma once
 
 #include <cstdint>

@@ -6,9 +6,11 @@
 #include "attack/flow_rule_relay.hpp"
 #include "attack/link_fabrication.hpp"
 #include "attack/port_amnesia.hpp"
+#include "check/assert.hpp"
 #include "ctrl/host_tracker.hpp"
 #include "ids/ids.hpp"
 #include "obs/observability.hpp"
+#include "scenario/timelines.hpp"
 
 namespace tmg::scenario {
 
@@ -39,10 +41,12 @@ const char* to_string(LinkAttackKind k) {
   return "?";
 }
 
-TestbedOptions suite_options(DefenseSuite suite, std::uint64_t seed) {
-  TestbedOptions opts;
+TestbedOptions suite_options(DefenseSuite suite, std::uint64_t seed,
+                             TestbedOptions opts) {
   opts.seed = seed;
   opts.check_invariants = true;  // runtime invariant checker (src/check)
+  bool authenticate = false;
+  bool timestamps = false;
   switch (suite) {
     case DefenseSuite::None:
     case DefenseSuite::Sphinx:
@@ -50,14 +54,16 @@ TestbedOptions suite_options(DefenseSuite suite, std::uint64_t seed) {
     case DefenseSuite::TopoGuard:
     case DefenseSuite::TopoGuardAndSphinx:
     case DefenseSuite::SecureBinding:
-      opts.controller.authenticate_lldp = true;
+      authenticate = true;
       break;
     case DefenseSuite::TopoGuardPlus:
     case DefenseSuite::Stacked:
-      opts.controller.authenticate_lldp = true;
-      opts.controller.lldp_timestamps = true;
+      authenticate = true;
+      timestamps = true;
       break;
   }
+  opts.controller.authenticate_lldp = authenticate;
+  opts.controller.lldp_timestamps = timestamps;
   return opts;
 }
 
@@ -111,110 +117,159 @@ DefenseHandles install_suite(ctrl::Controller& ctrl, DefenseSuite suite,
 }
 
 // ---------------------------------------------------------------------
-// Link fabrication / port amnesia
+// Shared timeline steps
 // ---------------------------------------------------------------------
 
 namespace {
 
-/// Install the anomaly IDS into the controller's always-present
-/// "anomaly-ids" chain slot, in Train mode (trainer set) or Detect mode
-/// (profile set). Returns nullptr when the config asked for neither.
-/// The caller owns the service and must detach it (set_anomaly_detector
-/// (nullptr)) before it is destroyed.
-std::unique_ptr<ids::ProfileAnomalyService> install_anomaly_ids(
-    Testbed& tb, const ids::BehaviorProfile* profile,
-    ids::ProfileTrainer* trainer, bool veto, obs::Observability* obs) {
-  if (profile == nullptr && trainer == nullptr) return nullptr;
-  ids::AnomalyConfig cfg;
-  cfg.veto = veto;
-  auto svc = std::make_unique<ids::ProfileAnomalyService>(tb.loop(), cfg);
-  if (trainer != nullptr) {
-    svc->set_trainer(trainer);
-    trainer->begin_trial();  // the driver's harvest calls end_trial()
-  } else {
-    svc->set_profile(profile);
-  }
-  svc->set_alert_bus(&tb.controller().alerts());
-  svc->set_observability(obs);
-  tb.controller().set_anomaly_detector(svc.get());
-  return svc;
-}
-
-}  // namespace
-
-LinkAttackOutcome run_link_attack(const LinkAttackConfig& config) {
-  TestbedOptions opts = suite_options(config.suite, config.seed);
-  // The Fig. 9 testbed is the paper's evaluation network for all link
-  // attacks; keep its latency profile regardless of suite.
-  Fig9Testbed f = make_fig9_testbed([&] {
-    TestbedOptions o = fig9_options(config.seed);
-    o.controller.authenticate_lldp = opts.controller.authenticate_lldp;
-    o.controller.lldp_timestamps = opts.controller.lldp_timestamps;
-    if (config.profile) o.controller.profile = *config.profile;
-    // Keep start() from auto-attaching the audit battery when the
-    // caller opted out (benches); see the explicit enable below.
-    o.check_invariants = config.check_invariants;
-    if (config.arena != nullptr) o.loop = &config.arena->acquire();
-    return o;
-  }());
-  const DefenseHandles handles = install_suite(f.tb->controller(), config.suite);
+/// Install the suite, the audit battery, observability, and the anomaly
+/// IDS (Train mode when a trainer is set, Detect mode when a profile
+/// is). Returns the IDS, or nullptr when the config asked for none;
+/// finish() detaches it before it is destroyed.
+template <class Config>
+std::unique_ptr<ids::ProfileAnomalyService> arm(
+    Testbed& tb, const Config& config,
+    const defense::SecureBindingConfig* enrollment) {
+  const DefenseHandles handles =
+      install_suite(tb.controller(), config.suite, enrollment);
   // Machine-checked self-consistency for every experiment run: attacks
   // may poison the controller's *view*, but never the simulator's state.
   // Benches opt out — the audits are read-only, so every simulated
   // number is identical either way; only wall-clock changes.
-  if (config.check_invariants) {
-    f.tb->enable_invariant_checker(handles.topoguard);
+  if (config.check_invariants) tb.enable_invariant_checker(handles.topoguard);
+  if (config.obs != nullptr) tb.set_observability(config.obs);
+  if (config.anomaly_profile == nullptr && config.anomaly_trainer == nullptr) {
+    return nullptr;
   }
-  if (config.obs != nullptr) f.tb->set_observability(config.obs);
+  ids::AnomalyConfig cfg;
+  cfg.veto = config.anomaly_veto;
+  auto svc = std::make_unique<ids::ProfileAnomalyService>(tb.loop(), cfg);
+  if (config.anomaly_trainer != nullptr) {
+    svc->set_trainer(config.anomaly_trainer);
+    config.anomaly_trainer->begin_trial();  // finish() calls end_trial()
+  } else {
+    svc->set_profile(config.anomaly_profile);
+  }
+  svc->set_alert_bus(&tb.controller().alerts());
+  svc->set_observability(config.obs);
+  tb.controller().set_anomaly_detector(svc.get());
+  return svc;
+}
+
+/// Harvest what every timeline reports, then detach the IDS and the
+/// observability collectors before the testbed (which they borrow) is
+/// destroyed.
+template <class Config, class Outcome>
+void finish(Testbed& tb, const Config& config,
+            ids::ProfileAnomalyService* anomaly, Outcome& out) {
+  ctrl::Controller& ctrl = tb.controller();
+  out.alerts_total = ctrl.alerts().count();
+  out.alerts_anomaly = ctrl.alerts().count_from("AnomalyIDS");
+  if (anomaly != nullptr) {
+    out.anomaly = anomaly->counters();
+    if (config.anomaly_trainer != nullptr) config.anomaly_trainer->end_trial();
+    ctrl.set_anomaly_detector(nullptr);
+  }
+  if (check::InvariantChecker* checker = tb.invariant_checker()) {
+    checker->final_check();
+    out.invariant_sweeps = checker->checks_run();
+    out.invariant_violations = checker->violation_count();
+  }
+  out.events_executed = tb.loop().events_executed();
+  if (config.collect_pipeline_stats) {
+    out.pipeline_stats = ctrl.pipeline().stats();
+  }
+  if (config.obs != nullptr) config.obs->finalize(tb.loop().now());
+}
+
+/// A generated fabric's background load for one timeline: built (one Rng
+/// fork) and started once the hosts are warm, stopped at the end with
+/// its stats written back. A no-op on the paper testbeds.
+class Background {
+ public:
+  explicit Background(const TestbedRoles& roles) : load_{roles.background} {
+    if (load_ == nullptr) return;
+    traffic_.emplace(*roles.tb, roles.tb->fork_rng(), load_->config);
+    fleet_attach_background(load_->fleet, *traffic_);
+    if (load_->on) traffic_->start();
+  }
+  // The started traffic's callbacks hold its address.
+  Background(const Background&) = delete;
+  Background& operator=(const Background&) = delete;
+
+  void stop() {
+    if (!traffic_) return;
+    traffic_->stop();
+    load_->stats = traffic_->stats();
+  }
+
+ private:
+  FabricLoad* load_;
+  std::optional<BackgroundTraffic> traffic_;
+};
+
+}  // namespace
+
+// ---------------------------------------------------------------------
+// Link fabrication / port amnesia
+// ---------------------------------------------------------------------
+
+void run_link_attack_timeline(const LinkAttackConfig& config,
+                              const TestbedRoles& roles,
+                              LinkAttackOutcome& out) {
+  // The fabricated link needs two LLDP rounds to register.
+  const Duration registration = Duration::seconds(32);
+  TMG_ASSERT(config.attack_window >= registration,
+             "link attack: window must cover two LLDP rounds");
+  Testbed& tb = *roles.tb;
+  ctrl::Controller& ctrl = tb.controller();
+  sim::EventLoop& loop = tb.loop();
   const std::unique_ptr<ids::ProfileAnomalyService> anomaly =
-      install_anomaly_ids(*f.tb, config.anomaly_profile,
-                          config.anomaly_trainer, config.anomaly_veto,
-                          config.obs);
+      arm(tb, config, roles.enrollment);
 
-  LinkAttackOutcome out;
-  ctrl::Controller& ctrl = f.tb->controller();
-  sim::EventLoop& loop = f.tb->loop();
-
-  // Poll the fabricated link while the sim runs. The flow-rule relay
-  // fabricates a switch-to-switch link between the relay's neighbors
-  // (0x3's rules splice 0x2 port 10 to 0x4 port 11); the host-based
-  // relays fabricate the attacker-to-attacker access link.
-  const auto fabricated_present = [&]() {
-    if (config.kind == LinkAttackKind::FlowRuleRelay) {
-      return ctrl.topology().has_link(of::Location{0x2, 10},
-                                      of::Location{0x4, 11});
-    }
-    return f.fabricated_link_present();
+  // Poll the fabricated link while the sim runs: the flow-rule relay
+  // fabricates one between its spliced neighbors, the host relays one
+  // between the two attackers.
+  const topo::Link fabricated = config.kind == LinkAttackKind::FlowRuleRelay
+                                    ? roles.flow_relay_link
+                                    : roles.relay_link;
+  const auto fabricated_present = [&] {
+    return ctrl.topology().has_link(fabricated.a, fabricated.b);
   };
   const std::function<void()> poll = [&]() {
     if (fabricated_present()) out.link_registered = true;
-    loop.post_after(Duration::millis(500),
-                        [&poll] { poll(); });
+    loop.post_after(Duration::millis(500), [&poll] { poll(); });
   };
 
-  f.tb->start(Duration::seconds(2));
-  fig9_warm_hosts(f);
+  tb.start(Duration::seconds(2));
+  roles.warm_hosts();
   loop.post_after(Duration::zero(), [&poll] { poll(); });
+  Background background{roles};
 
-  // Benign phase: periodic h1 <-> h2 traffic until shortly before the
-  // attack (then pause so the flow rules idle out and the post-attack
-  // traffic re-routes over whatever topology exists).
+  // A long-lived benign peer -> victim session whose traffic the
+  // fabricated link could attract (the MITM observable). The bulk
+  // payload gives flow-counter checks (SPHINX) real volume to tell
+  // blackholing from jitter.
+  const net::MacAddress victim_mac = roles.victim->mac();
+  const net::Ipv4Address victim_ip = roles.victim->ip();
   bool benign_traffic = true;
   const std::function<void()> ping_loop = [&]() {
     if (benign_traffic) {
-      f.h1->send_ping(f.h2->mac(), f.h2->ip(), 0x1111,
-                      static_cast<std::uint16_t>(loop.now().count_nanos()));
-      // Bulk payload alongside the ping: flow-counter checks (SPHINX)
-      // need real volume to distinguish blackholing from jitter.
-      f.h1->send_raw(f.h2->mac(), f.h2->ip(), "bulk", 1400);
+      const auto seq = static_cast<std::uint16_t>(loop.now().count_nanos());
+      roles.peer->send_ping(victim_mac, victim_ip, 0x1111, seq);
+      roles.peer->send_raw(victim_mac, victim_ip, "bulk", 1400);
     }
     loop.post_after(Duration::millis(500), [&ping_loop] { ping_loop(); });
   };
   loop.post_after(Duration::zero(), [&ping_loop] { ping_loop(); });
 
-  f.tb->run_for(config.benign_window - Duration::seconds(10));
-  benign_traffic = false;
-  f.tb->run_for(Duration::seconds(10));
+  if (roles.pause_benign) {
+    tb.run_for(config.benign_window - Duration::seconds(10));
+    benign_traffic = false;
+    tb.run_for(Duration::seconds(10));
+  } else {
+    tb.run_for(config.benign_window);
+  }
   out.alerts_before_attack = ctrl.alerts().count();
   if (config.obs != nullptr) {
     config.obs->trace().instant(loop.now(), "scenario", "attack-start",
@@ -225,51 +280,47 @@ LinkAttackOutcome run_link_attack(const LinkAttackConfig& config) {
   std::unique_ptr<attack::ClassicLinkFabrication> classic;
   std::unique_ptr<attack::PortAmnesiaAttack> amnesia;
   std::unique_ptr<attack::FlowRuleRelay> flowrule;
-  switch (config.kind) {
-    case LinkAttackKind::ClassicRelay: {
-      if (!config.attack_enabled) break;
-      attack::ClassicLinkFabrication::Config cc;
-      classic = std::make_unique<attack::ClassicLinkFabrication>(
-          loop, *f.attacker_a, *f.attacker_b, *f.oob, cc);
-      classic->start();
-      break;
-    }
-    case LinkAttackKind::OobAmnesia:
-    case LinkAttackKind::OobAmnesiaNaive:
-    case LinkAttackKind::InBandAmnesia: {
-      if (!config.attack_enabled) break;
-      attack::PortAmnesiaAttack::Config ac;
-      ac.mode = config.kind == LinkAttackKind::InBandAmnesia
-                    ? attack::PortAmnesiaAttack::Mode::InBand
-                    : attack::PortAmnesiaAttack::Mode::OutOfBand;
-      ac.preposition_flap = config.kind == LinkAttackKind::OobAmnesia;
-      ac.blackhole_transit = config.blackhole;
-      ac.bridge_transit = !config.blackhole;
-      amnesia = std::make_unique<attack::PortAmnesiaAttack>(
-          loop, *f.attacker_a, *f.attacker_b,
-          ac.mode == attack::PortAmnesiaAttack::Mode::OutOfBand ? f.oob
-                                                                : nullptr,
-          ac);
-      amnesia->set_observability(config.obs);
-      amnesia->start();
-      break;
-    }
-    case LinkAttackKind::FlowRuleRelay: {
-      if (!config.attack_enabled) break;
-      // The relay switch is 0x3: its port 11 faces 0x2 (port 10), its
-      // port 10 faces 0x4 (port 11) — the FlowRuleRelay defaults.
-      flowrule = std::make_unique<attack::FlowRuleRelay>(
-          f.tb->control_channel(0x3), attack::FlowRuleRelay::Config{});
-      flowrule->start();
-      break;
+  if (config.attack_enabled) {
+    switch (config.kind) {
+      case LinkAttackKind::ClassicRelay:
+        classic = std::make_unique<attack::ClassicLinkFabrication>(
+            loop, *roles.attacker, *roles.attacker_b, *roles.oob,
+            attack::ClassicLinkFabrication::Config{});
+        classic->start();
+        break;
+      case LinkAttackKind::OobAmnesia:
+      case LinkAttackKind::OobAmnesiaNaive:
+      case LinkAttackKind::InBandAmnesia: {
+        attack::PortAmnesiaAttack::Config ac;
+        ac.mode = config.kind == LinkAttackKind::InBandAmnesia
+                      ? attack::PortAmnesiaAttack::Mode::InBand
+                      : attack::PortAmnesiaAttack::Mode::OutOfBand;
+        ac.preposition_flap = config.kind == LinkAttackKind::OobAmnesia;
+        ac.blackhole_transit = config.blackhole;
+        ac.bridge_transit = !config.blackhole;
+        amnesia = std::make_unique<attack::PortAmnesiaAttack>(
+            loop, *roles.attacker, *roles.attacker_b,
+            ac.mode == attack::PortAmnesiaAttack::Mode::OutOfBand ? roles.oob
+                                                                  : nullptr,
+            ac);
+        amnesia->set_observability(config.obs);
+        amnesia->start();
+        break;
+      }
+      case LinkAttackKind::FlowRuleRelay:
+        flowrule = std::make_unique<attack::FlowRuleRelay>(
+            tb.control_channel(roles.flow_relay_switch), roles.flow_relay);
+        flowrule->start();
+        break;
     }
   }
 
-  // Give the fabricated link two LLDP rounds to register, then resume
-  // fresh flows (which will cross it if it exists).
-  f.tb->run_for(Duration::seconds(32));
+  // Give the fabricated link time to register, then resume fresh flows
+  // (which will cross it if it exists).
+  tb.run_for(registration);
   benign_traffic = true;
-  f.tb->run_for(config.attack_window - Duration::seconds(32));
+  tb.run_for(config.attack_window - registration);
+  background.stop();
 
   out.link_present_at_end = fabricated_present();
   if (classic) {
@@ -284,34 +335,42 @@ LinkAttackOutcome run_link_attack(const LinkAttackConfig& config) {
   if (flowrule) {
     // The injected rules' own counters say how many LLDP frames the
     // switch spliced past the controller.
-    for (const auto& e : f.tb->get_switch(0x3).flow_table().entries()) {
-      if (e.cookie == attack::FlowRuleRelay::Config{}.cookie) {
+    for (const auto& e :
+         tb.get_switch(roles.flow_relay_switch).flow_table().entries()) {
+      if (e.cookie == roles.flow_relay.cookie) {
         out.lldp_relayed += e.packet_count;
       }
     }
   }
   out.mitm_traffic = out.transit_bridged > 0;
-  out.alerts_total = ctrl.alerts().count();
   out.alerts_topoguard = ctrl.alerts().count_from("TopoGuard");
   out.alerts_sphinx = ctrl.alerts().count_from("SPHINX");
   out.alerts_cmm = ctrl.alerts().count_from("CMM");
   out.alerts_lli = ctrl.alerts().count_from("LLI");
-  out.alerts_anomaly = ctrl.alerts().count_from("AnomalyIDS");
-  if (anomaly) {
-    out.anomaly = anomaly->counters();
-    if (config.anomaly_trainer != nullptr) config.anomaly_trainer->end_trial();
-    ctrl.set_anomaly_detector(nullptr);
-  }
-  if (check::InvariantChecker* checker = f.tb->invariant_checker()) {
-    checker->final_check();
-    out.invariant_sweeps = checker->checks_run();
-    out.invariant_violations = checker->violation_count();
-  }
-  out.events_executed = loop.events_executed();
-  if (config.collect_pipeline_stats) out.pipeline_stats = ctrl.pipeline().stats();
-  // Mirror the final module counters into the registry and detach the
-  // collectors before the testbed (which they borrow) is destroyed.
-  if (config.obs != nullptr) config.obs->finalize(loop.now());
+  finish(tb, config, anomaly.get(), out);
+}
+
+LinkAttackOutcome run_link_attack(const LinkAttackConfig& config) {
+  // The Fig. 9 testbed is the paper's evaluation network for all link
+  // attacks; keep its latency profile regardless of suite.
+  Fig9Testbed f =
+      make_fig9_testbed(driver_options(config, fig9_options(config.seed)));
+  TestbedRoles roles;
+  roles.tb = f.tb.get();
+  roles.victim = f.h2;
+  roles.peer = f.h1;
+  roles.attacker = f.attacker_a;
+  roles.attacker_b = f.attacker_b;
+  roles.oob = f.oob;
+  roles.relay_link = f.fabricated_link();
+  // The flow-rule relay's default ports on 0x3: port 11 faces 0x2 (port
+  // 10), port 10 faces 0x4 (port 11).
+  roles.flow_relay_switch = 0x3;
+  roles.flow_relay_link = topo::Link{{0x2, 10}, {0x4, 11}};
+  roles.warm_hosts = [&f] { fig9_warm_hosts(f); };
+  roles.pause_benign = true;
+  LinkAttackOutcome out;
+  run_link_attack_timeline(config, roles, out);
   return out;
 }
 
@@ -350,92 +409,70 @@ class HijackObserver final : public ctrl::DefenseModule {
 
 }  // namespace
 
-HijackOutcome run_hijack(const HijackConfig& config) {
-  Fig2Testbed f = make_fig2_testbed([&] {
-    TestbedOptions o = suite_options(config.suite, config.seed);
-    // Also stops start() from auto-attaching the audit battery when the
-    // caller opted out (benches); see the explicit enable below.
-    o.check_invariants = config.check_invariants;
-    if (config.profile) o.controller.profile = *config.profile;
-    if (config.arena != nullptr) o.loop = &config.arena->acquire();
-    return o;
-  }());
-  ctrl::Controller& ctrl = f.tb->controller();
-  sim::EventLoop& loop = f.tb->loop();
-  defense::SecureBindingConfig enrollment;
-  enrollment.registry[Fig2Testbed::kVictimToken] =
-      defense::Enrollment{"victim", f.victim->mac(), f.victim->ip()};
-  enrollment.registry[Fig2Testbed::kAttackerToken] =
-      defense::Enrollment{"attacker-device", f.attacker->mac(),
-                          f.attacker->ip()};
-  enrollment.registry[Fig2Testbed::kPeerToken] =
-      defense::Enrollment{"peer", f.peer->mac(), f.peer->ip()};
-  const DefenseHandles handles = install_suite(ctrl, config.suite, &enrollment);
-  if (config.check_invariants) {
-    f.tb->enable_invariant_checker(handles.topoguard);
-  }
-  if (config.obs != nullptr) f.tb->set_observability(config.obs);
+void run_hijack_timeline(const HijackConfig& config, const TestbedRoles& roles,
+                         HijackOutcome& out) {
+  Testbed& tb = *roles.tb;
+  ctrl::Controller& ctrl = tb.controller();
+  sim::EventLoop& loop = tb.loop();
   const std::unique_ptr<ids::ProfileAnomalyService> anomaly =
-      install_anomaly_ids(*f.tb, config.anomaly_profile,
-                          config.anomaly_trainer, config.anomaly_veto,
-                          config.obs);
+      arm(tb, config, roles.enrollment);
 
-  HijackOutcome out;
-
+  const net::MacAddress victim_mac = roles.victim->mac();
+  const net::Ipv4Address victim_ip = roles.victim->ip();
   attack::PortProbingConfig pc;
-  pc.victim_ip = f.victim_ip;
+  pc.victim_ip = victim_ip;
   pc.probe_type = config.probe_type;
   pc.probe_period = config.probe_period;
   pc.probe_timeout = config.probe_timeout;
   pc.confirm_failures = config.confirm_failures;
   pc.nmap_overhead = config.nmap_overhead;
-  attack::PortProbingAttack attack{loop, f.tb->fork_rng(), *f.attacker, pc};
+  attack::PortProbingAttack attack{loop, tb.fork_rng(), *roles.attacker, pc};
   attack.set_observability(config.obs);
 
   // Observer: confirm when the HTS re-binds the victim to the attacker.
   // The event fires before the HTS commits (and a defense may veto it),
   // so verify the actual binding one tick later.
-  auto observer = std::make_unique<HijackObserver>(
-      f.victim_mac, f.attacker_loc, [&]() {
+  ctrl.add_defense(std::make_unique<HijackObserver>(
+      victim_mac, roles.attacker_loc, [&]() {
         loop.post_after(Duration::zero(), [&] {
-          const auto rec = ctrl.host_tracker().find(f.victim_mac);
-          if (rec && rec->loc == f.attacker_loc) {
+          const auto rec = ctrl.host_tracker().find(victim_mac);
+          if (rec && rec->loc == roles.attacker_loc) {
             attack.mark_hijack_confirmed(loop.now());
             out.hijack_succeeded = true;
           }
         });
-      });
-  ctrl.add_defense(std::move(observer));
+      }));
 
   // Redirection check: count victim-bound pings landing on the attacker.
-  f.attacker->add_listener([&](const net::Packet& pkt) {
+  roles.attacker->add_listener([&](const net::Packet& pkt) {
     const auto* icmp = pkt.icmp();
     if (icmp && icmp->type == net::IcmpPayload::Type::EchoRequest &&
-        pkt.ip && pkt.ip->dst == f.victim_ip && attack.identity_claimed()) {
+        pkt.ip && pkt.ip->dst == victim_ip && attack.identity_claimed()) {
       out.traffic_redirected = true;
     }
   });
 
-  f.tb->start(Duration::seconds(2));
-  fig2_warm_hosts(f);
+  tb.start(Duration::seconds(2));
+  roles.warm_hosts();
+  Background background{roles};
 
   // The peer keeps a session toward the victim alive.
   std::uint16_t seq = 0;
   const std::function<void()> peer_ping = [&]() {
-    f.peer->send_ping(f.victim_mac, f.victim_ip, 0x2222, seq++);
+    roles.peer->send_ping(victim_mac, victim_ip, 0x2222, seq++);
     loop.post_after(Duration::millis(200), [&peer_ping] { peer_ping(); });
   };
   loop.post_after(Duration::zero(), [&peer_ping] { peer_ping(); });
 
   if (config.attack_enabled) attack.start();
-  f.tb->run_for(Duration::seconds(2));  // MAC acquisition + steady probing
+  tb.run_for(config.settle_window);
 
   // The victim begins a legitimate move at a random phase of the probe
   // cycle (this is what Figs. 5-8 average over).
-  sim::Rng phase_rng = f.tb->fork_rng();
+  sim::Rng phase_rng = tb.fork_rng();
   const Duration phase = Duration::nanos(phase_rng.uniform_int(
       0, config.probe_period.count_nanos()));
-  f.tb->run_for(phase);
+  tb.run_for(phase);
 
   const SimTime victim_down = loop.now();
   if (config.obs != nullptr && config.attack_enabled) {
@@ -446,27 +483,28 @@ HijackOutcome run_hijack(const HijackConfig& config) {
     // Clean baseline: the victim never migrates; keep the timeline's
     // total duration identical so training covers the same sim span.
   } else if (config.victim_rejoins) {
-    migrate_host(*f.tb, *f.victim, *f.migration_target,
+    migrate_host(tb, *roles.victim, *roles.migration_target,
                  config.victim_downtime);
     // On rejoin the victim announces itself (DHCP/ARP chatter).
     loop.post_after(config.victim_downtime + Duration::millis(50),
-                    [&f, &config, &loop] {
-                      f.victim->send_arp_request(f.victim->ip());
+                    [&roles, &config, &loop] {
+                      roles.victim->send_arp_request(roles.victim->ip());
                       if (config.obs != nullptr) {
                         config.obs->trace().instant(loop.now(), "scenario",
                                                     "victim.rejoin");
                       }
                     });
   } else {
-    f.victim->detach_link();
+    roles.victim->detach_link();
   }
 
   // Sample the alert count just before the victim re-attaches (its
   // 802.1x supplicant announces the rejoin within milliseconds).
-  f.tb->run_for(config.victim_downtime - Duration::millis(10));
+  tb.run_for(config.victim_downtime - Duration::millis(10));
   out.alerts_before_rejoin = ctrl.alerts().count();
-  f.tb->run_for(Duration::seconds(3) + Duration::millis(10));
+  tb.run_for(Duration::seconds(3) + Duration::millis(10));
   out.alerts_after_rejoin = ctrl.alerts().count() - out.alerts_before_rejoin;
+  background.stop();
 
   const auto& tl = attack.timeline();
   const auto rel = [&](const std::optional<SimTime>& t) {
@@ -482,22 +520,30 @@ HijackOutcome run_hijack(const HijackConfig& config) {
         (*tl.interface_up_as_victim - *tl.victim_declared_down).to_millis_f();
   }
   out.alerts = ctrl.alerts().alerts();
-  out.alerts_anomaly = ctrl.alerts().count_from("AnomalyIDS");
-  if (anomaly) {
-    out.anomaly = anomaly->counters();
-    if (config.anomaly_trainer != nullptr) config.anomaly_trainer->end_trial();
-    ctrl.set_anomaly_detector(nullptr);
-  }
-  if (check::InvariantChecker* checker = f.tb->invariant_checker()) {
-    checker->final_check();
-    out.invariant_sweeps = checker->checks_run();
-    out.invariant_violations = checker->violation_count();
-  }
-  out.events_executed = loop.events_executed();
-  if (config.collect_pipeline_stats) out.pipeline_stats = ctrl.pipeline().stats();
-  // Mirror the final module counters into the registry and detach the
-  // collectors before the testbed (which they borrow) is destroyed.
-  if (config.obs != nullptr) config.obs->finalize(loop.now());
+  finish(tb, config, anomaly.get(), out);
+}
+
+HijackOutcome run_hijack(const HijackConfig& config) {
+  Fig2Testbed f = make_fig2_testbed(driver_options(config));
+  defense::SecureBindingConfig enrollment;
+  enrollment.registry[Fig2Testbed::kVictimToken] =
+      defense::Enrollment{"victim", f.victim->mac(), f.victim->ip()};
+  enrollment.registry[Fig2Testbed::kAttackerToken] =
+      defense::Enrollment{"attacker-device", f.attacker->mac(),
+                          f.attacker->ip()};
+  enrollment.registry[Fig2Testbed::kPeerToken] =
+      defense::Enrollment{"peer", f.peer->mac(), f.peer->ip()};
+  TestbedRoles roles;
+  roles.tb = f.tb.get();
+  roles.victim = f.victim;
+  roles.peer = f.peer;
+  roles.attacker = f.attacker;
+  roles.attacker_loc = f.attacker_loc;
+  roles.migration_target = f.migration_target;
+  roles.enrollment = &enrollment;
+  roles.warm_hosts = [&f] { fig2_warm_hosts(f); };
+  HijackOutcome out;
+  run_hijack_timeline(config, roles, out);
   return out;
 }
 

@@ -52,8 +52,10 @@ struct DefenseHandles {
   defense::SecureBinding* secure_binding = nullptr;
 };
 
-/// Controller options required by a suite (LLDP auth / timestamps).
-TestbedOptions suite_options(DefenseSuite suite, std::uint64_t seed);
+/// Controller options required by a suite (LLDP auth / timestamps),
+/// applied to `base`.
+TestbedOptions suite_options(DefenseSuite suite, std::uint64_t seed,
+                             TestbedOptions base = {});
 
 /// Install the suite's modules on a controller (before Testbed::start).
 /// `enrollment` provides the credential registry for SecureBinding
@@ -159,6 +161,8 @@ struct HijackConfig {
   sim::Duration probe_timeout = sim::Duration::millis(35);
   int confirm_failures = 1;
   bool nmap_overhead = false;
+  /// Steady probing (MAC acquisition) before the victim's move.
+  sim::Duration settle_window = sim::Duration::seconds(2);
   /// Victim downtime window (VM live migration: seconds).
   sim::Duration victim_downtime = sim::Duration::seconds(3);
   bool victim_rejoins = true;
@@ -201,6 +205,7 @@ struct HijackOutcome {
   std::optional<double> ident_change_ms;               // Fig. 4 component
   std::size_t alerts_before_rejoin = 0;
   std::size_t alerts_after_rejoin = 0;
+  std::size_t alerts_total = 0;
   std::size_t alerts_anomaly = 0;  // ProfileAnomalyService raises
   /// Anomaly IDS deviation totals (zero-initialized when no IDS ran).
   ids::AnomalyCounters anomaly;

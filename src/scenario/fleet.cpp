@@ -5,18 +5,13 @@
 #include <memory>
 #include <string>
 
-#include "attack/flow_rule_relay.hpp"
-#include "attack/link_fabrication.hpp"
-#include "attack/port_amnesia.hpp"
-#include "attack/port_probing.hpp"
 #include "check/assert.hpp"
 #include "ctrl/host_tracker.hpp"
-#include "obs/observability.hpp"
+#include "scenario/timelines.hpp"
 
 namespace tmg::scenario {
 
 using sim::Duration;
-using sim::SimTime;
 
 FleetTestbed make_fleet_testbed(const FleetTestbedConfig& config) {
   FleetTestbed f;
@@ -144,337 +139,93 @@ void fleet_attach_background(FleetTestbed& f, BackgroundTraffic& bg) {
 
 namespace {
 
-/// Passive observer that confirms the hijack the moment the HTS re-binds
-/// the victim's MAC to the attacker's location (fleet twin of the
-/// paper-testbed observer in experiments.cpp).
-class FleetHijackObserver final : public ctrl::DefenseModule {
- public:
-  FleetHijackObserver(net::MacAddress victim_mac, of::Location attacker_loc,
-                      std::function<void()> on_confirm)
-      : victim_mac_{victim_mac},
-        attacker_loc_{attacker_loc},
-        on_confirm_{std::move(on_confirm)} {}
+FleetTestbed make_fabric(const FleetFabricConfig& fabric,
+                         TestbedOptions options) {
+  FleetTestbedConfig ftc;
+  ftc.topology = fabric.topology;
+  ftc.max_hosts = fabric.max_hosts;
+  ftc.spare_access_links = fabric.spare_access_links;
+  ftc.options = std::move(options);
+  return make_fleet_testbed(ftc);
+}
 
-  [[nodiscard]] std::string name() const override { return "observer"; }
+TestbedRoles fleet_roles(FleetTestbed& f,
+                         const defense::SecureBindingConfig& enrollment,
+                         FabricLoad& load) {
+  TestbedRoles roles;
+  roles.tb = f.tb.get();
+  roles.victim = f.victim;
+  roles.peer = f.peer;
+  roles.attacker = f.attacker;
+  roles.attacker_b = f.attacker_b;
+  roles.attacker_loc = f.attacker_loc;
+  roles.migration_target = f.migration_target;
+  roles.oob = f.oob;
+  roles.relay_link = f.fabricated_link();
+  roles.enrollment = &enrollment;
+  roles.warm_hosts = [&f] { fleet_warm_hosts(f); };
+  roles.background = &load;
+  return roles;
+}
 
-  ctrl::Verdict on_host_event(const ctrl::HostEvent& ev) override {
-    if (ev.mac == victim_mac_ && ev.new_loc == attacker_loc_ && !confirmed_) {
-      confirmed_ = true;
-      if (on_confirm_) on_confirm_();
-    }
-    return ctrl::Verdict::Allow;
+/// Flow-rule relay target: the attacker's edge switch when it has two
+/// fabric links, else the lowest-dpid switch that does (links_view() is
+/// sorted, so the choice is deterministic). Splicing the relay's first
+/// two inter-switch ports makes discovery fabricate a direct link
+/// between their far ends.
+void place_flow_relay(const FleetTestbed& f, TestbedRoles& roles) {
+  std::map<of::Dpid, std::vector<topo::Link>> incident;
+  for (const topo::Link& l : f.topo.graph.links_view()) {
+    incident[l.a.dpid].push_back(l);
+    incident[l.b.dpid].push_back(l);
   }
-
- private:
-  net::MacAddress victim_mac_;
-  of::Location attacker_loc_;
-  std::function<void()> on_confirm_;
-  bool confirmed_ = false;
-};
-
-TestbedOptions fleet_options(DefenseSuite suite, std::uint64_t seed,
-                             bool check_invariants,
-                             const std::optional<ctrl::ControllerProfile>& prof,
-                             TrialArena* arena) {
-  TestbedOptions o = suite_options(suite, seed);
-  o.check_invariants = check_invariants;
-  if (prof) o.controller.profile = *prof;
-  if (arena != nullptr) o.loop = &arena->acquire();
-  return o;
+  of::Dpid relay = 0;
+  if (incident[f.attacker_loc.dpid].size() >= 2) {
+    relay = f.attacker_loc.dpid;
+  } else {
+    for (const auto& [dpid, links] : incident) {
+      if (links.size() >= 2) {
+        relay = dpid;
+        break;
+      }
+    }
+  }
+  TMG_ASSERT(relay != 0,
+             "fleet flow-rule relay: no switch with two fabric links");
+  const topo::Link& left = incident[relay][0];
+  const topo::Link& right = incident[relay][1];
+  roles.flow_relay_switch = relay;
+  roles.flow_relay.left_port =
+      left.a.dpid == relay ? left.a.port : left.b.port;
+  roles.flow_relay.right_port =
+      right.a.dpid == relay ? right.a.port : right.b.port;
+  roles.flow_relay_link =
+      topo::Link{left.a.dpid == relay ? left.b : left.a,
+                 right.a.dpid == relay ? right.b : right.a};
 }
 
 }  // namespace
 
 FleetHijackOutcome run_fleet_hijack(const FleetHijackConfig& config) {
-  FleetTestbedConfig ftc;
-  ftc.topology = config.topology;
-  ftc.max_hosts = config.max_hosts;
-  ftc.spare_access_links = config.spare_access_links;
-  ftc.options = fleet_options(config.suite, config.seed,
-                              config.check_invariants, config.profile,
-                              config.arena);
-  FleetTestbed f = make_fleet_testbed(ftc);
-  ctrl::Controller& ctrl = f.tb->controller();
-  sim::EventLoop& loop = f.tb->loop();
-
+  FleetTestbed f = make_fabric(config, driver_options(config));
   const defense::SecureBindingConfig enrollment = fleet_enrollment(f);
-  const DefenseHandles handles = install_suite(ctrl, config.suite, &enrollment);
-  if (config.check_invariants) {
-    f.tb->enable_invariant_checker(handles.topoguard);
-  }
-  if (config.obs != nullptr) f.tb->set_observability(config.obs);
-
   FleetHijackOutcome out;
-
-  attack::PortProbingConfig pc;
-  pc.victim_ip = f.victim->ip();
-  pc.probe_type = config.probe_type;
-  pc.probe_period = config.probe_period;
-  pc.probe_timeout = config.probe_timeout;
-  pc.confirm_failures = config.confirm_failures;
-  pc.nmap_overhead = config.nmap_overhead;
-  attack::PortProbingAttack attack{loop, f.tb->fork_rng(), *f.attacker, pc};
-  attack.set_observability(config.obs);
-
-  const net::MacAddress victim_mac = f.victim->mac();
-  const net::Ipv4Address victim_ip = f.victim->ip();
-  auto observer = std::make_unique<FleetHijackObserver>(
-      victim_mac, f.attacker_loc, [&]() {
-        // The event fires before the HTS commits (a defense may veto),
-        // so verify the actual binding one tick later.
-        loop.post_after(Duration::zero(), [&] {
-          const auto rec = ctrl.host_tracker().find(victim_mac);
-          if (rec && rec->loc == f.attacker_loc) {
-            attack.mark_hijack_confirmed(loop.now());
-            out.hijack_succeeded = true;
-          }
-        });
-      });
-  ctrl.add_defense(std::move(observer));
-
-  f.attacker->add_listener([&](const net::Packet& pkt) {
-    const auto* icmp = pkt.icmp();
-    if (icmp && icmp->type == net::IcmpPayload::Type::EchoRequest &&
-        pkt.ip && pkt.ip->dst == victim_ip && attack.identity_claimed()) {
-      out.traffic_redirected = true;
-    }
-  });
-
-  f.tb->start(Duration::seconds(2));
-  fleet_warm_hosts(f);
-
-  BackgroundTraffic bg{*f.tb, f.tb->fork_rng(), config.background};
-  fleet_attach_background(f, bg);
-  if (config.background_on) bg.start();
-
-  // The peer keeps a session toward the victim alive.
-  std::uint16_t seq = 0;
-  const std::function<void()> peer_ping = [&]() {
-    f.peer->send_ping(victim_mac, victim_ip, 0x2222, seq++);
-    loop.post_after(Duration::millis(200), [&peer_ping] { peer_ping(); });
-  };
-  loop.post_after(Duration::zero(), [&peer_ping] { peer_ping(); });
-
-  attack.start();
-  f.tb->run_for(config.settle_window);
-
-  // The victim begins a legitimate move at a random phase of the probe
-  // cycle (what Figs. 5-8 average over), now raced under fleet load.
-  sim::Rng phase_rng = f.tb->fork_rng();
-  const Duration phase = Duration::nanos(
-      phase_rng.uniform_int(0, config.probe_period.count_nanos()));
-  f.tb->run_for(phase);
-
-  const SimTime victim_down = loop.now();
-  if (config.obs != nullptr) {
-    config.obs->trace().instant(victim_down, "scenario", "victim.down");
-  }
-  migrate_host(*f.tb, *f.victim, *f.migration_target, config.victim_downtime);
-  loop.post_after(config.victim_downtime + Duration::millis(50),
-                  [&f, &config, &loop] {
-                    f.victim->send_arp_request(f.victim->ip());
-                    if (config.obs != nullptr) {
-                      config.obs->trace().instant(loop.now(), "scenario",
-                                                  "victim.rejoin");
-                    }
-                  });
-  f.tb->run_for(config.victim_downtime + Duration::seconds(3));
-  bg.stop();
-
-  const auto& tl = attack.timeline();
-  const auto rel = [&](const std::optional<SimTime>& t) {
-    return t ? std::optional<double>((*t - victim_down).to_millis_f())
-             : std::nullopt;
-  };
-  out.down_to_final_probe_start_ms = rel(tl.final_probe_start);
-  out.down_to_declared_down_ms = rel(tl.victim_declared_down);
-  out.down_to_iface_up_ms = rel(tl.interface_up_as_victim);
-  out.down_to_confirmed_ms = rel(tl.hijack_confirmed);
-
-  out.hosts_tracked = ctrl.host_tracker().host_count();
-  out.background = bg.stats();
-  out.alerts_total = ctrl.alerts().count();
-  if (check::InvariantChecker* checker = f.tb->invariant_checker()) {
-    checker->final_check();
-    out.invariant_sweeps = checker->checks_run();
-    out.invariant_violations = checker->violation_count();
-  }
-  out.events_executed = loop.events_executed();
-  if (config.collect_pipeline_stats) {
-    out.pipeline_stats = ctrl.pipeline().stats();
-  }
-  if (config.obs != nullptr) config.obs->finalize(loop.now());
+  FabricLoad load{f, config.background, config.background_on, out.background};
+  run_hijack_timeline(config, fleet_roles(f, enrollment, load), out);
+  out.hosts_tracked = f.tb->controller().host_tracker().host_count();
   return out;
 }
 
 FleetLinkAttackOutcome run_fleet_link_attack(
     const FleetLinkAttackConfig& config) {
-  TMG_ASSERT(config.attack_window >= Duration::seconds(32),
-             "fleet link attack: window must cover two LLDP rounds");
-  FleetTestbedConfig ftc;
-  ftc.topology = config.topology;
-  ftc.max_hosts = config.max_hosts;
-  ftc.spare_access_links = config.spare_access_links;
-  ftc.options = fleet_options(config.suite, config.seed,
-                              config.check_invariants, config.profile,
-                              config.arena);
-  FleetTestbed f = make_fleet_testbed(ftc);
-  ctrl::Controller& ctrl = f.tb->controller();
-  sim::EventLoop& loop = f.tb->loop();
-
+  FleetTestbed f = make_fabric(config, driver_options(config));
   const defense::SecureBindingConfig enrollment = fleet_enrollment(f);
-  const DefenseHandles handles = install_suite(ctrl, config.suite, &enrollment);
-  if (config.check_invariants) {
-    f.tb->enable_invariant_checker(handles.topoguard);
-  }
-  if (config.obs != nullptr) f.tb->set_observability(config.obs);
-
   FleetLinkAttackOutcome out;
-
-  // Flow-rule relay target: the attacker's edge switch when it has two
-  // fabric links, else the lowest-dpid switch that does (links_view()
-  // is sorted, so the choice is deterministic). Splicing the relay's
-  // first two inter-switch ports makes discovery fabricate a direct
-  // link between their far ends.
-  of::Dpid relay_dpid = 0;
-  attack::FlowRuleRelay::Config relay_cfg;
-  of::Location fab_a;
-  of::Location fab_b;
-  if (config.kind == LinkAttackKind::FlowRuleRelay) {
-    std::map<of::Dpid, std::vector<topo::Link>> incident;
-    for (const topo::Link& l : f.topo.graph.links_view()) {
-      incident[l.a.dpid].push_back(l);
-      incident[l.b.dpid].push_back(l);
-    }
-    if (incident[f.attacker_loc.dpid].size() >= 2) {
-      relay_dpid = f.attacker_loc.dpid;
-    } else {
-      for (const auto& [dpid, links] : incident) {
-        if (links.size() >= 2) {
-          relay_dpid = dpid;
-          break;
-        }
-      }
-    }
-    TMG_ASSERT(relay_dpid != 0,
-               "fleet flow-rule relay: no switch with two fabric links");
-    const topo::Link& left = incident[relay_dpid][0];
-    const topo::Link& right = incident[relay_dpid][1];
-    relay_cfg.left_port =
-        left.a.dpid == relay_dpid ? left.a.port : left.b.port;
-    fab_a = left.a.dpid == relay_dpid ? left.b : left.a;
-    relay_cfg.right_port =
-        right.a.dpid == relay_dpid ? right.a.port : right.b.port;
-    fab_b = right.a.dpid == relay_dpid ? right.b : right.a;
-  }
-
-  // Poll the fabricated link while the sim runs. The flow-rule relay
-  // fabricates the link between its spliced ports' far ends; the
-  // host-based relays fabricate the attacker-to-attacker access link.
-  const auto fabricated_present = [&]() {
-    if (config.kind == LinkAttackKind::FlowRuleRelay) {
-      return ctrl.topology().has_link(fab_a, fab_b);
-    }
-    return f.fabricated_link_present();
-  };
-  const std::function<void()> poll = [&]() {
-    if (fabricated_present()) out.link_registered = true;
-    loop.post_after(Duration::millis(500), [&poll] { poll(); });
-  };
-
-  f.tb->start(Duration::seconds(2));
-  fleet_warm_hosts(f);
-  loop.post_after(Duration::zero(), [&poll] { poll(); });
-
-  BackgroundTraffic bg{*f.tb, f.tb->fork_rng(), config.background};
-  fleet_attach_background(f, bg);
-  if (config.background_on) bg.start();
-
-  // A long-lived benign session whose traffic the fabricated link could
-  // attract (the MITM observable).
-  const net::MacAddress victim_mac = f.victim->mac();
-  const net::Ipv4Address victim_ip = f.victim->ip();
-  const std::function<void()> ping_loop = [&]() {
-    f.peer->send_ping(victim_mac, victim_ip, 0x1111,
-                      static_cast<std::uint16_t>(loop.now().count_nanos()));
-    f.peer->send_raw(victim_mac, victim_ip, "bulk", 1400);
-    loop.post_after(Duration::millis(500), [&ping_loop] { ping_loop(); });
-  };
-  loop.post_after(Duration::zero(), [&ping_loop] { ping_loop(); });
-
-  f.tb->run_for(config.benign_window);
-  out.alerts_before_attack = ctrl.alerts().count();
-  if (config.obs != nullptr) {
-    config.obs->trace().instant(loop.now(), "scenario", "attack-start",
-                                to_string(config.kind));
-  }
-
-  std::unique_ptr<attack::ClassicLinkFabrication> classic;
-  std::unique_ptr<attack::PortAmnesiaAttack> amnesia;
-  std::unique_ptr<attack::FlowRuleRelay> flowrule;
-  switch (config.kind) {
-    case LinkAttackKind::FlowRuleRelay: {
-      flowrule = std::make_unique<attack::FlowRuleRelay>(
-          f.tb->control_channel(relay_dpid), relay_cfg);
-      flowrule->start();
-      break;
-    }
-    case LinkAttackKind::ClassicRelay: {
-      attack::ClassicLinkFabrication::Config cc;
-      classic = std::make_unique<attack::ClassicLinkFabrication>(
-          loop, *f.attacker, *f.attacker_b, *f.oob, cc);
-      classic->start();
-      break;
-    }
-    case LinkAttackKind::OobAmnesia:
-    case LinkAttackKind::OobAmnesiaNaive:
-    case LinkAttackKind::InBandAmnesia: {
-      attack::PortAmnesiaAttack::Config ac;
-      ac.mode = config.kind == LinkAttackKind::InBandAmnesia
-                    ? attack::PortAmnesiaAttack::Mode::InBand
-                    : attack::PortAmnesiaAttack::Mode::OutOfBand;
-      ac.preposition_flap = config.kind == LinkAttackKind::OobAmnesia;
-      ac.blackhole_transit = config.blackhole;
-      ac.bridge_transit = !config.blackhole;
-      amnesia = std::make_unique<attack::PortAmnesiaAttack>(
-          loop, *f.attacker, *f.attacker_b,
-          ac.mode == attack::PortAmnesiaAttack::Mode::OutOfBand ? f.oob
-                                                                : nullptr,
-          ac);
-      amnesia->set_observability(config.obs);
-      amnesia->start();
-      break;
-    }
-  }
-
-  f.tb->run_for(config.attack_window);
-  bg.stop();
-
-  out.link_present_at_end = fabricated_present();
-  if (classic) {
-    out.lldp_relayed = classic->lldp_relayed();
-    out.transit_bridged = classic->transit_bridged();
-  }
-  if (amnesia) {
-    out.lldp_relayed = amnesia->lldp_relayed();
-    out.transit_bridged = amnesia->transit_bridged();
-    out.flaps = amnesia->flaps();
-  }
-  out.mitm_traffic = out.transit_bridged > 0;
-  out.hosts_tracked = ctrl.host_tracker().host_count();
-  out.background = bg.stats();
-  out.alerts_total = ctrl.alerts().count();
-  out.alerts_topoguard = ctrl.alerts().count_from("TopoGuard");
-  if (check::InvariantChecker* checker = f.tb->invariant_checker()) {
-    checker->final_check();
-    out.invariant_sweeps = checker->checks_run();
-    out.invariant_violations = checker->violation_count();
-  }
-  out.events_executed = loop.events_executed();
-  if (config.collect_pipeline_stats) {
-    out.pipeline_stats = ctrl.pipeline().stats();
-  }
-  if (config.obs != nullptr) config.obs->finalize(loop.now());
+  FabricLoad load{f, config.background, config.background_on, out.background};
+  TestbedRoles roles = fleet_roles(f, enrollment, load);
+  if (config.kind == LinkAttackKind::FlowRuleRelay) place_flow_relay(f, roles);
+  run_link_attack_timeline(config, roles, out);
+  out.hosts_tracked = f.tb->controller().host_tracker().host_count();
   return out;
 }
 

@@ -9,17 +9,17 @@
 // further out — and the tail attachments stay vacant access links for
 // background mobility plus the victim's migration target.
 //
-// run_fleet_hijack / run_fleet_link_attack mirror the paper-testbed
-// drivers (experiments.hpp) but execute under deterministic background
-// load (scenario::BackgroundTraffic) and report fleet observables
-// (hosts tracked by the HTS, background stats) alongside the Fig. 5-8
-// race windows and detection results. Same (config, seed) -> byte-
-// identical outcome, which bench_fleet pins across --jobs counts.
+// run_fleet_hijack / run_fleet_link_attack run the paper drivers' own
+// timelines (timelines.hpp) on the generated fabric, under
+// deterministic background load (scenario::BackgroundTraffic), and add
+// the fleet observables (hosts tracked by the HTS, background stats) to
+// the paper outcomes. Every defense suite and anomaly-IDS hook of the
+// paper configs applies. Same (config, seed) -> byte-identical outcome,
+// which bench_fleet pins across --jobs counts.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "scenario/background_traffic.hpp"
@@ -107,112 +107,57 @@ void fleet_attach_background(FleetTestbed& f, BackgroundTraffic& bg);
 // Drivers
 // ---------------------------------------------------------------------
 
-struct FleetHijackConfig {
+/// The fields a fleet driver adds to a paper config.
+struct FleetFabricConfig {
   topo::GeneratorConfig topology;
-  DefenseSuite suite = DefenseSuite::None;
-  std::uint64_t seed = 1;
   std::size_t max_hosts = 0;
   std::size_t spare_access_links = 4;
-
   /// Background load; background_on=false runs the identical timeline
   /// on an idle fabric (the control cell benches compare against).
   bool background_on = true;
   BackgroundTrafficConfig background;
-
-  // Probe engine. The cadence follows the paper (Figs. 5-8) but the
-  // timeout is re-derived for fleet geometry: an inter-pod fat-tree
-  // round trip crosses up to 8 fabric hops at 5 ms each (~41 ms RTT,
-  // plus micro-burst tail), so the paper's 35 ms two-switch timeout
-  // would declare a *live* victim down on every probe.
-  attack::ProbeType probe_type = attack::ProbeType::ArpPing;
-  sim::Duration probe_period = sim::Duration::millis(100);
-  sim::Duration probe_timeout = sim::Duration::millis(80);
-  int confirm_failures = 1;
-  bool nmap_overhead = false;
-
-  /// Steady probing + background before the victim's move; kept short
-  /// relative to run_hijack because every fleet second is expensive.
-  sim::Duration settle_window = sim::Duration::seconds(4);
-  sim::Duration victim_downtime = sim::Duration::seconds(3);
-
-  bool check_invariants = true;
-  bool collect_pipeline_stats = false;
-  std::optional<ctrl::ControllerProfile> profile;
-  obs::Observability* obs = nullptr;
-  TrialArena* arena = nullptr;
 };
 
-struct FleetHijackOutcome {
-  bool hijack_succeeded = false;
-  bool traffic_redirected = false;
-  // Race windows relative to the victim's down instant (Figs. 5-8).
-  std::optional<double> down_to_final_probe_start_ms;
-  std::optional<double> down_to_declared_down_ms;
-  std::optional<double> down_to_iface_up_ms;
-  std::optional<double> down_to_confirmed_ms;
+// The fleet's defaults, the one place they differ from the paper's.
+// No defenses, seed 1, and short windows: every fleet second is
+// expensive. The probe cadence follows the paper (Figs. 5-8) but the
+// timeout is re-derived for fleet geometry: an inter-pod fat-tree round
+// trip crosses up to 8 fabric hops at 5 ms each (~41 ms RTT, plus
+// micro-burst tail), so the paper's 35 ms two-switch timeout would
+// declare a *live* victim down on every probe. The link attack's window
+// still covers the ~32 s two-LLDP-round registration horizon.
+struct FleetHijackConfig : HijackConfig, FleetFabricConfig {
+  FleetHijackConfig() {
+    suite = DefenseSuite::None;
+    seed = 1;
+    probe_period = sim::Duration::millis(100);
+    probe_timeout = sim::Duration::millis(80);
+    settle_window = sim::Duration::seconds(4);
+  }
+};
 
+struct FleetLinkAttackConfig : LinkAttackConfig, FleetFabricConfig {
+  FleetLinkAttackConfig() {
+    kind = LinkAttackKind::ClassicRelay;
+    suite = DefenseSuite::None;
+    seed = 1;
+    benign_window = sim::Duration::seconds(8);
+    attack_window = sim::Duration::seconds(40);
+  }
+};
+
+/// What a fleet run adds to a paper outcome.
+struct FleetObservables {
   /// HTS population at the end of the run (the fleet-scale observable:
   /// the race must be won against a full host table, not three hosts).
   std::size_t hosts_tracked = 0;
   BackgroundTraffic::Stats background;
-
-  std::uint64_t alerts_total = 0;
-  std::uint64_t invariant_sweeps = 0;
-  std::uint64_t invariant_violations = 0;
-  std::uint64_t events_executed = 0;
-  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
 };
+
+struct FleetHijackOutcome : HijackOutcome, FleetObservables {};
+struct FleetLinkAttackOutcome : LinkAttackOutcome, FleetObservables {};
 
 FleetHijackOutcome run_fleet_hijack(const FleetHijackConfig& config);
-
-struct FleetLinkAttackConfig {
-  topo::GeneratorConfig topology;
-  LinkAttackKind kind = LinkAttackKind::ClassicRelay;
-  DefenseSuite suite = DefenseSuite::None;
-  std::uint64_t seed = 1;
-  std::size_t max_hosts = 0;
-  std::size_t spare_access_links = 4;
-
-  bool background_on = true;
-  BackgroundTrafficConfig background;
-
-  /// Benign settle before the attack; the attack window must exceed the
-  /// ~32 s two-LLDP-round registration horizon (run_link_attack).
-  sim::Duration benign_window = sim::Duration::seconds(8);
-  sim::Duration attack_window = sim::Duration::seconds(40);
-  bool blackhole = false;
-
-  bool check_invariants = true;
-  bool collect_pipeline_stats = false;
-  std::optional<ctrl::ControllerProfile> profile;
-  obs::Observability* obs = nullptr;
-  TrialArena* arena = nullptr;
-};
-
-struct FleetLinkAttackOutcome {
-  bool link_registered = false;
-  bool link_present_at_end = false;
-  bool mitm_traffic = false;
-  std::uint64_t lldp_relayed = 0;
-  std::uint64_t transit_bridged = 0;
-  std::uint64_t flaps = 0;
-
-  std::size_t hosts_tracked = 0;
-  BackgroundTraffic::Stats background;
-
-  std::uint64_t alerts_before_attack = 0;
-  std::uint64_t alerts_total = 0;
-  std::uint64_t alerts_topoguard = 0;
-  std::uint64_t invariant_sweeps = 0;
-  std::uint64_t invariant_violations = 0;
-  std::uint64_t events_executed = 0;
-  std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
-
-  [[nodiscard]] bool detected() const {
-    return alerts_total > alerts_before_attack;
-  }
-};
-
 FleetLinkAttackOutcome run_fleet_link_attack(
     const FleetLinkAttackConfig& config);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sim/fastpath.hpp"
-
 namespace tmg::stats {
 
 LatencyWindow::LatencyWindow(std::size_t capacity, double k,
@@ -17,18 +15,16 @@ LatencyWindow::LatencyWindow(std::size_t capacity, double k,
 }
 
 void LatencyWindow::add(double sample) {
-  if (sim::fastpath_enabled()) {
-    if (full_) {
-      // Evict the ring slot we are about to overwrite from the mirror.
-      const auto it =
-          std::lower_bound(sorted_.begin(), sorted_.end(), buf_[head_]);
-      assert(it != sorted_.end() && *it == buf_[head_]);
-      sorted_.erase(it);
-    }
-    sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), sample),
-                   sample);
-    cache_dirty_ = true;
+  if (full_) {
+    // Evict the ring slot we are about to overwrite from the mirror.
+    const auto it =
+        std::lower_bound(sorted_.begin(), sorted_.end(), buf_[head_]);
+    assert(it != sorted_.end() && *it == buf_[head_]);
+    sorted_.erase(it);
   }
+  sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), sample),
+                 sample);
+  cache_dirty_ = true;
   if (!full_) {
     buf_.push_back(sample);
     if (buf_.size() == capacity_) full_ = true;
@@ -40,10 +36,6 @@ void LatencyWindow::add(double sample) {
 
 std::optional<double> LatencyWindow::threshold() const {
   if (!warmed_up()) return std::nullopt;
-  if (!sim::fastpath_enabled()) {
-    const Iqr iqr = compute_iqr(buf_);
-    return iqr.upper_fence(k_);
-  }
   if (cache_dirty_) {
     // sorted_ is the same multiset of doubles the naive copy+sort would
     // produce, so quantile_sorted computes the identical value.
@@ -79,7 +71,6 @@ void LatencyWindow::clear() {
 
 std::vector<std::string> LatencyWindow::audit() const {
   std::vector<std::string> issues;
-  if (!sim::fastpath_enabled()) return issues;
   if (sorted_.size() != buf_.size()) {
     issues.push_back("latency window mirror size " +
                      std::to_string(sorted_.size()) + " != ring size " +

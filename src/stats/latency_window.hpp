@@ -10,8 +10,7 @@
 // LLI window sizes) and a cached threshold recomputed only after the
 // contents change. Because the mirror holds the identical multiset of
 // doubles the naive copy+sort would produce, quantile_sorted sees the
-// same sorted sequence and the threshold is bit-identical. With the
-// fast path disabled every call recomputes from scratch.
+// same sorted sequence and the threshold is bit-identical.
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/fastpath.hpp"
-
 namespace tmg::topo {
 
 namespace {
@@ -26,7 +24,6 @@ bool same_path(
 
 std::optional<std::vector<TopologyGraph::Traversal>> PathCache::path(
     Dpid from, Dpid to) {
-  if (!sim::fastpath_enabled()) return graph_.path(from, to);
   if (epoch_ != graph_.epoch()) {
     // Topology changed since the entries were computed (possibly by a
     // fabricated link): nothing stored may be served.

@@ -12,10 +12,6 @@
 // against the poisoned graph. A stale path can never be served because
 // an entry is only ever returned when its stored epoch equals the
 // graph's current epoch.
-//
-// With the fast path disabled (sim::fastpath_enabled() == false) every
-// lookup falls through to a fresh BFS, giving a bit-identical reference
-// run for the cross-check gate.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,6 @@
 #include "ctrl/dedup_ring.hpp"
 #include "of/flow_table.hpp"
 #include "sim/event_loop.hpp"
-#include "sim/fastpath.hpp"
 #include "sim/rng.hpp"
 #include "stats/latency_window.hpp"
 #include "stats/quantile.hpp"
@@ -28,20 +27,6 @@ namespace {
 using sim::Duration;
 using sim::Rng;
 using sim::SimTime;
-
-/// Restore the process-global fast-path flag when a test scope exits.
-class FastpathGuard {
- public:
-  explicit FastpathGuard(bool enabled) : saved_{sim::fastpath_enabled()} {
-    sim::set_fastpath_enabled(enabled);
-  }
-  ~FastpathGuard() { sim::set_fastpath_enabled(saved_); }
-  FastpathGuard(const FastpathGuard&) = delete;
-  FastpathGuard& operator=(const FastpathGuard&) = delete;
-
- private:
-  bool saved_;
-};
 
 // ---------------- LatencyWindow vs sort-based reference ----------------
 
@@ -80,23 +65,6 @@ TEST_P(LatencyWindowFuzz, IncrementalThresholdMatchesNaiveSort) {
     }
     ASSERT_TRUE(window.audit().empty());
   }
-}
-
-TEST_P(LatencyWindowFuzz, FastpathOffMatchesFastpathOn) {
-  // Same operation sequence with the fast path enabled and disabled:
-  // thresholds must be bitwise identical.
-  const auto run = [&](bool fastpath) {
-    FastpathGuard guard{fastpath};
-    Rng rng{GetParam()};
-    stats::LatencyWindow window{17, 3.0, 5};
-    std::vector<double> thresholds;
-    for (int step = 0; step < 500; ++step) {
-      window.add(rng.normal(20.0, 5.0));
-      thresholds.push_back(window.threshold().value_or(-1.0));
-    }
-    return thresholds;
-  };
-  ASSERT_EQ(run(true), run(false));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LatencyWindowFuzz,
@@ -267,26 +235,6 @@ TEST_P(FlowTableFuzz, IndexedTableMatchesLinearScan) {
     }
     ASSERT_TRUE(indexed.audit().empty()) << "step " << step;
   }
-}
-
-TEST_P(FlowTableFuzz, FastpathOffRunsLinearAlgorithms) {
-  FastpathGuard guard{false};
-  Rng rng{GetParam()};
-  of::FlowTable table;
-  SimTime now = SimTime::zero();
-  for (int i = 0; i < 50; ++i) {
-    of::FlowEntry e;
-    e.match.dst_mac = net::MacAddress::host(
-        static_cast<std::uint32_t>(rng.uniform_int(1, 4)));
-    e.idle_timeout = Duration::seconds(1);
-    table.add(e, now);
-  }
-  ASSERT_LE(table.size(), 4u);  // identical (match, priority) replaced
-  ASSERT_TRUE(table.audit().empty());
-  now = now + Duration::seconds(2);
-  const std::size_t before = table.size();
-  ASSERT_EQ(table.expire(now).size(), before);
-  ASSERT_EQ(table.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableFuzz,

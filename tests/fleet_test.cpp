@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "ctrl/host_tracker.hpp"
+#include "ids/behavior_profile.hpp"
 #include "net/packet.hpp"
 #include "scenario/fleet.hpp"
 
@@ -201,6 +202,7 @@ TEST(FleetLinkAttack, FlowRuleRelayFabricatesLinkOnFleetFabric) {
   // link that does not exist in the generated fabric.
   EXPECT_TRUE(out.link_registered);
   EXPECT_TRUE(out.link_present_at_end);
+  EXPECT_GT(out.lldp_relayed, 0u);
   EXPECT_EQ(out.invariant_violations, 0u);
 }
 
@@ -217,6 +219,34 @@ TEST(FleetLinkAttack, TopoGuardDetectsRelayOnFleet) {
   EXPECT_TRUE(out.detected());
   EXPECT_GT(out.alerts_topoguard, 0u);
   EXPECT_FALSE(out.link_registered);
+}
+
+// The fleet configs are the paper configs, so the anomaly IDS hooks
+// work on a generated fabric too: train on a clean fabric run, then
+// score a classic relay against that baseline.
+TEST(FleetLinkAttack, AnomalyIdsScoresRelayOnFleet) {
+  FleetLinkAttackConfig cfg;
+  cfg.topology.k = 4;
+  cfg.kind = LinkAttackKind::ClassicRelay;
+  cfg.seed = 5;
+  cfg.benign_window = Duration::seconds(4);
+  cfg.attack_window = Duration::seconds(34);
+
+  ids::ProfileTrainer trainer;
+  FleetLinkAttackConfig clean = cfg;
+  clean.attack_enabled = false;
+  clean.anomaly_trainer = &trainer;
+  net::reset_trace_ids();
+  (void)run_fleet_link_attack(clean);
+  const ids::BehaviorProfile baseline = trainer.finalize();
+  ASSERT_GT(baseline.events, 0u);
+
+  cfg.anomaly_profile = &baseline;
+  net::reset_trace_ids();
+  const FleetLinkAttackOutcome out = run_fleet_link_attack(cfg);
+  EXPECT_TRUE(out.link_registered);
+  EXPECT_GT(out.anomaly.scored, 0u);
+  EXPECT_EQ(out.invariant_violations, 0u);
 }
 
 }  // namespace

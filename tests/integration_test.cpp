@@ -170,10 +170,10 @@ TEST(LinkAttackMatrix, NoAttackNoAlerts) {
   // Control: the benign Fig. 9 network under TopoGuard raises nothing.
   LinkAttackConfig cfg =
       link_cfg(LinkAttackKind::OobAmnesia, DefenseSuite::TopoGuard);
-  cfg.attack_window = 0_s;
+  cfg.attack_enabled = false;
   cfg.benign_window = 60_s;
-  // kind irrelevant: zero attack window means the attack never launches
-  // meaningfully; assert only the benign phase.
+  // kind irrelevant: the clean baseline never launches the attack;
+  // assert only the benign phase.
   const auto out = run_link_attack(cfg);
   EXPECT_EQ(out.alerts_before_attack, 0u);
 }

@@ -46,17 +46,14 @@ across worker counts.
 (generated fabrics under background load) must produce identical
 stdout tables and deterministic-JSON payloads at --jobs 1 and 8.
 
---fastpath-check runs the same serial attack-matrix workload once with
-the algorithmic fast paths enabled and once with --no-fastpath (naive
-reference algorithms), diffs the stdout (minus [bench] timing lines),
-and fails if the fast paths changed any simulated result. The
-wall-clock ratio is recorded as the fast paths' end-to-end speedup.
-
 Usage:
     python3 tools/run_bench.py [--quick] [--jobs N] [--build-dir build]
                                [--out BENCH.json] [--speedup]
-                               [--fastpath-check] [--montecarlo-check]
-                               [--fleet-check] [--history]
+                               [--montecarlo-check] [--fleet-check]
+                               [--history]
+
+The directory of --out must exist: it is checked before the first bench
+runs, and a missing one exits 2 naming the path.
 """
 
 import argparse
@@ -249,11 +246,11 @@ def main():
                     help="merge the BENCH_<utc>.json archives into a "
                          "trajectory block and warn on >10%% wall-clock "
                          "regressions against the previous comparable run")
-    ap.add_argument("--fastpath-check", action="store_true",
-                    help="also run the serial attack-matrix workload with "
-                         "and without --no-fastpath and fail unless the "
-                         "outputs are identical")
     args = ap.parse_args()
+    # Fail before the suite runs, not in archive_report after it.
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        ap.error(f"--out directory {out_dir} does not exist")
 
     bench_dir = os.path.join(args.build_dir, "bench")
     if not os.path.isdir(bench_dir):
@@ -332,36 +329,6 @@ def main():
               f"legacy-runner serial baseline "
               f"{legacy['wall_ms']:.0f} ms "
               f"({legacy['wall_ms'] / serial_wall:.2f}x vs chunked serial)")
-
-    if args.fastpath_check:
-        binary = os.path.join(bench_dir, "bench_attack_matrix")
-        workload = ["--trials", "10", "--jobs", "1"]
-        # Interleaved best-of-3 per mode: the equivalence gate needs one
-        # run, but a meaningful wall-clock ratio needs noise control.
-        fast, naive = None, None
-        for _ in range(3):
-            f, fast_out = run_bench(binary, list(workload))
-            n, naive_out = run_bench(binary, workload + ["--no-fastpath"])
-            if strip_bench_lines(fast_out) != strip_bench_lines(naive_out):
-                sys.exit("error: attack-matrix output differs between the "
-                         "fast-path and --no-fastpath runs — the fast "
-                         "paths changed a simulated result")
-            if fast is None or f["wall_ms"] < fast["wall_ms"]:
-                fast = f
-            if naive is None or n["wall_ms"] < naive["wall_ms"]:
-                naive = n
-        ratio = naive["wall_ms"] / fast["wall_ms"]
-        report["fastpath_check"] = {
-            "workload": "attack_matrix --trials 10 --jobs 1 "
-                        "(200 experiments)",
-            "fastpath_wall_ms": fast["wall_ms"],
-            "no_fastpath_wall_ms": naive["wall_ms"],
-            "speedup": ratio,
-            "output_identical": True,
-        }
-        print(f"[run_bench] fastpath: {naive['wall_ms']:.0f} ms naive -> "
-              f"{fast['wall_ms']:.0f} ms fast path "
-              f"({ratio:.2f}x, identical output)")
 
     if args.montecarlo_check:
         one = check_jobs_stable(bench_dir, "bench_montecarlo", ["--quick"],
