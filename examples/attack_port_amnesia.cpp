@@ -83,9 +83,10 @@ int main(int argc, char** argv) {
       "  the relay adds ~11 ms that the encrypted-timestamp latency\n"
       "  check cannot be talked out of.",
       run_link_attack(cfg));
-  examples::export_observability(obs.get(),
-                                 obs ? obs->final_time() : sim::SimTime{},
-                                 g_args);
+  if (!examples::export_observability(
+          obs.get(), obs ? obs->final_time() : sim::SimTime{}, g_args)) {
+    return 1;
+  }
 
   std::printf(
       "Also try: the in-band variant (LinkAttackKind::InBandAmnesia),\n"

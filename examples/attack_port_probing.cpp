@@ -95,7 +95,10 @@ int main(int argc, char** argv) {
     std::printf("\n[obs] re-ran the '%s' trial observed (hijack %s)\n",
                 to_string(cfg.suite),
                 observed.hijack_succeeded ? "succeeded" : "failed");
-    examples::export_observability(obs.get(), obs->final_time(), g_args);
+    if (!examples::export_observability(obs.get(), obs->final_time(),
+                                        g_args)) {
+      return 1;
+    }
   }
 
   std::printf(

@@ -83,6 +83,7 @@ int main(int argc, char** argv) {
   args.pipeline_stats = true;  // always: the counters are the point
   examples::print_pipeline_stats(ctrl, args);
   examples::print_check_summary(*f.tb);
-  examples::export_observability(obs.get(), f.tb->loop().now(), args);
-  return 0;
+  return examples::export_observability(obs.get(), f.tb->loop().now(), args)
+             ? 0
+             : 1;
 }

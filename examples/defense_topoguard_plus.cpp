@@ -77,6 +77,7 @@ int main(int argc, char** argv) {
               f.tb->controller().topology().link_count());
   examples::print_pipeline_stats(f.tb->controller(), args);
   examples::print_check_summary(*f.tb);
-  examples::export_observability(obs.get(), f.tb->loop().now(), args);
-  return 0;
+  return examples::export_observability(obs.get(), f.tb->loop().now(), args)
+             ? 0
+             : 1;
 }

@@ -26,6 +26,7 @@
 //                      valid names listed, never a silent default.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -221,29 +222,45 @@ inline std::unique_ptr<obs::Observability> make_observability(
 
 /// Export footer for `--obs-out` / `--trace-out`: metrics snapshot (via
 /// the registered collectors) and the span trace, all sim-time based so
-/// reruns produce byte-identical files.
-inline void export_observability(obs::Observability* obs, sim::SimTime at,
-                                 const ExampleArgs& args) {
-  if (obs == nullptr) return;
+/// reruns produce byte-identical files. Returns false when a file could
+/// not be written (write_text_file names it on stderr); the success line
+/// for that flag is skipped and the caller exits 1.
+[[nodiscard]] inline bool export_observability(obs::Observability* obs,
+                                               sim::SimTime at,
+                                               const ExampleArgs& args) {
+  if (obs == nullptr) return true;
+  bool ok = true;
   if (!args.trace_out.empty()) {
-    obs::write_text_file(args.trace_out, obs->trace().to_jsonl());
-    std::printf("\n[--trace-out] %zu trace records -> %s\n",
-                obs->trace().size(), args.trace_out.c_str());
+    if (obs::write_text_file(args.trace_out, obs->trace().to_jsonl())) {
+      std::printf("\n[--trace-out] %zu trace records -> %s\n",
+                  obs->trace().size(), args.trace_out.c_str());
+    } else {
+      ok = false;
+    }
   }
   if (!args.obs_out.empty()) {
     const std::string dir = args.obs_out;
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best effort
-    obs::write_text_file(dir + "/metrics.json", obs->metrics_json(at));
-    obs::write_text_file(dir + "/metrics.csv", obs->metrics_csv(at));
-    obs::write_text_file(dir + "/trace.jsonl", obs->trace().to_jsonl());
-    obs::write_text_file(dir + "/trace_chrome.json",
-                         obs->trace().to_chrome_trace());
-    std::printf(
-        "\n[--obs-out] %zu metrics, %zu trace records -> %s/"
-        "{metrics.json,metrics.csv,trace.jsonl,trace_chrome.json}\n",
-        obs->metrics().size(), obs->trace().size(), dir.c_str());
+    // Evaluate every write: a failure must not skip the later files.
+    const bool wrote[] = {
+        obs::write_text_file(dir + "/metrics.json", obs->metrics_json(at)),
+        obs::write_text_file(dir + "/metrics.csv", obs->metrics_csv(at)),
+        obs::write_text_file(dir + "/trace.jsonl", obs->trace().to_jsonl()),
+        obs::write_text_file(dir + "/trace_chrome.json",
+                             obs->trace().to_chrome_trace()),
+    };
+    if (std::all_of(std::begin(wrote), std::end(wrote),
+                    [](bool w) { return w; })) {
+      std::printf(
+          "\n[--obs-out] %zu metrics, %zu trace records -> %s/"
+          "{metrics.json,metrics.csv,trace.jsonl,trace_chrome.json}\n",
+          obs->metrics().size(), obs->trace().size(), dir.c_str());
+    } else {
+      ok = false;
+    }
   }
+  return ok;
 }
 
 }  // namespace tmg::examples

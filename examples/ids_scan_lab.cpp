@@ -68,7 +68,9 @@ int main(int argc, char** argv) {
         ProbeType::ArpPing, 20.0, 30_s, 1, obs.get());
     std::printf("\n[obs] re-ran the ARP scan observed (%llu probes)\n",
                 static_cast<unsigned long long>(observed.probes_sent));
-    examples::export_observability(obs.get(), obs->final_time(), args);
+    if (!examples::export_observability(obs.get(), obs->final_time(), args)) {
+      return 1;
+    }
   }
 
   std::printf(

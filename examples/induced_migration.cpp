@@ -123,6 +123,7 @@ int main(int argc, char** argv) {
       "happened (paper Sec. IV-B).\n");
   examples::print_pipeline_stats(tb.controller(), args);
   examples::print_check_summary(tb);
-  examples::export_observability(obs.get(), tb.loop().now(), args);
-  return 0;
+  return examples::export_observability(obs.get(), tb.loop().now(), args)
+             ? 0
+             : 1;
 }

@@ -12,8 +12,8 @@
 #include "example_util.hpp"
 #include "ctrl/link_discovery.hpp"
 #include "ctrl/routing.hpp"
+#include "obs/observability.hpp"
 #include "scenario/testbed.hpp"
-#include "trace/tracer.hpp"
 
 using namespace tmg;
 using namespace tmg::sim::literals;
@@ -42,14 +42,13 @@ int main(int argc, char** argv) {
   bob_cfg.ip = net::Ipv4Address::host(2);
   attack::Host& bob = tb.add_host(0x2, 1, bob_cfg);
 
-  // 2. Attach a tracer (optional but invaluable) and start the
-  // controller: LLDP rounds, echo probes, sweeps begin. With
-  // --obs-out/--trace-out the tracer shares the observability span log,
-  // so controller events interleave with pipeline dispatch spans.
-  trace::Tracer tracer;
-  tb.controller().set_tracer(&tracer);
-  const auto obs = examples::make_observability(args);
-  tb.set_observability(obs.get());
+  // 2. Attach the observability layer (optional but invaluable) and
+  // start the controller: LLDP rounds, echo probes, sweeps begin. Every
+  // control-plane event lands in its trace as a "ctrl" instant,
+  // interleaved with the pipeline dispatch spans that --obs-out /
+  // --trace-out export.
+  obs::Observability obs;
+  tb.set_observability(&obs);
   examples::apply_modules(tb.controller(), args);
   tb.start(/*warmup=*/1_s);
 
@@ -89,15 +88,16 @@ int main(int argc, char** argv) {
               tb.get_switch(0x1).flow_table().size(),
               tb.get_switch(0x2).flow_table().size());
 
-  // 5. The tracer kept the control-plane story.
+  // 5. The trace kept the control-plane story.
   std::printf("\nLast controller events:\n%s",
-              tracer.render(/*last_n=*/8).c_str());
+              obs.trace().to_console("ctrl", /*last_n=*/8).c_str());
   std::printf("(%llu control-plane events recorded in total)\n",
-              static_cast<unsigned long long>(tracer.total_recorded()));
+              static_cast<unsigned long long>(
+                  obs.trace().instant_total("ctrl")));
 
   examples::print_pipeline_stats(tb.controller(), args);
   examples::print_check_summary(tb);
-  examples::export_observability(obs.get(), tb.loop().now(), args);
+  if (!examples::export_observability(&obs, tb.loop().now(), args)) return 1;
   std::printf("\nDone. Next: run attack_port_amnesia / attack_port_probing\n"
               "to see the paper's attacks against this machinery.\n");
   return 0;

@@ -36,7 +36,7 @@
 //      (link-discovery, host-tracking, routing).
 //
 // Violations are raised on the controller's AlertBus as
-// AlertType::InvariantViolation (mirrored into an attached tracer) —
+// AlertType::InvariantViolation (mirrored into an attached trace) —
 // a violation means the *simulator* is broken, never the network.
 #pragma once
 

@@ -43,6 +43,25 @@ void validate_config(const ControllerConfig& c) {
 
 }  // namespace
 
+const char* to_string(EventKind kind) {
+  switch (kind) {
+    case EventKind::PacketIn: return "PACKET_IN";
+    case EventKind::PacketOut: return "PACKET_OUT";
+    case EventKind::FlowMod: return "FLOW_MOD";
+    case EventKind::PortUp: return "PORT_UP";
+    case EventKind::PortDown: return "PORT_DOWN";
+    case EventKind::LinkAdded: return "LINK_ADDED";
+    case EventKind::LinkRemoved: return "LINK_REMOVED";
+    case EventKind::HostNew: return "HOST_NEW";
+    case EventKind::HostMoved: return "HOST_MOVED";
+    case EventKind::HostMoveRejected: return "HOST_MOVE_REJECTED";
+    case EventKind::HostBlocked: return "HOST_BLOCKED";
+    case EventKind::Alert: return "ALERT";
+    case EventKind::EchoRtt: return "ECHO_RTT";
+  }
+  return "?";
+}
+
 /// Priority 0: controller-internal consumption. Traces raw messages,
 /// answers ARP for the controller's identity, eats probe replies and
 /// echo bookkeeping before anything else sees them.
@@ -64,8 +83,8 @@ class Controller::CoreListener final : public MessageListener {
       case MessageType::PortStatus: {
         const of::PortStatus& ps = *msg.port_status;
         c_.trace_event(ps.reason == of::PortStatus::Reason::Down
-                           ? trace::EventKind::PortDown
-                           : trace::EventKind::PortUp,
+                           ? EventKind::PortDown
+                           : EventKind::PortUp,
                        "", of::Location{ps.dpid, ps.port});
         return Disposition::Continue;
       }
@@ -81,8 +100,8 @@ class Controller::CoreListener final : public MessageListener {
 
  private:
   Disposition on_packet_in(const of::PacketIn& pi) {
-    if (c_.tracer_ != nullptr || c_.obs_ != nullptr) {
-      c_.trace_event(trace::EventKind::PacketIn, pi.packet.describe(),
+    if (c_.obs_ != nullptr) {
+      c_.trace_event(EventKind::PacketIn, pi.packet.describe(),
                      of::Location{pi.dpid, pi.in_port});
     }
     // Controller-internal probe replies never reach services or defenses.
@@ -346,21 +365,13 @@ void Controller::send_flow_mod(of::Dpid dpid, of::FlowMod fm) {
   const auto it = switches_.find(dpid);
   if (it == switches_.end()) return;
   pipeline_.dispatch(PipelineMessage::from(dpid, fm));
-  if (tracer_ != nullptr || obs_ != nullptr) {
-    trace_event(trace::EventKind::FlowMod,
+  if (obs_ != nullptr) {
+    trace_event(EventKind::FlowMod,
                 (fm.command == of::FlowMod::Command::Add ? "add " : "del ") +
                     fm.match.to_string(),
                 of::Location{dpid, fm.action.out_port});
   }
   it->second.channel->to_switch(std::move(fm));
-}
-
-void Controller::set_tracer(trace::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_) {
-    if (obs_ != nullptr) tracer_->bind(obs_->trace());
-    subscribe_alert_mirror();
-  }
 }
 
 void Controller::set_observability(obs::Observability* obs) {
@@ -370,8 +381,14 @@ void Controller::set_observability(obs::Observability* obs) {
     obs_echo_rtt_ = nullptr;
     return;
   }
-  if (tracer_ != nullptr) tracer_->bind(obs_->trace());
-  subscribe_alert_mirror();
+  if (!alert_mirror_subscribed_) {
+    alert_mirror_subscribed_ = true;
+    alerts_.subscribe([this](const Alert& alert) {
+      if (obs_ == nullptr) return;
+      trace_event(EventKind::Alert, alert.module + ": " + alert.message,
+                  alert.location);
+    });
+  }
   obs_echo_rtt_ =
       &obs_->metrics().histogram("ctrl.echo_rtt_ms", 0.0, 50.0, 50);
   // Export-time mirror: copies module totals into the registry right
@@ -416,29 +433,13 @@ void Controller::set_observability(obs::Observability* obs) {
   });
 }
 
-void Controller::subscribe_alert_mirror() {
-  if (alert_mirror_subscribed_) return;
-  alert_mirror_subscribed_ = true;
-  alerts_.subscribe([this](const Alert& alert) {
-    if (tracer_ == nullptr && obs_ == nullptr) return;
-    trace_event(trace::EventKind::Alert, alert.module + ": " + alert.message,
-                alert.location);
-  });
-}
-
-void Controller::trace_event(trace::EventKind kind, std::string detail,
+void Controller::trace_event(EventKind kind, std::string detail,
                              std::optional<of::Location> loc) {
-  if (tracer_ != nullptr) {
-    // The tracer is bound onto the shared TraceLog when obs is attached,
-    // so one record covers both sinks.
-    tracer_->record(loop_.now(), kind, std::move(detail), loc);
-    return;
-  }
-  if (obs_ != nullptr) {
-    const obs::SpanId id = obs_->trace().instant(
-        loop_.now(), trace::Tracer::kCategory, trace::to_string(kind), detail);
-    if (id != 0 && loc) obs_->trace().annotate(id, "loc", loc->to_string());
-  }
+  if (obs_ == nullptr) return;
+  obs::TraceLog& log = obs_->trace();
+  const obs::SpanId id =
+      log.instant(loop_.now(), "ctrl", to_string(kind), std::move(detail));
+  if (id != 0 && loc) log.annotate(id, "loc", loc->to_string());
 }
 
 void Controller::request_flow_stats(of::Dpid dpid) {
@@ -577,10 +578,10 @@ void Controller::handle_echo_reply(of::Dpid dpid, const of::EchoReply& er) {
   // Paper Sec. VI-D: average of the latest three measurements.
   while (conn.recent_rtts.size() > 3) conn.recent_rtts.pop_front();
   if (obs_echo_rtt_ != nullptr) obs_echo_rtt_->add(rtt.to_millis_f());
-  if (tracer_ != nullptr || obs_ != nullptr) {
+  if (obs_ != nullptr) {
     char buf[48];
     std::snprintf(buf, sizeof buf, "rtt=%.3fms", rtt.to_millis_f());
-    trace_event(trace::EventKind::EchoRtt, buf, of::Location{dpid, 0});
+    trace_event(EventKind::EchoRtt, buf, of::Location{dpid, 0});
   }
 }
 

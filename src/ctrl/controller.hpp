@@ -32,7 +32,6 @@
 #include "sim/event_loop.hpp"
 #include "sim/rng.hpp"
 #include "topo/graph.hpp"
-#include "trace/tracer.hpp"
 
 namespace tmg::ctrl {
 
@@ -45,6 +44,28 @@ class RoutingService;
 // installs at layout.defense_base + N * layout.defense_step,
 // preserving installation order. The constructor assembles the chain
 // from config.profile instead of hard-coded slots.
+
+/// Control-plane events, recorded as "ctrl/<KIND>" trace instants by
+/// Controller::trace_event. The to_string spellings are the trace
+/// featurization contract (DESIGN.md §14): the anomaly IDS and the
+/// offline trainer read these names back out of exported traces.
+enum class EventKind {
+  PacketIn,
+  PacketOut,
+  FlowMod,
+  PortUp,
+  PortDown,
+  LinkAdded,
+  LinkRemoved,
+  HostNew,
+  HostMoved,
+  HostMoveRejected,
+  HostBlocked,
+  Alert,
+  EchoRtt,
+};
+
+const char* to_string(EventKind kind);
 
 struct ControllerConfig {
   ControllerProfile profile = floodlight_profile();
@@ -163,24 +184,19 @@ class Controller {
 
   // --- Tracing ---
 
-  /// Attach an event tracer (optional; nullptr detaches). Alerts raised
-  /// after attachment are mirrored into it.
-  void set_tracer(trace::Tracer* tracer);
-  [[nodiscard]] trace::Tracer* tracer() { return tracer_; }
-
   /// Attach the observability layer (borrowed; nullptr detaches, the
-  /// default). Wires the pipeline's dispatch span tree, rebinds an
-  /// attached Tracer onto the shared TraceLog, registers the export-time
-  /// collector that mirrors pipeline/LLDP/alert totals into the metrics
-  /// registry, and starts the control-link echo RTT histogram. With a
-  /// null pointer every simulated behavior is bit-identical to an
-  /// unobserved controller.
+  /// default). Wires the pipeline's dispatch span tree, mirrors raised
+  /// alerts into the trace, registers the export-time collector that
+  /// mirrors pipeline/LLDP/alert totals into the metrics registry, and
+  /// starts the control-link echo RTT histogram. With a null pointer
+  /// every simulated behavior is bit-identical to an unobserved
+  /// controller.
   void set_observability(obs::Observability* obs);
   [[nodiscard]] obs::Observability* observability() const { return obs_; }
 
-  /// Record a trace event if a tracer is attached (used by the services;
-  /// cheap no-op otherwise).
-  void trace_event(trace::EventKind kind, std::string detail,
+  /// Record a "ctrl/<KIND>" instant (plus a "loc" arg) in the attached
+  /// observability trace; a no-op without one. Used by the services.
+  void trace_event(EventKind kind, std::string detail,
                    std::optional<of::Location> loc = std::nullopt);
 
   // --- Derived-event publication (services dispatch through the
@@ -205,7 +221,6 @@ class Controller {
   class VerdictGate;
 
   void dispatch(of::Dpid dpid, const of::SwitchToCtrl& msg);
-  void subscribe_alert_mirror();
   void finish_probe_span(obs::SpanId span, bool reachable);
   void handle_echo_reply(of::Dpid dpid, const of::EchoReply& er);
   void echo_tick();
@@ -234,7 +249,6 @@ class Controller {
   std::uint32_t next_port_stats_xid_ = 1;
   std::map<std::uint16_t, PendingProbe> pending_probes_;
   DefenseModule* anomaly_ = nullptr;
-  trace::Tracer* tracer_ = nullptr;
   obs::Observability* obs_ = nullptr;
   stats::Histogram* obs_echo_rtt_ = nullptr;  // "ctrl.echo_rtt_ms"
   bool alert_mirror_subscribed_ = false;

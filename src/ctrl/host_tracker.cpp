@@ -55,12 +55,12 @@ void HostTrackingService::handle_packet_in(const of::PacketIn& pi) {
     ev.new_loc = loc;
     if (ctrl_.notify_host_event(ev) == Verdict::Block) {
       ++blocked_;
-      ctrl_.trace_event(trace::EventKind::HostBlocked,
+      ctrl_.trace_event(EventKind::HostBlocked,
                         pkt.src_mac.to_string(), loc);
       return;
     }
     hosts_.insert(HostRecord{pkt.src_mac, src_ip, loc, now, now});
-    ctrl_.trace_event(trace::EventKind::HostNew,
+    ctrl_.trace_event(EventKind::HostNew,
                       pkt.src_mac.to_string() + " / " + src_ip.to_string(),
                       loc);
     return;
@@ -110,7 +110,7 @@ void HostTrackingService::finish_move(net::MacAddress mac,
     // identity elsewhere does not get the binding (blocks the naive
     // pre-claim hijack while the victim is alive).
     ++moves_rejected_;
-    ctrl_.trace_event(trace::EventKind::HostMoveRejected,
+    ctrl_.trace_event(EventKind::HostMoveRejected,
                       mac.to_string() + " " + pending.old_loc.to_string() +
                           " -/-> " + pending.new_loc.to_string(),
                       pending.new_loc);
@@ -131,11 +131,11 @@ void HostTrackingService::commit_move(HostRecord& rec, of::Location new_loc,
   ev.old_last_seen = rec.last_seen;
   if (ctrl_.notify_host_event(ev) == Verdict::Block) {
     ++blocked_;
-    ctrl_.trace_event(trace::EventKind::HostBlocked, rec.mac.to_string(),
+    ctrl_.trace_event(EventKind::HostBlocked, rec.mac.to_string(),
                       new_loc);
     return;
   }
-  ctrl_.trace_event(trace::EventKind::HostMoved,
+  ctrl_.trace_event(EventKind::HostMoved,
                     rec.mac.to_string() + " " + rec.loc.to_string() + " -> " +
                         new_loc.to_string(),
                     new_loc);

@@ -177,7 +177,7 @@ void LinkDiscoveryService::handle_lldp_packet_in(const of::PacketIn& pi) {
   if (obs.is_new_link) {
     links_.emplace(link, LinkState{link, now, now});
     ctrl_.topology().add_link(src, dst);
-    ctrl_.trace_event(trace::EventKind::LinkAdded, link.to_string(), dst);
+    ctrl_.trace_event(EventKind::LinkAdded, link.to_string(), dst);
   } else {
     existing->second.last_verified = now;
   }
@@ -190,7 +190,7 @@ void LinkDiscoveryService::handle_port_down(of::Location loc) {
       const topo::Link link = it->first;
       it = links_.erase(it);
       ctrl_.topology().remove_link(link.a, link.b);
-      ctrl_.trace_event(trace::EventKind::LinkRemoved,
+      ctrl_.trace_event(EventKind::LinkRemoved,
                         link.to_string() + " (port down)", loc);
       ctrl_.notify_link_removed(link);
     } else {
@@ -208,7 +208,7 @@ void LinkDiscoveryService::sweep() {
       const topo::Link link = it->first;
       it = links_.erase(it);
       ctrl_.topology().remove_link(link.a, link.b);
-      ctrl_.trace_event(trace::EventKind::LinkRemoved,
+      ctrl_.trace_event(EventKind::LinkRemoved,
                         link.to_string() + " (timeout)", link.a);
       ctrl_.notify_link_removed(link);
     } else {

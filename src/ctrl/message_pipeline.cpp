@@ -13,7 +13,7 @@ namespace {
 /// Host-clock nanoseconds for the opt-in per-listener timing. Purely
 /// observability: the value is reported, never fed into the simulation.
 std::int64_t wall_now_ns() {
-  // determinism-lint: allow(wall-clock) perf observability only, opt-in
+  // tmglint: allow(wall-clock) perf observability only, opt-in
   const auto now = std::chrono::steady_clock::now();
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              now.time_since_epoch())

@@ -40,6 +40,15 @@ void append_args(
   out += "}";
 }
 
+/// The value of `key` in `r.args`, or `fallback` when absent.
+const char* arg_or(const TraceLog::Record& r, const char* key,
+                   const char* fallback) {
+  for (const auto& [k, v] : r.args) {
+    if (k == key) return v.c_str();
+  }
+  return fallback;
+}
+
 }  // namespace
 
 TraceLog::TraceLog(std::size_t max_records) : max_records_{max_records} {}
@@ -52,7 +61,7 @@ TraceLog::Record* TraceLog::find(SpanId id) {
 SpanId TraceLog::begin_span(sim::SimTime at, std::string category,
                             std::string name, SpanId parent) {
   ++name_counts_[category + '\x1f' + name];
-  ++category_counts_[category];
+  ++category_counts_[category].records;
   if (records_.size() >= max_records_) {
     ++dropped_;
     return 0;
@@ -85,7 +94,9 @@ void TraceLog::annotate(SpanId id, std::string key, std::string value) {
 SpanId TraceLog::instant(sim::SimTime at, std::string category,
                          std::string name, std::string detail, SpanId parent) {
   ++name_counts_[category + '\x1f' + name];
-  ++category_counts_[category];
+  CategoryCounts& counts = category_counts_[category];
+  ++counts.records;
+  ++counts.instants;
   if (records_.size() >= max_records_) {
     ++dropped_;
     return 0;
@@ -112,7 +123,12 @@ std::uint64_t TraceLog::count(const std::string& category,
 
 std::uint64_t TraceLog::category_total(const std::string& category) const {
   const auto it = category_counts_.find(category);
-  return it == category_counts_.end() ? 0 : it->second;
+  return it == category_counts_.end() ? 0 : it->second.records;
+}
+
+std::uint64_t TraceLog::instant_total(const std::string& category) const {
+  const auto it = category_counts_.find(category);
+  return it == category_counts_.end() ? 0 : it->second.instants;
 }
 
 std::string TraceLog::to_jsonl() const {
@@ -185,6 +201,25 @@ std::string TraceLog::to_chrome_trace() const {
     out += i + 1 == records_.size() ? "}\n" : "},\n";
   }
   out += "]}\n";
+  return out;
+}
+
+std::string TraceLog::to_console(const std::string& category,
+                                 std::size_t last_n) const {
+  std::vector<const Record*> shown;  // newest first
+  for (auto it = records_.rbegin();
+       it != records_.rend() && shown.size() < last_n; ++it) {
+    if (!it->is_span && it->category == category) shown.push_back(&*it);
+  }
+  std::string out;
+  char line[512];
+  for (auto it = shown.rbegin(); it != shown.rend(); ++it) {
+    const Record& r = **it;
+    std::snprintf(line, sizeof line, "[%10.3fs] %-12s %-10s %s\n",
+                  r.begin.to_seconds_f(), r.name.c_str(), arg_or(r, "loc", "-"),
+                  arg_or(r, "detail", ""));
+    out += line;
+  }
   return out;
 }
 

@@ -3,10 +3,10 @@
 // A TraceLog records two record shapes: *spans* (begin/end instants plus
 // a parent id, so an LLDP probe round-trip or a hijack race window is
 // reconstructable as a tree) and *instants* (point events — the
-// trace::Tracer event kinds land here). All timestamps are sim-time
-// nanoseconds, never the host clock, so the JSONL and Chrome trace
-// exports are deterministic and diffable across runs (the lint has a
-// hard wall-clock ban for src/obs/).
+// controller's ctrl::EventKind events land here as "ctrl" instants).
+// All timestamps are sim-time nanoseconds, never the host clock, so the
+// JSONL, Chrome trace and console exports are deterministic and
+// diffable across runs (tmglint has a hard wall-clock ban for src/obs/).
 //
 // Span lifetimes routinely cross simulator events (a probe span opens
 // when the probe is sent and closes when the reply arrives), so the API
@@ -66,12 +66,13 @@ class TraceLog {
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
-  /// Cumulative records ever begun for (category, name) / for category —
-  /// unaffected by the record cap or clear() (the Tracer adapter's
-  /// count()/total_recorded() delegate here).
+  /// Cumulative records ever begun for (category, name) / for category /
+  /// instants only for category — unaffected by the record cap or
+  /// clear().
   [[nodiscard]] std::uint64_t count(const std::string& category,
                                     const std::string& name) const;
   [[nodiscard]] std::uint64_t category_total(const std::string& category) const;
+  [[nodiscard]] std::uint64_t instant_total(const std::string& category) const;
 
   /// One JSON object per line, byte-stable. Spans:
   ///   {"ph":"span","id":N,"parent":P,"cat":"...","name":"...",
@@ -84,17 +85,29 @@ class TraceLog {
   /// microseconds of sim time.
   [[nodiscard]] std::string to_chrome_trace() const;
 
+  /// Controller-console view (the paper's Figs. 12-13): the last
+  /// `last_n` stored instants of `category`, spans skipped, one
+  /// `[%10.3fs] %-12s %-10s %s` line each — sim time, name, the "loc"
+  /// arg ("-" when absent) and the "detail" arg.
+  [[nodiscard]] std::string to_console(const std::string& category,
+                                       std::size_t last_n = 50) const;
+
   /// Drop the stored records (cumulative counters survive).
   void clear();
 
  private:
+  struct CategoryCounts {
+    std::uint64_t records = 0;
+    std::uint64_t instants = 0;
+  };
+
   Record* find(SpanId id);
 
   std::size_t max_records_;
   std::vector<Record> records_;  // id == index + 1
   std::uint64_t dropped_ = 0;
   std::map<std::string, std::uint64_t> name_counts_;  // "cat\x1fname"
-  std::map<std::string, std::uint64_t> category_counts_;
+  std::map<std::string, CategoryCounts> category_counts_;
 };
 
 }  // namespace tmg::obs

@@ -3,10 +3,10 @@
 // Deliberately minimal: one shared FIFO queue, a fixed worker count, no
 // work stealing and no dynamic resizing. Simulation code itself stays
 // strictly single-threaded — each submitted job must own every object it
-// touches (its own EventLoop/Testbed/Rng). The determinism lint
-// (tools/lint_determinism.py, rule `threading`) bans threading
-// primitives everywhere in src/ except this file and the trial runner,
-// so concurrency cannot leak into the simulator core.
+// touches (its own EventLoop/Testbed/Rng). tmglint's determinism rule
+// `threading` bans threading primitives everywhere in src/ except this
+// file and the trial runner, so concurrency cannot leak into the
+// simulator core.
 //
 // Task records are InlineFn<64> — a submitted lambda capturing up to 64
 // bytes costs no allocation, so the trial runner's chunk-drainer tasks

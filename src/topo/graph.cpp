@@ -220,7 +220,7 @@ std::vector<std::string> TopologyGraph::audit() const {
     }
   }
   // The slot map must point every key at the slot actually holding it.
-  // determinism-lint: allow(unordered-iter) issues are sorted below
+  // tmglint: allow(unordered-iter) issues are sorted below
   for (const auto& [k, slot] : key_to_slot_) {
     if (slot >= link_slots_.size() || key(link_slots_[slot]) != k) {
       issues.push_back("link slot map entry " + std::to_string(k) +

@@ -50,7 +50,7 @@ void PathCache::clear() {
 std::vector<std::string> PathCache::audit() const {
   std::vector<std::string> issues;
   if (epoch_ != graph_.epoch() || entries_.empty()) return issues;
-  // determinism-lint: allow(unordered-iter) issues are sorted below
+  // tmglint: allow(unordered-iter) issues are sorted below
   for (const auto& [key, cached] : entries_) {
     const auto fresh = graph_.path(key.from, key.to);
     if (!same_path(cached, fresh)) {

@@ -127,8 +127,10 @@ TEST_F(DeterminismFixtures, PointerKeyPositiveAndNegative) {
 }
 
 TEST_F(DeterminismFixtures, ThreadingScopedToAllowlist) {
-  EXPECT_GE(count_of(findings(), "src/net/threading_bad.cpp", "threading"),
-            1);
+  // Two lines: the mutex, and the lock_guard<std::mutex> whose two
+  // primitives still make one finding.
+  EXPECT_EQ(count_of(findings(), "src/net/threading_bad.cpp", "threading"),
+            2);
   // src/sim/thread_pool.hpp is the sanctioned worker pool.
   EXPECT_EQ(count_of(findings(), "src/sim/thread_pool.hpp", "threading"), 0);
 }
@@ -222,13 +224,13 @@ TEST(SuppressionAudit, LiveDirectivesPassStaleOnesFail) {
 TEST(PipelineFixtures, GoodWiringMatchesItsSpec) {
   const SourceTree tree = load_source_tree(fixture("pipeline_good"));
   std::vector<Finding> findings;
-  const std::vector<ProfileSpec> specs = run_pipeline_pass(
-      tree, fixture("pipeline_good") + "/pipeline_spec.txt", false, findings);
+  const std::vector<ProfileSpec> specs =
+      run_pipeline_pass(tree, false, findings);
   EXPECT_TRUE(findings.empty()) << render_report(findings);
-  // No <key>_profile() functions in the fixture: legacy single-spec
-  // mode extracts exactly one keyless chain.
+  // One mini_profile(): one chain, its layout override (audit 400 ->
+  // 500) applied, diffed against tools/tmglint/pipeline_spec_mini.txt.
   ASSERT_EQ(specs.size(), 1u);
-  EXPECT_EQ(specs.front().key, "");
+  EXPECT_EQ(specs.front().key, "mini");
   const PipelineSpec& extracted = specs.front().spec;
   ASSERT_EQ(extracted.entries.size(), 3u);
   EXPECT_EQ(to_line(extracted.entries[0]), "0 core PacketIn");
@@ -241,8 +243,7 @@ TEST(PipelineFixtures, GoodWiringMatchesItsSpec) {
 TEST(PipelineFixtures, BadWiringYieldsAllThreeDefects) {
   const SourceTree tree = load_source_tree(fixture("pipeline_bad"));
   std::vector<Finding> findings;
-  (void)run_pipeline_pass(
-      tree, fixture("pipeline_bad") + "/pipeline_spec.txt", false, findings);
+  (void)run_pipeline_pass(tree, false, findings);
   EXPECT_TRUE(any_message_contains(findings, "duplicate chain priority 500"));
   EXPECT_TRUE(any_message_contains(findings, "OrphanListener"));
   EXPECT_TRUE(any_message_contains(findings, "!= source"));  // spec drift

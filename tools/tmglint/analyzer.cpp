@@ -48,12 +48,8 @@ AnalysisResult analyze(const Options& opts) {
     run_layering_pass(tree, result.findings);
   }
   if (wants(opts, Pass::Pipeline)) {
-    const std::string spec_path =
-        opts.spec_path.empty()
-            ? opts.root + "/tools/tmglint/pipeline_spec.txt"
-            : opts.spec_path;
-    result.extracted = run_pipeline_pass(tree, spec_path, opts.skip_spec_diff,
-                                         result.findings);
+    result.extracted =
+        run_pipeline_pass(tree, opts.skip_spec_diff, result.findings);
     result.pipeline_ran = true;
   }
 

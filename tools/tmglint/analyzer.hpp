@@ -2,9 +2,11 @@
 //
 // Four passes over a lexed SourceTree (DESIGN.md §11):
 //
-//   determinism  — the nine legacy lint_determinism.py rules, re-hosted
-//                  on the token stream (no string/comment false
-//                  positives), same suppression grammar and scoping.
+//   determinism  — the nine determinism rules (wall-clock, libc-rand,
+//                  random-device, unordered-iter, pointer-key,
+//                  threading, shared-rng, registry-bypass,
+//                  cache-coherence), matched on the token stream so
+//                  strings and comments never trigger a finding.
 //   lifetime     — posted-callback lifetime: lambdas handed to
 //                  EventLoop::post_at/post_after that capture stack
 //                  locals by reference, or `this` through a loop the
@@ -18,7 +20,7 @@
 //                  listener names resolved through name() bodies),
 //                  instantiated once per harvested `<key>_profile()`
 //                  layout, and diffed against the checked-in
-//                  tools/tmglint/pipeline_spec_<key>.txt files.
+//                  <root>/tools/tmglint/pipeline_spec_<key>.txt files.
 //
 // A suppression audit runs whenever every suppressable pass ran: any
 // `allow(<rule>)` that suppressed nothing is itself a finding.
@@ -40,11 +42,6 @@ struct Options {
   std::string root;
   /// Empty = all passes.
   std::set<Pass> passes;
-  /// Defaults to <root>/tools/tmglint/pipeline_spec.txt. Per-profile
-  /// spec files live next to it as pipeline_spec_<key>.txt; the path
-  /// itself is only read in legacy single-spec mode (fixture trees with
-  /// no profile functions).
-  std::string spec_path;
   /// Extract the pipeline spec without diffing it (--emit-pipeline-spec).
   bool skip_spec_diff = false;
   /// Force the suppression audit on/off; by default it runs exactly
@@ -54,8 +51,7 @@ struct Options {
 
 struct AnalysisResult {
   std::vector<Finding> findings;  // sorted
-  /// Pipeline pass output (if it ran): one spec per harvested profile,
-  /// or a single keyless spec in legacy single-spec mode.
+  /// Pipeline pass output (if it ran): one spec per harvested profile.
   std::vector<ProfileSpec> extracted;
   bool pipeline_ran = false;
 };
@@ -70,7 +66,7 @@ void run_determinism_pass(const SourceTree& tree,
 void run_lifetime_pass(const SourceTree& tree, std::vector<Finding>& findings);
 void run_layering_pass(const SourceTree& tree, std::vector<Finding>& findings);
 [[nodiscard]] std::vector<ProfileSpec> run_pipeline_pass(
-    const SourceTree& tree, const std::string& spec_path, bool skip_spec_diff,
+    const SourceTree& tree, bool skip_spec_diff,
     std::vector<Finding>& findings);
 /// Report allow()/skip-file directives that suppressed nothing. Must
 /// run after the suppressable passes (they set the consumption flags).

@@ -1,6 +1,7 @@
 // fixture: three wiring defects — a duplicate chain priority, a
-// listener class nobody registers, and (via pipeline_spec.txt) a spec
-// that drifted from the source.
+// listener class nobody registers, and (via
+// tools/tmglint/pipeline_spec_mini.txt) a spec that drifted from the
+// source.
 #include "ctrl/mini_controller.hpp"
 
 namespace fx::ctrl {
@@ -38,12 +39,20 @@ class OrphanListener final : public MessageListener {
   }
 };
 
-void MiniController::wire() {
-  pipeline_.add_owned(kPriorityCore, std::make_unique<CoreListener>());
-  pipeline_.add(kPriorityAudit, *audit_);
-  // Defect: same priority as the audit listener — chain order now
-  // depends on the name tie-break.
-  pipeline_.add(500, *extra_);
+// Defect: the override moves the audit listener onto the extra slot's
+// default priority — chain order now depends on the name tie-break.
+ControllerProfile mini_profile() {
+  ControllerProfile p;
+  p.layout.audit = 500;
+  return p;
+}
+
+MiniController::MiniController(ControllerProfile profile)
+    : profile_{profile} {
+  const PipelineLayout& layout = profile_.layout;
+  pipeline_.add_owned(layout.core, std::make_unique<CoreListener>());
+  pipeline_.add(layout.audit, *audit_);
+  pipeline_.add(layout.extra, *extra_);
 }
 
 }  // namespace fx::ctrl

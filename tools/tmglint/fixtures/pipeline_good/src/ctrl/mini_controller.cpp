@@ -26,16 +26,25 @@ class AdapterListener final : public MessageListener {
   }
 };
 
-void MiniController::wire() {
-  pipeline_.add_owned(kPriorityCore, std::make_unique<CoreListener>());
-  pipeline_.add(kPriorityAudit, *audit_);
+ControllerProfile mini_profile() {
+  ControllerProfile p;
+  p.layout.audit = 500;
+  return p;
+}
+
+MiniController::MiniController(ControllerProfile profile)
+    : profile_{profile} {
+  const PipelineLayout& layout = profile_.layout;
+  pipeline_.add_owned(layout.core, std::make_unique<CoreListener>());
+  pipeline_.add(layout.audit, *audit_);
 }
 
 void MiniController::add_defense() {
   mods_.push_back(1);
+  const PipelineLayout& layout = profile_.layout;
   const int priority =
-      kPriorityDefenseBase +
-      kPriorityDefenseStep * static_cast<int>(mods_.size() - 1);
+      layout.defense_base +
+      layout.defense_step * static_cast<int>(mods_.size() - 1);
   pipeline_.add(priority, *adapter_);
 }
 

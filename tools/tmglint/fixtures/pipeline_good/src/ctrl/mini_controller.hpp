@@ -1,28 +1,38 @@
-// fixture: a miniature controller whose wiring the pipeline pass must
-// reconstruct — priority constants here, listener bodies in the .cpp,
-// one name routed through a string constant, one resolved only at
-// runtime.
+// fixture: a miniature controller in the real tree's form — a
+// PipelineLayout slot table with defaults, one <key>_profile() that
+// overrides a slot, listener bodies in the .cpp, one name routed
+// through a string constant, one resolved only at runtime.
 #include <memory>
 #include <vector>
 
 namespace fx::ctrl {
 
-inline constexpr int kPriorityCore = 0;
-inline constexpr int kPriorityAudit = 500;
-inline constexpr int kPriorityDefenseBase = 100;
-inline constexpr int kPriorityDefenseStep = 10;
 inline constexpr const char* kAuditName = "audit-listener";
+
+struct PipelineLayout {
+  int core = 0;
+  int defense_base = 100;
+  int defense_step = 10;
+  int audit = 400;
+};
+
+struct ControllerProfile {
+  PipelineLayout layout;
+};
+
+ControllerProfile mini_profile();
 
 class AuditListener;
 class AdapterListener;
 
 class MiniController {
  public:
-  void wire();
+  explicit MiniController(ControllerProfile profile);
   void add_defense();
 
  private:
   class CoreListener;
+  ControllerProfile profile_;
   MessagePipeline pipeline_;
   std::unique_ptr<AuditListener> audit_;
   std::unique_ptr<AdapterListener> adapter_;

@@ -1,5 +1,5 @@
-// fixture: wall-clock negatives. The legacy regex linter flagged the
-// string literal below; the token engine must not.
+// fixture: wall-clock negatives. A regex linter flags the string
+// literals below; the token engine must not.
 namespace fx {
 
 // A comment mentioning std::chrono::steady_clock is documentation.

@@ -1,6 +1,6 @@
 // tmglint CLI.
 //
-//   tmglint --root <repo> [--pass <p>]... [--spec <file>]
+//   tmglint --root <repo> [--pass <p>]...
 //           [--emit-pipeline-spec [--profile <key>]]
 //           [--audit | --no-audit]
 //
@@ -28,7 +28,7 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --root <repo> [--pass "
       "determinism|lifetime|layering|pipeline]...\n"
-      "          [--spec <file>] [--emit-pipeline-spec [--profile <key>]]\n"
+      "          [--emit-pipeline-spec [--profile <key>]]\n"
       "          [--audit | --no-audit]\n",
       argv0);
   return 2;
@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--root" && i + 1 < argc) {
       opts.root = argv[++i];
-    } else if (arg == "--spec" && i + 1 < argc) {
-      opts.spec_path = argv[++i];
     } else if (arg == "--profile" && i + 1 < argc) {
       emit_profile = argv[++i];
     } else if (arg == "--pass" && i + 1 < argc) {

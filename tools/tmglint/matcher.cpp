@@ -155,40 +155,6 @@ std::string receiver_anchor(const std::vector<Token>& t, std::size_t method) {
   return anchor;
 }
 
-std::map<std::string, long> harvest_int_constants(
-    const std::vector<Token>& t) {
-  std::map<std::string, long> out;
-  for (std::size_t i = 0; i + 4 < t.size(); ++i) {
-    if (!is_ident(t[i], "constexpr")) continue;
-    std::size_t j = i + 1;
-    if (is_ident(t[j], "int") || is_ident(t[j], "auto") ||
-        is_ident(t[j], "long")) {
-      ++j;
-    }
-    if (j + 3 >= t.size() || t[j].kind != TokKind::Ident ||
-        !is_punct(t[j + 1], "=")) {
-      continue;
-    }
-    // Value: a plain number, or a unary minus then a number.
-    std::size_t v = j + 2;
-    long sign = 1;
-    if (is_punct(t[v], "-")) {
-      sign = -1;
-      ++v;
-    }
-    if (v + 1 >= t.size() || t[v].kind != TokKind::Number ||
-        !is_punct(t[v + 1], ";")) {
-      continue;
-    }
-    try {
-      out[t[j].text] = sign * std::stol(t[v].text, nullptr, 0);
-    } catch (...) {  // NOLINT(bugprone-empty-catch)
-      // Not an integer literal we understand; leave unresolved.
-    }
-  }
-  return out;
-}
-
 std::map<std::string, std::string> harvest_string_constants(
     const std::vector<Token>& t) {
   std::map<std::string, std::string> out;

@@ -68,10 +68,6 @@ enclosing_callable(
 
 // --- declaration harvesting (pipeline pass) -----------------------------
 
-/// `inline constexpr int kFoo = 42;` style integer constants.
-[[nodiscard]] std::map<std::string, long> harvest_int_constants(
-    const std::vector<Token>& t);
-
 /// `inline constexpr const char* kFoo = "bar";` style string constants.
 [[nodiscard]] std::map<std::string, std::string> harvest_string_constants(
     const std::vector<Token>& t);

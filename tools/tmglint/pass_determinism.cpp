@@ -1,12 +1,13 @@
-// Determinism rules v2: the nine lint_determinism.py rules on the
-// token stream. Scope, suppression grammar, and verdicts mirror the
-// legacy regex linter exactly (tools/lint_determinism.py keeps running
-// as a thin wrapper over this pass); the difference is that a banned
-// identifier inside a comment, string literal, or raw string can no
-// longer trigger — or mask — a finding.
+// Determinism rules: the nine bans that keep every run bit-reproducible
+// (DESIGN.md §6, §11b), matched on the token stream, so a banned
+// identifier inside a comment, string literal, or raw string can never
+// trigger — or mask — a finding. Scope: every src/ file except the
+// sanctioned entropy source src/sim/rng.*. One finding per
+// (file, line, rule), however many tokens on the line match.
 #include <array>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyzer.hpp"
@@ -185,7 +186,7 @@ void rule_shared_rng(const SourceFile& f, std::vector<RawFinding>& out) {
     }
     // Statement-start `Rng [&*] name ;|=` (possibly tmg::/sim::
     // qualified). Statement start == preceded by ; { } or an access
-    // label's colon, which is what the legacy ^-anchored regex caught.
+    // label's colon.
     if (t[i].text != "Rng") continue;
     std::size_t start = i;
     while (start >= 2 && is_punct(t[start - 1], "::") &&
@@ -241,8 +242,7 @@ void rule_unordered_iter(const SourceFile& f, const SourceFile* sibling,
     const std::size_t close = match_balanced(t, i + 1);
     if (close >= t.size() || close < i + 4) continue;
     // `... : [*]name)` — the ranged expression must be a bare
-    // identifier (a member access like obj.m_ never matches, same as
-    // the legacy regex).
+    // identifier (a member access like obj.m_ never matches).
     if (t[close - 1].kind != TokKind::Ident) continue;
     const std::size_t before = close - 2;
     const bool direct =
@@ -317,7 +317,9 @@ void run_determinism_pass(const SourceTree& tree,
     rule_cache_coherence(f, sibling, raw);
 
     const bool hard_wallclock = f.in_module("obs");
+    std::set<std::pair<int, std::string>> seen;
     for (const auto& r : raw) {
+      if (!seen.emplace(r.line, r.rule).second) continue;
       const bool hard = hard_wallclock && r.rule == "wall-clock";
       if (hard) {
         findings.push_back(Finding{f.rel, r.line, "wall-clock",

@@ -10,11 +10,10 @@
 //   rank 4  obs      — floating: includable from ANY module, but may
 //                      itself include only sim/stats/check-assert, so
 //                      instrumenting a layer can never create a cycle
-//   rank 5  trace
-//   rank 6  ctrl
-//   rank 7  defense, ids, attack            (peers; no cross-includes)
-//   rank 8  check/invariants.*              (audits the layers below)
-//   rank 9  scenario
+//   rank 5  ctrl
+//   rank 6  defense, ids, attack            (peers; no cross-includes)
+//   rank 7  check/invariants.*              (audits the layers below)
+//   rank 8  scenario
 //
 // A file may include its own module and any strictly lower rank.
 // Same-rank peers (defense/ids/attack) may not include each other:
@@ -41,11 +40,10 @@ const std::map<std::string, int>& rank_table() {
       {"of", 2},
       {"topo", 3},
       {"obs", 4},
-      {"trace", 5},
-      {"ctrl", 6},
-      {"defense", 7}, {"ids", 7}, {"attack", 7},
-      {"check_invariants", 8},
-      {"scenario", 9},
+      {"ctrl", 5},
+      {"defense", 6}, {"ids", 6}, {"attack", 6},
+      {"check_invariants", 7},
+      {"scenario", 8},
   };
   return kRanks;
 }

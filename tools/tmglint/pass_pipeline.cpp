@@ -8,9 +8,8 @@
 //   * fold the PipelineLayout slot table into concrete chain positions:
 //     struct defaults (`int verdict_gate = 900;`) overlaid with each
 //     `<key>_profile()` body's `p.layout.<slot> = <value>;` overrides,
-//     plus legacy `kPriority*` constants and the locally-computed
-//     defense-band priority `layout.defense_base + layout.defense_step
-//     * N`;
+//     plus the locally-computed defense-band priority
+//     `layout.defense_base + layout.defense_step * N`;
 //   * resolve each registered listener expression to its class —
 //     `std::make_unique<CoreListener>(...)` directly, `*links_` through
 //     the `std::unique_ptr<LinkDiscoveryService> links_;` member
@@ -25,9 +24,9 @@
 //   * flag duplicate chain priorities (per profile) and
 //     MessageListener subclasses that are never registered at all.
 //
-// Trees with no `<key>_profile()` functions — the test fixtures — fall
-// back to legacy single-spec mode: one keyless spec diffed against
-// `spec_path` itself.
+// Each profile's chain is diffed against
+// <root>/tools/tmglint/pipeline_spec_<key>.txt; the test fixtures
+// mirror that layout.
 //
 // Findings are architectural and not suppressible: fix the wiring, or
 // regenerate the specs if the change is deliberate
@@ -46,16 +45,12 @@ namespace tmg::tmglint {
 
 namespace {
 
-constexpr const char* kSpecRel = "tools/tmglint/pipeline_spec.txt";
-
 struct Registration {
   std::string file;
   int line = 0;
   std::string class_name;
   bool is_band = false;
-  long priority = 0;       // numeric entries
-  long base = 0;           // band entries (numeric constants)
-  long step = 0;
+  long priority = 0;       // literal priority (no `layout.` slot)
   std::string field;       // fixed slot taken from `layout.<field>`
   std::string base_field;  // band base/step taken from `layout.<field>`
   std::string step_field;
@@ -71,7 +66,6 @@ struct ProfileInfo {
 };
 
 struct Extraction {
-  std::map<std::string, long> int_consts;
   std::map<std::string, std::string> string_consts;
   std::vector<ClassInfo> classes;
   std::map<std::string, std::string> members;  // member_ -> Type
@@ -80,6 +74,18 @@ struct Extraction {
   std::vector<ProfileInfo> profiles;            // definition order
   std::set<std::string> default_subs;  // ControllerProfile default mask
 };
+
+/// The scanned file declaring class `c` (the harvest runs over the
+/// concatenated stream, which keeps token lines but not file names).
+std::string declaring_file(const std::vector<const SourceFile*>& scanned,
+                           const ClassInfo& c) {
+  for (const SourceFile* f : scanned) {
+    for (const Token& tok : f->tokens) {
+      if (tok.line == c.line && is_ident(tok, c.name.c_str())) return f->rel;
+    }
+  }
+  return "";
+}
 
 const ClassInfo* find_class(const Extraction& ex, const std::string& name) {
   for (const auto& c : ex.classes) {
@@ -218,17 +224,14 @@ std::vector<ProfileInfo> harvest_profiles(const std::vector<Token>& t) {
   return out;
 }
 
-/// Resolve a priority argument [b, e): a literal, a kConstant, a
-/// `layout.<field>` slot reference, a local variable assigned from a
-/// band expression, or a band expression inline. Returns false when
-/// unresolvable.
-bool resolve_priority(const Extraction& ex, const std::vector<Token>& t,
-                      std::size_t b, std::size_t e, std::size_t call_idx,
+/// Resolve a priority argument [b, e): a literal, a `layout.<field>`
+/// slot reference, a local variable assigned from a band expression,
+/// or a band expression inline. Returns false when unresolvable.
+bool resolve_priority(const std::vector<Token>& t, std::size_t b,
+                      std::size_t e, std::size_t call_idx,
                       Registration& reg) {
   const auto band_from_expr = [&](std::size_t xb, std::size_t xe) -> bool {
-    // kBase + kStep * <anything>, or the layout form
     // layout.defense_base + layout.defense_step * <anything>.
-    std::vector<std::string> idents;
     std::vector<std::string> fields;
     bool plus = false;
     bool times = false;
@@ -239,27 +242,14 @@ bool resolve_priority(const Extraction& ex, const std::vector<Token>& t,
         k += 2;
         continue;
       }
-      if (t[k].kind == TokKind::Ident &&
-          ex.int_consts.count(t[k].text) != 0) {
-        idents.push_back(t[k].text);
-      }
       if (is_punct(t[k], "+")) plus = true;
       if (is_punct(t[k], "*")) times = true;
     }
-    if (!plus || !times) return false;
-    if (fields.size() == 2 && idents.empty()) {
-      reg.is_band = true;
-      reg.base_field = fields[0];
-      reg.step_field = fields[1];
-      return true;
-    }
-    if (idents.size() == 2 && fields.empty()) {
-      reg.is_band = true;
-      reg.base = ex.int_consts.at(idents[0]);
-      reg.step = ex.int_consts.at(idents[1]);
-      return true;
-    }
-    return false;
+    if (!plus || !times || fields.size() != 2) return false;
+    reg.is_band = true;
+    reg.base_field = fields[0];
+    reg.step_field = fields[1];
+    return true;
   };
 
   if (e == b + 1 && t[b].kind == TokKind::Number) {
@@ -273,11 +263,6 @@ bool resolve_priority(const Extraction& ex, const std::vector<Token>& t,
     return true;
   }
   if (e == b + 1 && t[b].kind == TokKind::Ident) {
-    const auto it = ex.int_consts.find(t[b].text);
-    if (it != ex.int_consts.end()) {
-      reg.priority = it->second;
-      return true;
-    }
     // A local variable: look backwards in the enclosing region for
     // `<name> = <expr> ;` and try the band shape on the expression.
     const std::string& var = t[b].text;
@@ -352,8 +337,7 @@ std::optional<long> resolve_slot(const Extraction& ex,
 PipelineSpec instantiate_profile(const Extraction& ex,
                                  const ProfileInfo& profile,
                                  std::vector<Finding>& findings) {
-  const std::string tag =
-      profile.key.empty() ? std::string{} : " [profile " + profile.key + "]";
+  const std::string tag = " [profile " + profile.key + "]";
   struct Resolved {
     const Registration* reg;
     bool is_band = false;
@@ -367,28 +351,26 @@ PipelineSpec instantiate_profile(const Extraction& ex,
     rr.reg = &r;
     rr.is_band = r.is_band;
     const auto slot_or_flag =
-        [&](const std::string& field, long fallback) -> std::optional<long> {
-      if (field.empty()) return fallback;
+        [&](const std::string& field) -> std::optional<long> {
       const auto slot = resolve_slot(ex, profile, field);
       if (!slot) {
-        findings.push_back(Finding{
-            r.file, r.line, "pipeline-wiring",
-            "layout." + field + " has no PipelineLayout default or " +
-                (profile.key.empty() ? std::string("profile")
-                                     : profile.key + "_profile()") +
-                " override"});
+        findings.push_back(Finding{r.file, r.line, "pipeline-wiring",
+                                   "layout." + field +
+                                       " has no PipelineLayout default or " +
+                                       profile.key + "_profile() override"});
       }
       return slot;
     };
     if (r.is_band) {
-      const auto base = slot_or_flag(r.base_field, r.base);
-      const auto step = slot_or_flag(r.step_field, r.step);
+      const auto base = slot_or_flag(r.base_field);
+      const auto step = slot_or_flag(r.step_field);
       if (!base || !step) continue;
       rr.base = *base;
       rr.step = *step;
       if (rr.base < 0) continue;  // band compiled out under this profile
     } else {
-      const auto slot = slot_or_flag(r.field, r.priority);
+      const auto slot = r.field.empty() ? std::optional<long>{r.priority}
+                                        : slot_or_flag(r.field);
       if (!slot) continue;
       rr.priority = *slot;
       if (rr.priority < 0) continue;  // slot compiled out
@@ -436,15 +418,6 @@ PipelineSpec instantiate_profile(const Extraction& ex,
   return spec;
 }
 
-/// tools/tmglint/pipeline_spec_<key>.txt next to the legacy spec path.
-std::string profile_spec_path(const std::string& spec_path,
-                              const std::string& key) {
-  const auto slash = spec_path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "" : spec_path.substr(0, slash + 1);
-  return dir + "pipeline_spec_" + key + ".txt";
-}
-
 void diff_against_spec(const ProfileSpec& ps, const std::string& path,
                        const std::string& rel,
                        std::vector<Finding>& findings) {
@@ -454,9 +427,7 @@ void diff_against_spec(const ProfileSpec& ps, const std::string& path,
     findings.push_back(Finding{rel, 0, "pipeline-wiring", error});
     return;
   }
-  const std::string regen =
-      ps.key.empty() ? std::string("--emit-pipeline-spec")
-                     : "--emit-pipeline-spec --profile " + ps.key;
+  const std::string regen = "--emit-pipeline-spec --profile " + ps.key;
   const std::size_t n =
       std::max(spec->entries.size(), ps.spec.entries.size());
   for (std::size_t i = 0; i < n; ++i) {
@@ -481,7 +452,6 @@ void diff_against_spec(const ProfileSpec& ps, const std::string& path,
 }  // namespace
 
 std::vector<ProfileSpec> run_pipeline_pass(const SourceTree& tree,
-                                           const std::string& spec_path,
                                            bool skip_spec_diff,
                                            std::vector<Finding>& findings) {
   // Concatenate the controller-layer token streams so cross-file
@@ -497,7 +467,6 @@ std::vector<ProfileSpec> run_pipeline_pass(const SourceTree& tree,
     all.insert(all.end(), f.tokens.begin(), f.tokens.end());
     all.push_back(Token{TokKind::Punct, ";", 0});
   }
-  ex.int_consts = harvest_int_constants(all);
   ex.string_consts = harvest_string_constants(all);
   ex.classes = harvest_classes(all);
   ex.members = harvest_unique_ptr_members(all);
@@ -524,7 +493,7 @@ std::vector<ProfileSpec> run_pipeline_pass(const SourceTree& tree,
                                        fp->excerpt(reg.line)});
         continue;
       }
-      if (!resolve_priority(ex, t, args[0].first, args[0].second, i, reg)) {
+      if (!resolve_priority(t, args[0].first, args[0].second, i, reg)) {
         findings.push_back(Finding{
             fp->rel, reg.line, "pipeline-wiring",
             "cannot statically resolve the registration priority: " +
@@ -556,21 +525,24 @@ std::vector<ProfileSpec> run_pipeline_pass(const SourceTree& tree,
     }
     if (registered.count(c.name) == 0) {
       findings.push_back(Finding{
-          kSpecRel, 0, "pipeline-wiring",
+          declaring_file(scanned, c), c.line, "pipeline-wiring",
           "listener class " + c.name +
               " derives MessageListener but is never registered with "
               "the pipeline"});
     }
   }
 
-  // Instantiate per harvested profile; a tree with no profile functions
-  // (the fixtures) gets one keyless instantiation over the layout
-  // defaults — i.e. the legacy single-spec behaviour.
-  std::vector<ProfileInfo> profiles = ex.profiles;
-  if (profiles.empty()) profiles.push_back(ProfileInfo{});
+  // Registrations with no `<key>_profile()` to lay them out cannot be
+  // instantiated (or checked) at all.
+  if (!ex.regs.empty() && ex.profiles.empty()) {
+    findings.push_back(Finding{
+        ex.regs.front().file, ex.regs.front().line, "pipeline-wiring",
+        "no `ControllerProfile <key>_profile()` definition to instantiate "
+        "the chain under"});
+  }
 
   std::vector<ProfileSpec> out;
-  for (const auto& profile : profiles) {
+  for (const auto& profile : ex.profiles) {
     ProfileSpec ps;
     ps.key = profile.key;
     ps.spec = instantiate_profile(ex, profile, findings);
@@ -579,13 +551,8 @@ std::vector<ProfileSpec> run_pipeline_pass(const SourceTree& tree,
 
   if (!skip_spec_diff) {
     for (const auto& ps : out) {
-      const std::string path =
-          ps.key.empty() ? spec_path : profile_spec_path(spec_path, ps.key);
-      const std::string rel =
-          ps.key.empty()
-              ? std::string(kSpecRel)
-              : "tools/tmglint/pipeline_spec_" + ps.key + ".txt";
-      diff_against_spec(ps, path, rel, findings);
+      const std::string rel = "tools/tmglint/pipeline_spec_" + ps.key + ".txt";
+      diff_against_spec(ps, tree.root + "/" + rel, rel, findings);
     }
   }
   return out;

@@ -67,13 +67,9 @@ std::string module_of(const std::string& rel) {
 Suppressions parse_suppressions(const std::vector<Comment>& comments) {
   Suppressions out;
   for (const auto& c : comments) {
-    std::size_t tag = c.text.find("tmglint:");
-    std::size_t after = tag == std::string::npos ? 0 : tag + 8;
-    if (tag == std::string::npos) {
-      tag = c.text.find("determinism-lint:");
-      if (tag == std::string::npos) continue;
-      after = tag + 17;
-    }
+    const std::size_t tag = c.text.find("tmglint:");
+    if (tag == std::string::npos) continue;
+    std::size_t after = tag + 8;
     // Skip whitespace after the tag.
     while (after < c.text.size() &&
            (c.text[after] == ' ' || c.text[after] == '\t')) {

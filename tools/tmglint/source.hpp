@@ -30,8 +30,7 @@ struct Suppressions {
   mutable bool skip_file_used = false;
 
   /// True when `rule` at `line` is covered by an allow on the same or
-  /// the preceding line (the legacy linter's attachment rule). Marks
-  /// the matching directive used.
+  /// the preceding line. Marks the matching directive used.
   [[nodiscard]] bool allowed(const std::string& rule, int line) const;
 };
 
@@ -69,10 +68,8 @@ struct SourceTree {
 /// std::runtime_error when root/src does not exist.
 [[nodiscard]] SourceTree load_source_tree(const std::string& root);
 
-/// Parse suppression directives out of a comment stream. Recognizes
-/// both spellings — `tmglint:` and the legacy `determinism-lint:` —
-/// with identical grammar: `allow(<rule>[, <rule>...]) <reason>` and
-/// `skip-file <reason>`.
+/// Parse `tmglint:` suppression directives out of a comment stream:
+/// `allow(<rule>[, <rule>...]) <reason>` and `skip-file <reason>`.
 [[nodiscard]] Suppressions parse_suppressions(
     const std::vector<Comment>& comments);
 

@@ -37,20 +37,15 @@ std::string emit_pipeline_spec(const PipelineSpec& spec,
   out << "# tmglint pipeline spec — the controller's listener chain in\n"
          "# dispatch order: <priority> <name> <subscriptions>.\n"
          "# `B+SN` is the defense band (base B, step S per installed\n"
-         "# module); `<dynamic>` marks a name resolved only at runtime.\n";
-  if (profile_key.empty()) {
-    out << "# Regenerate after a deliberate wiring change:\n"
-           "#   tmglint --root . --emit-pipeline-spec > "
-           "tools/tmglint/pipeline_spec.txt\n";
-  } else {
-    out << "# Profile: " << profile_key << " — ctrl::" << profile_key
-        << "_profile()'s PipelineLayout applied to the registration\n"
-           "# sites (negative slots compiled out of the chain).\n"
-           "# Regenerate after a deliberate wiring change:\n"
-           "#   tmglint --root . --emit-pipeline-spec --profile "
-        << profile_key << " > tools/tmglint/pipeline_spec_" << profile_key
-        << ".txt\n";
-  }
+         "# module); `<dynamic>` marks a name resolved only at runtime.\n"
+         "# Profile: "
+      << profile_key << " — ctrl::" << profile_key
+      << "_profile()'s PipelineLayout applied to the registration\n"
+         "# sites (negative slots compiled out of the chain).\n"
+         "# Regenerate after a deliberate wiring change:\n"
+         "#   tmglint --root . --emit-pipeline-spec --profile "
+      << profile_key << " > tools/tmglint/pipeline_spec_" << profile_key
+      << ".txt\n";
   for (const auto& e : spec.entries) out << to_line(e) << "\n";
   return out.str();
 }

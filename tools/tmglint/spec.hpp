@@ -39,9 +39,7 @@ struct PipelineSpec {
 };
 
 /// One instantiated chain: the layout of `<key>_profile()` applied to
-/// the registration sites. `key` is the profile's CLI name; empty in
-/// legacy single-spec mode (trees with no profile functions — the
-/// fixtures — extract exactly one keyless spec).
+/// the registration sites. `key` is the profile's CLI name.
 struct ProfileSpec {
   std::string key;
   PipelineSpec spec;
@@ -50,12 +48,11 @@ struct ProfileSpec {
 /// Render one entry as a spec line.
 [[nodiscard]] std::string to_line(const SpecEntry& e);
 
-/// Canonical file contents (header comment + one line per entry). A
-/// non-empty `profile_key` names the profile in the header and points
-/// the regeneration command at that profile's spec file.
+/// Canonical file contents (header comment + one line per entry). The
+/// header names `profile_key` and points the regeneration command at
+/// that profile's spec file.
 [[nodiscard]] std::string emit_pipeline_spec(const PipelineSpec& spec,
-                                             const std::string& profile_key =
-                                                 "");
+                                             const std::string& profile_key);
 
 /// Parse a spec file. Returns nullopt (with *error set) on I/O or
 /// syntax problems.
