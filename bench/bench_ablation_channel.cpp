@@ -37,7 +37,6 @@ int main(int argc, char** argv) {
 
   const HarnessOptions opts = parse_harness_args(argc, argv);
   scenario::TrialRunner runner{opts.runner_options()};
-  WallTimer timer;
   const auto series_by_sweep = runner.map(kSweeps, [&](std::size_t i) {
     const Sweep& sweep = sweeps[i];
     scenario::LliExperimentConfig cfg;
@@ -49,7 +48,6 @@ int main(int argc, char** argv) {
     cfg.channel.jitter = sim::Duration::from_millis_f(sweep.latency_ms / 20);
     return scenario::run_lli_experiment(cfg);
   });
-  const double wall_ms = timer.elapsed_ms();
 
   std::uint64_t events = 0;
   Table table({"Channel", "One-way + codec (ms)", "Relay attempts",
@@ -78,7 +76,6 @@ int main(int argc, char** argv) {
   result.trials = kSweeps;
   result.base_seed = 42;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   return report_bench(opts, result) ? 0 : 1;
 }

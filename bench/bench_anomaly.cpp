@@ -157,7 +157,6 @@ int main(int argc, char** argv) {
     arenas.push_back(std::make_unique<scenario::TrialArena>());
   }
 
-  WallTimer timer;
   std::uint64_t events = 0;
   std::string profiles_json = "[";
   std::vector<std::string> failures;
@@ -273,7 +272,6 @@ int main(int argc, char** argv) {
     profiles_json += "]}";
   }
   profiles_json += "]";
-  const double wall_ms = timer.elapsed_ms();
 
   std::printf(
       "\nPer controller profile: %zu clean trials train a BehaviorProfile\n"
@@ -294,7 +292,6 @@ int main(int argc, char** argv) {
   result.trials = (train_trials * 2 + per_row * kNRows) * profiles.size();
   result.base_seed = 42;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   result.extra_key = "anomaly";
   result.extra_json =
@@ -303,8 +300,8 @@ int main(int argc, char** argv) {
       ", \"profiles\": " + profiles_json + "}";
   if (opts.obs) {
     // Observed re-run of the headline detection (flow-rule relay vs the
-    // first controller's trained baseline), kept out of the timed
-    // workload. The exported trace carries the ANOMALY_* instants and
+    // first controller's trained baseline), kept out of the workload
+    // above. The exported trace carries the ANOMALY_* instants and
     // the metrics snapshot the ids.anomaly.* counters.
     obs::Observability obs;
     scenario::LinkAttackConfig cfg;

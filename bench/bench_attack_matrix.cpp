@@ -113,7 +113,6 @@ int main(int argc, char** argv) {
   for (std::size_t w = 0; w < runner.jobs(); ++w) {
     arenas.push_back(std::make_unique<scenario::TrialArena>());
   }
-  WallTimer timer;
   const auto outcomes =
       runner.map(total, [&](std::size_t i) -> scenario::LinkAttackOutcome {
         const std::size_t cell = i % kCells;
@@ -134,7 +133,6 @@ int main(int argc, char** argv) {
         cfg.arena = arenas[scenario::TrialRunner::worker_slot()].get();
         return scenario::run_link_attack(cfg);
       });
-  const double wall_ms = timer.elapsed_ms();
 
   std::uint64_t events = 0;
   for (const auto& out : outcomes) events += out.events_executed;
@@ -230,12 +228,11 @@ int main(int argc, char** argv) {
   result.trials = total;
   result.base_seed = 42;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   if (opts.obs) {
     // Observed re-run of the headline cell (oob amnesia vs TOPOGUARD+):
     // its metrics snapshot lands under "obs" in the JSON result. Kept
-    // out of the timed workload above.
+    // out of the workload above.
     obs::Observability obs;
     scenario::LinkAttackConfig cfg;
     cfg.kind = LinkAttackKind::OobAmnesia;

@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
   const std::size_t n = opts.trial_count(10, 3);  // seeds per scenario row
 
   scenario::TrialRunner runner{opts.runner_options()};
-  WallTimer timer;
   const auto outcomes =
       runner.map(kRows * n, [&](std::size_t i) -> scenario::HijackOutcome {
         const Row& row = rows[i / n];
@@ -48,7 +47,6 @@ int main(int argc, char** argv) {
         cfg.confirm_failures = row.nmap ? 2 : 1;
         return scenario::run_hijack(cfg);
       });
-  const double wall_ms = timer.elapsed_ms();
 
   std::uint64_t events = 0;
   Table table({"Scenario", "Window", "Hijacks won", "Mean claim (ms)",
@@ -89,7 +87,6 @@ int main(int argc, char** argv) {
   result.trials = kRows * n;
   result.base_seed = 300;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   return report_bench(opts, result) ? 0 : 1;
 }

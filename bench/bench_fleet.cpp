@@ -14,12 +14,11 @@
 // inside per-worker TrialArenas; chunk boundaries and merge order
 // depend only on the trial count, so stdout (minus the [bench] footer)
 // and the "fleet" JSON payload are byte-identical for every --jobs
-// value (tools/run_bench.py --fleet-check diffs jobs 1 vs 8).
+// value (tools/run_bench.py diffs jobs 1 vs 8).
 //
-// A host-table microbench rides along: direct HostTable insert/lookup
-// throughput at fleet-beyond sizes (10^6 records), printed as [bench]
-// timing lines (wall-clock, excluded from the determinism diff) with
-// only the deterministic record/audit counts entering the JSON.
+// A host-table pass rides along: direct HostTable inserts and lookups
+// at fleet-beyond sizes (10^6 records), whose record/found/audit counts
+// enter the JSON.
 //
 //   --trials N   trials per (cell, attack) (default 4; --quick 2)
 //   --jobs N     worker threads (0 = hardware)
@@ -182,12 +181,11 @@ std::string dist_json(const Dist& d) {
   return s;
 }
 
-/// Direct sharded-table throughput at fleet-beyond population sizes
-/// (the HTS data structure, without the simulator around it). Returns
-/// the deterministic JSON fragment; timing goes to [bench] stdout.
-std::string host_table_microbench(std::size_t records) {
+/// Direct sharded-table inserts and lookups at fleet-beyond population
+/// sizes (the HTS data structure, without the simulator around it).
+/// Returns the JSON fragment of its counts.
+std::string host_table_pass(std::size_t records) {
   ctrl::HostTable table;
-  WallTimer insert_timer;
   for (std::size_t i = 0; i < records; ++i) {
     ctrl::HostRecord rec;
     rec.mac = topo::fleet_mac(static_cast<std::uint32_t>(i));
@@ -195,22 +193,13 @@ std::string host_table_microbench(std::size_t records) {
     rec.loc = of::Location{1 + (i >> 6), static_cast<of::PortNo>(i & 63)};
     table.insert(rec);
   }
-  const double insert_ms = insert_timer.elapsed_ms();
 
-  WallTimer lookup_timer;
   std::size_t found = 0;
   for (std::size_t i = 0; i < records; ++i) {
     found += table.find(topo::fleet_mac(static_cast<std::uint32_t>(i))) !=
              nullptr;
   }
-  const double lookup_ms = lookup_timer.elapsed_ms();
   const std::vector<std::string> issues = table.audit();
-
-  std::printf(
-      "[bench] host-table: %zu learns in %.1f ms (%.3g/s), %zu lookups in "
-      "%.1f ms (%.3g/s)\n",
-      records, insert_ms, static_cast<double>(records) / (insert_ms / 1e3),
-      found, lookup_ms, static_cast<double>(records) / (lookup_ms / 1e3));
 
   std::string s = "{\"records\": " + std::to_string(records);
   s += ", \"found\": " + std::to_string(found);
@@ -261,7 +250,6 @@ int main(int argc, char** argv) {
     arenas.push_back(std::make_unique<scenario::TrialArena>());
   }
 
-  WallTimer timer;
   std::vector<HijackAcc> hijacks;
   std::vector<LinkAcc> links;
   std::uint64_t events = 0;
@@ -300,7 +288,6 @@ int main(int argc, char** argv) {
     hijacks.push_back(std::move(h));
     links.push_back(std::move(l));
   }
-  const double wall_ms = timer.elapsed_ms();
 
   Table table({"Topology", "sw", "hosts", "bg", "hijack", "p50 confirm ms",
                "link-reg", "events/trial"});
@@ -361,14 +348,13 @@ int main(int argc, char** argv) {
       per_cell, per_cell);
 
   const std::string host_table_json =
-      host_table_microbench(opts.quick ? 200'000 : 1'000'000);
+      host_table_pass(opts.quick ? 200'000 : 1'000'000);
 
   BenchResult result;
   result.bench = "fleet";
   result.trials = per_cell * 2 * cells.size();
   result.base_seed = 42;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   result.extra_key = "fleet";
   result.extra_json = "{\"trials_per_cell\": " + std::to_string(per_cell) +
@@ -376,7 +362,7 @@ int main(int argc, char** argv) {
                       ", \"cells\": " + cells_json + "}";
   if (opts.obs) {
     // Observed re-run of the first cell's hijack trial (seed 42), kept
-    // out of the timed sweep above. Its metrics land under "obs" in
+    // out of the sweep above. Its metrics land under "obs" in
     // the JSON result; --obs-out and --trace-out export the snapshot /
     // trace for tools/train_profile.
     obs::Observability obs;

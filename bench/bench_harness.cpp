@@ -1,6 +1,5 @@
 #include "bench_harness.hpp"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,32 +87,12 @@ bool write_obs_artifacts(const HarnessOptions& opts, obs::Observability& obs) {
   return ok;
 }
 
-WallTimer::WallTimer()
-    : start_ns_{std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now().time_since_epoch())
-                    .count()} {}
-
-double WallTimer::elapsed_ms() const {
-  const std::int64_t now_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-  return static_cast<double>(now_ns - start_ns_) / 1e6;
-}
-
 bool report_bench(const HarnessOptions& opts, BenchResult result) {
   if (result.jobs == 0) result.jobs = sim::ThreadPool::hardware_jobs();
-  if (result.wall_ms > 0.0) {
-    result.events_per_sec =
-        static_cast<double>(result.events) / (result.wall_ms / 1e3);
-  }
-  std::printf(
-      "\n[bench] %s: trials=%zu base_seed=%llu jobs=%zu wall=%.1f ms "
-      "events=%llu (%.3g events/s)\n",
-      result.bench.c_str(), result.trials,
-      static_cast<unsigned long long>(result.base_seed), result.jobs,
-      result.wall_ms, static_cast<unsigned long long>(result.events),
-      result.events_per_sec);
+  std::printf("\n[bench] %s: trials=%zu base_seed=%llu jobs=%zu events=%llu\n",
+              result.bench.c_str(), result.trials,
+              static_cast<unsigned long long>(result.base_seed), result.jobs,
+              static_cast<unsigned long long>(result.events));
   if (opts.json_path.empty()) return true;
 
   std::FILE* f = std::fopen(opts.json_path.c_str(), "w");
@@ -129,14 +108,10 @@ bool report_bench(const HarnessOptions& opts, BenchResult result) {
                "  \"trials\": %zu,\n"
                "  \"base_seed\": %llu,\n"
                "  \"jobs\": %zu,\n"
-               "  \"wall_ms\": %.3f,\n"
-               "  \"events\": %llu,\n"
-               "  \"events_per_sec\": %.3f",
+               "  \"events\": %llu",
                result.bench.c_str(), result.trials,
                static_cast<unsigned long long>(result.base_seed), result.jobs,
-               result.wall_ms,
-               static_cast<unsigned long long>(result.events),
-               result.events_per_sec);
+               static_cast<unsigned long long>(result.events));
   if (!result.obs_metrics_json.empty()) {
     std::string snap = result.obs_metrics_json;
     while (!snap.empty() && snap.back() == '\n') snap.pop_back();

@@ -1,10 +1,10 @@
-// Benchmark harness: shared CLI flags, wall-clock timing, and the
-// BENCH.json emitter used by tools/run_bench.py.
+// Benchmark harness: shared CLI flags and the BENCH.json emitter used by
+// tools/run_bench.py.
 //
 // Every trial-looping bench accepts:
 //   --trials N      trial count (0 = bench default)
 //   --jobs N        worker threads (default: hardware concurrency;
-//                   --jobs 1 = legacy serial path)
+//                   --jobs 1 = the chunked serial path, no threads)
 //   --quick         shrink the workload for smoke runs
 //   --json PATH     write a one-object JSON result file
 //   --obs           attach the observability layer to a representative
@@ -17,14 +17,15 @@
 //                   JSONL (implies --obs). tools/train_profile consumes
 //                   these exports to learn behavior profiles.
 //   --legacy-runner schedule one pool task per trial (the pre-chunking
-//                   TrialRunner path) instead of contiguous chunks —
-//                   the A/B baseline tools/run_bench.py --speedup uses
-//                   to attribute the scheduling win. Results are
-//                   identical; only the wall clock moves.
+//                   TrialRunner path) instead of contiguous chunks.
+//                   Results are identical; tools/run_bench.py diffs
+//                   them. The flag goes once perfbench's runner stops
+//                   aggregate-initialising TrialRunnerOptions.
 //
-// Wall-clock time is host time (std::chrono), which is fine here: it
-// never feeds simulation results, only the perf report. src/ stays under
-// the determinism lint; bench/ is outside its scope by design.
+// Nothing here reads a host clock: every field a bench reports is
+// simulated and byte-identical across --jobs values apart from "jobs"
+// itself. Host time is measured only by perfbench/ and, for the paper's
+// Table II, by google-benchmark in bench_table2_overhead.
 #pragma once
 
 #include <cstdint>
@@ -72,41 +73,29 @@ HarnessOptions parse_harness_args(int argc, char** argv);
 /// printing a diagnostic).
 bool write_obs_artifacts(const HarnessOptions& opts, obs::Observability& obs);
 
-/// Monotonic stopwatch, started at construction.
-class WallTimer {
- public:
-  WallTimer();
-  [[nodiscard]] double elapsed_ms() const;
-
- private:
-  std::int64_t start_ns_;
-};
-
 struct BenchResult {
   std::string bench;           // short workload id, e.g. "attack_matrix"
   std::size_t trials = 0;      // trials executed
   std::uint64_t base_seed = 0; // seed the per-trial seeds derive from
   std::size_t jobs = 0;        // worker threads used
-  double wall_ms = 0.0;        // end-to-end wall-clock for the workload
   std::uint64_t events = 0;    // simulator events executed, all trials
-  double events_per_sec = 0.0; // derived: events / wall seconds
   /// Optional observability snapshot (obs::Observability::metrics_json):
   /// when non-empty it is embedded verbatim under the "obs" key.
   std::string obs_metrics_json;
   /// Optional bench-specific payload: when both are non-empty,
   /// `extra_json` (a complete JSON value) is embedded verbatim under
   /// `extra_key`. bench_montecarlo puts its quantile tables here; the
-  /// payload must be deterministic (no wall-clock content) so CI can
-  /// diff it across --jobs values.
+  /// payload must be deterministic so tools/run_bench.py can diff it
+  /// across --jobs values.
   std::string extra_key;
   std::string extra_json;
 };
 
-/// Print a one-line summary and, when --json was given, write the result
-/// as a single JSON object. The {trials, base_seed, jobs} triple is
-/// always present (tools/run_bench.py keys reproduction off it), next to
-/// {bench, wall_ms, events, events_per_sec} and the optional "obs"
-/// snapshot. Returns false if the file could not be written.
+/// Print a one-line [bench] footer and, when --json was given, write the
+/// result as a single JSON object. The {trials, base_seed, jobs} triple
+/// is always present (the reproduction key), next to {bench, events}
+/// and the optional "obs" snapshot. Returns false if the file could not
+/// be written.
 bool report_bench(const HarnessOptions& opts, BenchResult result);
 
 }  // namespace tmg::bench

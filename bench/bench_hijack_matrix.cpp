@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
 
   // One flat trial space (suite x seed) fanned across worker threads.
   scenario::TrialRunner runner{opts.runner_options()};
-  WallTimer timer;
   const auto outcomes = runner.map(
       kSuites * runs, [&](std::size_t i) -> scenario::HijackOutcome {
         scenario::HijackConfig cfg;
@@ -41,7 +40,6 @@ int main(int argc, char** argv) {
         cfg.seed = 100 + (i % runs);
         return scenario::run_hijack(cfg);
       });
-  const double wall_ms = timer.elapsed_ms();
 
   std::uint64_t events = 0;
   Table table({"Defense", "Hijack won", "Traffic redirected",
@@ -83,7 +81,6 @@ int main(int argc, char** argv) {
   result.trials = kSuites * runs;
   result.base_seed = 100;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   return report_bench(opts, result) ? 0 : 1;
 }

@@ -156,7 +156,6 @@ int main(int argc, char** argv) {
     arenas.push_back(std::make_unique<scenario::TrialArena>());
   }
 
-  WallTimer timer;
   std::vector<CellAcc> cells;
   cells.reserve(n_cells);
   std::uint64_t events = 0;
@@ -178,7 +177,6 @@ int main(int argc, char** argv) {
       cells.push_back(std::move(acc));
     }
   }
-  const double wall_ms = timer.elapsed_ms();
 
   // Quantile tables: one row per (cell, metric). Every number here is
   // deterministic — identical for any --jobs — so the full stdout
@@ -235,14 +233,13 @@ int main(int argc, char** argv) {
   result.trials = per_cell * n_cells;
   result.base_seed = 42;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   result.extra_key = "montecarlo";
   result.extra_json = "{\"trials_per_cell\": " + std::to_string(per_cell) +
                       ", \"cells\": " + cells_json + "}";
   if (opts.obs) {
     // Observed re-run of one representative trial (first profile,
-    // undefended, seed 42), kept out of the timed sweep above. Its
+    // undefended, seed 42), kept out of the sweep above. Its
     // metrics land under "obs" in the JSON result; --obs-out and
     // --trace-out export the snapshot / trace for tools/train_profile.
     obs::Observability obs;

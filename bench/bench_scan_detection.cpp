@@ -30,12 +30,10 @@ int main(int argc, char** argv) {
       opts.quick ? 5_s : 30_s;  // simulated scan window per cell
 
   scenario::TrialRunner runner{opts.runner_options()};
-  WallTimer timer;
   const auto results = runner.map(kCells, [&](std::size_t i) {
     return scenario::run_scan_detection(types[i / kRates], rates[i % kRates],
                                         window, 42);
   });
-  const double wall_ms = timer.elapsed_ms();
 
   std::uint64_t events = 0;
   Table table({"Probe", "Rate (/s)", "Probes sent", "IDS alerts",
@@ -58,7 +56,6 @@ int main(int argc, char** argv) {
   result.trials = kCells;
   result.base_seed = 42;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   return report_bench(opts, result) ? 0 : 1;
 }

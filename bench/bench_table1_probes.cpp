@@ -32,11 +32,9 @@ int main(int argc, char** argv) {
   const std::size_t scans = opts.trial_count(1000, 100);  // probes per type
 
   scenario::TrialRunner runner{opts.runner_options()};
-  WallTimer timer;
   const auto rows = runner.map(kTypes, [&](std::size_t i) {
     return scenario::measure_probe_timing(types[i], scans, 42);
   });
-  const double wall_ms = timer.elapsed_ms();
 
   std::uint64_t events = 0;
   Table table({"Type", "Stealth", "Requirements", "Tool timing (ms)",
@@ -63,7 +61,6 @@ int main(int argc, char** argv) {
   result.trials = kTypes * scans;
   result.base_seed = 42;
   result.jobs = runner.jobs();
-  result.wall_ms = wall_ms;
   result.events = events;
   return report_bench(opts, result) ? 0 : 1;
 }

@@ -95,17 +95,14 @@ inline int run_hijack_figure(int argc, char** argv, const char* bench_id,
                                  const scenario::HijackOutcome&)>& metric) {
   const HarnessOptions opts = parse_harness_args(argc, argv);
   const std::size_t n = opts.trial_count(full_default, 25);
-  WallTimer timer;
   const auto series =
       collect_hijack_metric(n, nmap_regime, metric, opts.runner_options());
-  const double wall_ms = timer.elapsed_ms();
   print_series(series, unit, hist_lo, hist_hi);
   BenchResult result;
   result.bench = bench_id;
   result.trials = n;
   result.base_seed = 1000;
   result.jobs = scenario::TrialRunner{opts.runner_options()}.jobs();
-  result.wall_ms = wall_ms;
   result.events = series.events;
   return report_bench(opts, result) ? 0 : 1;
 }

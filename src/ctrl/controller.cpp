@@ -417,18 +417,11 @@ void Controller::set_observability(obs::Observability* obs) {
     m.gauge("lldp.invalid_signature")
         .set(static_cast<double>(acc.invalid_signature));
     m.gauge("lldp.links").set(static_cast<double>(links_->link_states().size()));
-    const bool timing = pipeline_.timing();
     for (const auto& s : pipeline_.stats()) {
       m.gauge("pipeline.listener_dispatches{listener=" + s.name + "}")
           .set(static_cast<double>(s.dispatches));
       m.gauge("pipeline.listener_stops{listener=" + s.name + "}")
           .set(static_cast<double>(s.stops));
-      // Host wall-clock, so only exported when timing was explicitly
-      // opted in — the default snapshot stays byte-deterministic.
-      if (timing) {
-        m.gauge("pipeline.listener_wall_ms{listener=" + s.name + "}")
-            .set(s.wall_ms);
-      }
     }
   });
 }

@@ -1,26 +1,11 @@
 #include "ctrl/message_pipeline.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "check/assert.hpp"
 #include "obs/observability.hpp"
 
 namespace tmg::ctrl {
-
-namespace {
-
-/// Host-clock nanoseconds for the opt-in per-listener timing. Purely
-/// observability: the value is reported, never fed into the simulation.
-std::int64_t wall_now_ns() {
-  // tmglint: allow(wall-clock) perf observability only, opt-in
-  const auto now = std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             now.time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 const char* to_string(MessageType t) {
   switch (t) {
@@ -187,7 +172,6 @@ void MessagePipeline::reset_stats() {
   for (Entry& e : chain_) {
     e.dispatches = 0;
     e.stops = 0;
-    e.wall_ns = 0;
   }
 }
 
@@ -253,14 +237,7 @@ void MessagePipeline::dispatch(const PipelineMessage& msg,
           "pipeline.listener", e.name, dispatch_span);
       if (listener_span != 0) obs_parent_ = listener_span;
     }
-    Disposition d;
-    if (timing_) {
-      const std::int64_t t0 = wall_now_ns();
-      d = e.listener->on_message(msg, ctx);
-      e.wall_ns += wall_now_ns() - t0;
-    } else {
-      d = e.listener->on_message(msg, ctx);
-    }
+    const Disposition d = e.listener->on_message(msg, ctx);
     if (observed) {
       if (dispatch_span != 0) obs_parent_ = dispatch_span;
       close_listener_span(listener_span, ctx, d, verdict_before);
@@ -331,7 +308,6 @@ std::vector<MessagePipeline::ListenerStats> MessagePipeline::stats() const {
     s.subscriptions = e.mask;
     s.dispatches = e.dispatches;
     s.stops = e.stops;
-    s.wall_ms = static_cast<double>(e.wall_ns) / 1e6;
     out.push_back(std::move(s));
   }
   return out;

@@ -19,9 +19,9 @@
 // alerting and blocking are independent), and the publisher reads the
 // final verdict after the dispatch returns.
 //
-// Observability: per-listener dispatch/stop counters are always on;
-// cumulative per-listener wall time is opt-in via set_timing() (the
-// --pipeline-stats flag) because it reads the host clock.
+// Observability: per-listener dispatch/stop counters, always on. The
+// pipeline never reads a host clock; perfbench's paired defense on/off
+// runs attribute listener cost from outside src/.
 #pragma once
 
 #include <cstdint>
@@ -135,7 +135,6 @@ class MessagePipeline {
     std::uint32_t subscriptions = 0;
     std::uint64_t dispatches = 0;  // messages delivered
     std::uint64_t stops = 0;       // dispositions that ended the chain
-    double wall_ms = 0.0;          // cumulative handler time (timing on)
   };
 
   /// Register a borrowed listener at `priority` (lower runs first, ties
@@ -157,11 +156,6 @@ class MessagePipeline {
   bool set_enabled(const std::string& name, bool enabled);
   [[nodiscard]] bool is_enabled(const std::string& name) const;
 
-  /// Opt-in per-listener wall-clock timing (host time; observability
-  /// only, never fed back into the simulation).
-  void set_timing(bool on) { timing_ = on; }
-  [[nodiscard]] bool timing() const { return timing_; }
-
   /// Attach the observability layer (borrowed; nullptr detaches, which
   /// is the default and the zero-cost path). `loop` supplies sim-time
   /// stamps for dispatch spans and queue-depth readings. With a null
@@ -170,7 +164,7 @@ class MessagePipeline {
   void set_observability(obs::Observability* obs, const sim::EventLoop* loop);
   [[nodiscard]] obs::Observability* observability() const { return obs_; }
 
-  /// Zero every per-listener dispatch/stop/wall-time counter (chain
+  /// Zero every per-listener dispatch/stop counter (chain
   /// membership and enabled flags are untouched). The trial-reset path
   /// calls this so a pipeline reused across trials starts from zeroed
   /// counters (tests/obs_test.cpp has the --jobs 8 regression test).
@@ -195,7 +189,6 @@ class MessagePipeline {
     bool enabled = true;
     std::uint64_t dispatches = 0;
     std::uint64_t stops = 0;
-    std::int64_t wall_ns = 0;
   };
 
   void insert(Entry entry);
@@ -206,7 +199,6 @@ class MessagePipeline {
                            Disposition d, Verdict verdict_before);
 
   std::vector<Entry> chain_;  // sorted by (priority, name)
-  bool timing_ = false;
   obs::Observability* obs_ = nullptr;
   const sim::EventLoop* obs_loop_ = nullptr;
   // Metric handles, resolved once at attach (registry handles are stable

@@ -36,6 +36,11 @@ std::uint64_t Value::get_u64(const std::string& key,
 
 namespace {
 
+/// Deepest array/object nesting a document may have. The repo's deepest
+/// emitted document is a depth-4 profile; the bound keeps a hostile
+/// input from overflowing the recursive-descent stack.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   Parser(const std::string& text, std::string* error)
@@ -83,8 +88,18 @@ class Parser {
       return false;
     }
     switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting too deep (limit " + std::to_string(kMaxDepth) + ")");
+          return false;
+        }
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = Value::Kind::String;
         return parse_string(out.string);
@@ -257,6 +272,7 @@ class Parser {
   const std::string& text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -6,7 +6,7 @@
 // controller's ctrl::EventKind events land here as "ctrl" instants).
 // All timestamps are sim-time nanoseconds, never the host clock, so the
 // JSONL, Chrome trace and console exports are deterministic and
-// diffable across runs (tmglint has a hard wall-clock ban for src/obs/).
+// diffable across runs (tmglint has a hard wall-clock ban for src/).
 //
 // Span lifetimes routinely cross simulator events (a probe span opens
 // when the probe is sent and closes when the reply arrives), so the API

@@ -98,7 +98,7 @@ struct LinkAttackOutcome {
   /// over the whole experiment. Violations indicate a simulator bug.
   std::uint64_t invariant_sweeps = 0;
   std::uint64_t invariant_violations = 0;
-  /// Simulator events executed by this trial's loop (bench throughput).
+  /// Simulator events executed by this trial's loop (bench `events`).
   std::uint64_t events_executed = 0;
   /// Per-listener dispatch counters (filled when the config asks).
   std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
@@ -214,7 +214,7 @@ struct HijackOutcome {
   /// Runtime invariant checker counters (see LinkAttackOutcome).
   std::uint64_t invariant_sweeps = 0;
   std::uint64_t invariant_violations = 0;
-  /// Simulator events executed by this trial's loop (bench throughput).
+  /// Simulator events executed by this trial's loop (bench `events`).
   std::uint64_t events_executed = 0;
   /// Per-listener dispatch counters (filled when the config asks).
   std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;
@@ -241,7 +241,7 @@ struct LliSeries {
   bool fake_link_ever_registered = false;
   /// Fig. 10: per-real-link latency summaries.
   std::vector<std::pair<std::string, stats::Summary>> per_link;
-  /// Simulator events executed by this trial's loop (bench throughput).
+  /// Simulator events executed by this trial's loop (bench `events`).
   std::uint64_t events_executed = 0;
 };
 
@@ -271,7 +271,7 @@ struct ProbeTimingRow {
   stats::Summary tool_overhead_ms;  // Table I "Timing" column model
   stats::Summary end_to_end_ms;     // full in-sim exchange incl. RTT
   std::size_t alive_detected = 0;   // sanity: probes that saw the target
-  /// Simulator events executed by this trial's loop (bench throughput).
+  /// Simulator events executed by this trial's loop (bench `events`).
   std::uint64_t events_executed = 0;
 };
 
@@ -286,7 +286,7 @@ struct ScanDetectionResult {
   /// Runtime invariant checker counters (see LinkAttackOutcome).
   std::uint64_t invariant_sweeps = 0;
   std::uint64_t invariant_violations = 0;
-  /// Simulator events executed by this trial's loop (bench throughput).
+  /// Simulator events executed by this trial's loop (bench `events`).
   std::uint64_t events_executed = 0;
   /// Per-listener dispatch counters (always filled: the chain is tiny).
   std::vector<ctrl::MessagePipeline::ListenerStats> pipeline_stats;

@@ -173,8 +173,9 @@ void TrialRunner::run_chunks_legacy(
     std::size_t trials,
     const std::function<void(std::size_t, std::size_t, std::size_t)>&
         chunk_fn) const {
-  // Pre-chunking scheduler, preserved verbatim as the --speedup A/B
-  // baseline: one pool task and one exception_ptr slot per trial.
+  // Pre-chunking scheduler, preserved verbatim until its last caller
+  // (perfbench's `{1, false}` initialiser) moves to `{.jobs = 1}`: one
+  // pool task and one exception_ptr slot per trial.
   const std::size_t workers = jobs_ < trials ? jobs_ : trials;
   if (workers <= 1) {
     for (std::size_t i = 0; i < trials; ++i) {

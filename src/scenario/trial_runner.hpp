@@ -39,10 +39,12 @@ struct TrialRunnerOptions {
   /// threads are created at all).
   std::size_t jobs = 0;
   /// Run the pre-chunking scheduler: one pool task per trial and a
-  /// per-trial exception vector. Kept as an A/B baseline for
-  /// tools/run_bench.py --speedup (--legacy-runner on the benches).
-  /// map/run_indexed results are identical either way, only the
-  /// scheduling overhead differs. reduce() under legacy holds one
+  /// per-trial exception vector (--legacy-runner on the benches). Kept
+  /// only while perfbench/src/main.cpp aggregate-initialises
+  /// `TrialRunnerOptions{1, false}`; once it writes `{.jobs = 1}`, this
+  /// flag and run_chunks_legacy go. map/run_indexed results are
+  /// identical either way (tools/run_bench.py byte-diffs the attack
+  /// matrix under both schedulers). reduce() under legacy holds one
   /// partial per *trial* (merged in trial order — still deterministic
   /// at any jobs value, but O(trials) accumulators, and partial
   /// boundaries differ from the chunked runner, so order-sensitive

@@ -114,6 +114,11 @@ TEST(AnomalyFeaturization, MalformedTraceRejected) {
   std::string error;
   EXPECT_FALSE(trainer.add_trace_jsonl("{not json\n", &error));
   EXPECT_FALSE(error.empty());
+  // Hostile nesting fails the parse instead of overflowing the stack.
+  error.clear();
+  EXPECT_FALSE(
+      trainer.add_trace_jsonl(std::string(100000, '[') + "\n", &error));
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 // Controller-consumed Packet-Ins never reach the anomaly slot, so the
@@ -176,6 +181,11 @@ TEST(AnomalyProfile, FromJsonRejectsGarbage) {
   EXPECT_FALSE(
       ids::BehaviorProfile::from_json("{\"format\":\"nope\"}", &error)
           .has_value());
+  error.clear();
+  EXPECT_FALSE(
+      ids::BehaviorProfile::from_json(std::string(100000, '['), &error)
+          .has_value());
+  EXPECT_NE(error.find("nesting too deep"), std::string::npos) << error;
 }
 
 // Training is deterministic: the same trials in the same order yield a

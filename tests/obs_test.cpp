@@ -264,7 +264,6 @@ TEST(MessagePipeline, ResetStatsZeroesCountersButKeepsChain) {
   stats = p.stats();
   EXPECT_EQ(stats[0].dispatches, 0u);
   EXPECT_EQ(stats[0].stops, 0u);
-  EXPECT_EQ(stats[0].wall_ms, 0.0);
   // Chain membership and the enabled flags are untouched.
   EXPECT_TRUE(p.is_enabled("alpha"));
   EXPECT_FALSE(p.is_enabled("beta"));
@@ -308,34 +307,6 @@ TEST(MessagePipeline, TrialsStartFromZeroedCountersAtJobs8) {
     // Identical configs => identical counters; trial 0 is the baseline.
     EXPECT_EQ(serial[i], serial[0]) << "trial " << i;
   }
-}
-
-// set_timing() is the opt-in wall-clock switch: with it on, the
-// controller's collector surfaces per-listener wall_ms gauges in the
-// obs snapshot; with it off (the default), no host-clock value ever
-// reaches the export, keeping snapshots byte-deterministic.
-TEST(MessagePipeline, TimingCountersSurfaceInObsSnapshot) {
-  const auto snapshot = [](bool timing) {
-    obs::Observability obs;
-    scenario::Fig1Testbed f = scenario::make_fig1_testbed({});
-    f.tb->set_observability(&obs);
-    f.tb->controller().pipeline().set_timing(timing);
-    f.tb->start();
-    f.tb->run_for(sim::Duration::seconds(5));
-    obs.finalize(f.tb->loop().now());
-    return obs.metrics_json(obs.final_time());
-  };
-
-  const std::string with_timing = snapshot(true);
-  EXPECT_NE(with_timing.find("pipeline.listener_wall_ms{listener="),
-            std::string::npos);
-  // The untimed companions are present either way.
-  EXPECT_NE(with_timing.find("pipeline.listener_dispatches{listener="),
-            std::string::npos);
-
-  const std::string without_timing = snapshot(false);
-  EXPECT_EQ(without_timing.find("pipeline.listener_wall_ms"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------

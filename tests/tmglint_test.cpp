@@ -91,9 +91,12 @@ TEST_F(DeterminismFixtures, WallClockPositiveAndNegative) {
 }
 
 TEST_F(DeterminismFixtures, WallClockIsHardInObsDespiteAllow) {
+  // Hard in every module: src/obs (exports) and src/ctrl alike.
   EXPECT_EQ(count_of(findings(), "src/obs/hard_wallclock.cpp", "wall-clock"),
             1);
-  EXPECT_TRUE(any_message_contains(findings(), "(hard, src/obs)"));
+  EXPECT_EQ(count_of(findings(), "src/ctrl/hard_wallclock.cpp", "wall-clock"),
+            1);
+  EXPECT_TRUE(any_message_contains(findings(), "(hard) "));
 }
 
 TEST_F(DeterminismFixtures, LibcRandPositiveAndNegative) {
@@ -166,11 +169,12 @@ TEST_F(DeterminismFixtures, CacheCoherencePositiveAndNegative) {
 
 TEST_F(DeterminismFixtures, NoFindingsOutsideTheBadFixtures) {
   static const std::set<std::string> kExpectedDirty = {
-      "src/sim/wallclock_bad.cpp",   "src/obs/hard_wallclock.cpp",
-      "src/sim/rand_bad.cpp",        "src/sim/random_device_bad.cpp",
-      "src/net/flow_table_bad.cpp",  "src/sim/ptrkey_bad.hpp",
-      "src/net/threading_bad.cpp",   "src/scenario/shared_rng_bad.hpp",
-      "src/ctrl/bypass_bad.cpp",     "src/topo/route_cache_bad.hpp",
+      "src/sim/wallclock_bad.cpp",        "src/obs/hard_wallclock.cpp",
+      "src/ctrl/hard_wallclock.cpp",      "src/sim/rand_bad.cpp",
+      "src/sim/random_device_bad.cpp",    "src/net/flow_table_bad.cpp",
+      "src/sim/ptrkey_bad.hpp",           "src/net/threading_bad.cpp",
+      "src/scenario/shared_rng_bad.hpp",  "src/ctrl/bypass_bad.cpp",
+      "src/topo/route_cache_bad.hpp",
   };
   for (const auto& f : findings()) {
     EXPECT_TRUE(kExpectedDirty.count(f.file) != 0)

@@ -283,8 +283,9 @@ TEST(TrialRunnerTest, ReduceQuantilesByteIdenticalAcrossJobCounts) {
 }
 
 TEST(TrialRunnerTest, LegacyRunnerProducesIdenticalResults) {
-  // The pre-chunking scheduler is kept as the --speedup A/B baseline;
-  // it must stay observationally interchangeable with the default path
+  // The pre-chunking scheduler stays until perfbench's `{1, false}`
+  // initialiser becomes `{.jobs = 1}`; until then it must stay
+  // observationally interchangeable with the default path
   // — including well past kMaxChunks trials, where its per-trial
   // "chunks" outnumber the chunked scheduler's static grid.
   TrialRunner chunked{{4, false}};

@@ -7,8 +7,8 @@ The refactor's correctness contract (DESIGN.md §9) has two halves:
      attack-matrix stdout must be byte-identical to the pre-refactor
      output. Routing every PacketIn / PortStatus / LLDP event through
      the ordered listener chain may not change a single simulated
-     result. The `[bench]` timing footers are the only nondeterministic
-     lines and are stripped before the diff.
+     result. The `[bench]` footers name the worker count and are
+     stripped before the diff.
 
   2. Stacked determinism -- with TopoGuard + SPHINX + TOPOGUARD+
      stacked on the same chain (`--stacked`), two runs at different

@@ -43,9 +43,9 @@ bool std_qualified(const std::vector<Token>& t, std::size_t i) {
   return i >= 2 && is_punct(t[i - 1], "::") && is_ident(t[i - 2], "std");
 }
 
-// rule wall-clock: host-clock reads. Inside src/obs the rule is hard:
-// exports are diffed byte-for-byte across runs, so no suppression —
-// not even skip-file — applies there.
+// rule wall-clock: host-clock reads. The rule is hard: simulated
+// output is diffed byte-for-byte across runs and host time is
+// perfbench's alone, so no suppression — not even skip-file — applies.
 void rule_wall_clock(const SourceFile& f, std::vector<RawFinding>& out) {
   static const std::set<std::string> kClocks = {
       "system_clock", "steady_clock", "high_resolution_clock"};
@@ -316,14 +316,12 @@ void run_determinism_pass(const SourceTree& tree,
     rule_unordered_iter(f, sibling, raw);
     rule_cache_coherence(f, sibling, raw);
 
-    const bool hard_wallclock = f.in_module("obs");
     std::set<std::pair<int, std::string>> seen;
     for (const auto& r : raw) {
       if (!seen.emplace(r.line, r.rule).second) continue;
-      const bool hard = hard_wallclock && r.rule == "wall-clock";
-      if (hard) {
-        findings.push_back(Finding{f.rel, r.line, "wall-clock",
-                                   "(hard, src/obs) " + f.excerpt(r.line)});
+      if (r.rule == "wall-clock") {
+        findings.push_back(
+            Finding{f.rel, r.line, r.rule, "(hard) " + f.excerpt(r.line)});
         continue;
       }
       if (f.suppressions.skip_file) {
