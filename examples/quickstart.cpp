@@ -69,16 +69,17 @@ int main(int argc, char** argv) {
                 rec.ip.to_string().c_str(), rec.loc.to_string().c_str());
   }
 
-  // 4. Route a ping across the network.
-  alice.send_ping(bob.mac(), bob.ip(), /*ident=*/1, /*seq=*/1);
-  tb.run_for(500_ms);
-
+  // 4. Route a ping across the network. A host listener watches what
+  // alice receives.
   bool replied = false;
-  for (const auto& pkt : alice.received()) {
+  alice.add_listener([&replied](const net::Packet& pkt) {
     if (pkt.icmp() && pkt.icmp()->type == net::IcmpPayload::Type::EchoReply) {
       replied = true;
     }
-  }
+  });
+  alice.send_ping(bob.mac(), bob.ip(), /*ident=*/1, /*seq=*/1);
+  tb.run_for(500_ms);
+
   std::printf("\nalice pinged bob across switches: %s\n",
               replied ? "reply received" : "NO reply");
   std::printf("paths installed by reactive routing: %llu\n",

@@ -157,7 +157,6 @@ void Host::on_rx(const net::Packet& pkt) {
   ++rx_;
   if (hook_ && hook_(pkt)) return;
   for (const auto& l : listeners_) l(pkt);
-  inbox_.push_back(pkt);
   auto_respond(pkt);
 }
 

@@ -91,7 +91,8 @@ class Host {
                 std::string label, std::size_t size = 128);
 
   /// Pre-send hook: return true to consume the packet before the
-  /// auto-responder and inbox see it (attacker sniffing / bridging).
+  /// listeners and the auto-responder see it (attacker sniffing /
+  /// bridging).
   using PacketHook = std::function<bool(const net::Packet&)>;
   void set_packet_hook(PacketHook hook) { hook_ = std::move(hook); }
 
@@ -99,10 +100,6 @@ class Host {
   /// hook (probe engines use this to match replies).
   using PacketListener = std::function<void(const net::Packet&)>;
   void add_listener(PacketListener listener);
-
-  [[nodiscard]] const std::vector<net::Packet>& received() const {
-    return inbox_;
-  }
 
   /// ARP-cache lookup (learned from ARP sender fields only, like a real
   /// stack — data-frame source MACs are never trusted for resolution).
@@ -116,7 +113,6 @@ class Host {
   [[nodiscard]] std::uint64_t rx_count() const { return rx_; }
   [[nodiscard]] std::uint64_t tx_count() const { return tx_; }
   [[nodiscard]] std::uint16_t current_ip_id() const { return ip_id_; }
-  void clear_inbox() { inbox_.clear(); }
 
  private:
   void on_rx(const net::Packet& pkt);
@@ -135,7 +131,6 @@ class Host {
   bool up_ = true;
   PacketHook hook_;
   std::vector<PacketListener> listeners_;
-  std::vector<net::Packet> inbox_;
   std::uint64_t rx_ = 0;
   std::uint64_t tx_ = 0;
   std::uint16_t ip_id_ = 1;

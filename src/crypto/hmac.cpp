@@ -1,23 +1,17 @@
 #include "crypto/hmac.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace tmg::crypto {
 
-Key Key::derive(std::span<const std::uint8_t> seed) {
-  const Digest256 d = Sha256::hash(seed);
-  return Key{std::vector<std::uint8_t>(d.begin(), d.end())};
-}
-
-Digest256 hmac_sha256(const Key& key, std::span<const std::uint8_t> data) {
+Key::Key(std::span<const std::uint8_t> bytes) {
   constexpr std::size_t kBlock = 64;
   std::array<std::uint8_t, kBlock> k{};
-  if (key.bytes.size() > kBlock) {
-    const Digest256 kd = Sha256::hash(key.bytes);
+  if (bytes.size() > kBlock) {
+    const Digest256 kd = Sha256::hash(bytes);
     std::copy(kd.begin(), kd.end(), k.begin());
   } else {
-    std::copy(key.bytes.begin(), key.bytes.end(), k.begin());
+    std::copy(bytes.begin(), bytes.end(), k.begin());
   }
 
   std::array<std::uint8_t, kBlock> ipad{};
@@ -26,14 +20,20 @@ Digest256 hmac_sha256(const Key& key, std::span<const std::uint8_t> data) {
     ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
     opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
   }
+  inner_.update(ipad);
+  outer_.update(opad);
+}
 
-  Sha256 inner;
-  inner.update(ipad);
+Key Key::derive(std::span<const std::uint8_t> seed) {
+  return Key{Sha256::hash(seed)};
+}
+
+Digest256 hmac_sha256(const Key& key, std::span<const std::uint8_t> data) {
+  Sha256 inner = key.inner_;
   inner.update(data);
   const Digest256 inner_digest = inner.finish();
 
-  Sha256 outer;
-  outer.update(opad);
+  Sha256 outer = key.outer_;
   outer.update(inner_digest);
   return outer.finish();
 }
@@ -42,14 +42,6 @@ bool digest_equal(const Digest256& a, const Digest256& b) {
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
   return diff == 0;
-}
-
-std::vector<std::uint8_t> truncated_mac(const Key& key,
-                                        std::span<const std::uint8_t> data,
-                                        std::size_t n) {
-  assert(n <= 32);
-  const Digest256 d = hmac_sha256(key, data);
-  return {d.begin(), d.begin() + static_cast<std::ptrdiff_t>(n)};
 }
 
 }  // namespace tmg::crypto

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "check/assert.hpp"
+
 namespace tmg::defense {
 
 using ctrl::Alert;
@@ -13,6 +15,8 @@ Cmm::Cmm(ctrl::Controller& ctrl, CmmConfig config)
 
 void Cmm::on_port_status(const of::PortStatus& ps) {
   const sim::SimTime now = ctrl_.loop().now();
+  TMG_DCHECK(events_.empty() || events_.back().at <= now,
+             "CMM port events must arrive in time order");
   events_.push_back(
       PortEvent{of::Location{ps.dpid, ps.port}, now, ps.reason});
   prune(now);
@@ -24,12 +28,17 @@ void Cmm::prune(sim::SimTime now) {
   }
 }
 
-bool Cmm::port_event_in_window(of::Location loc, sim::SimTime from,
-                               sim::SimTime to) const {
-  return std::any_of(events_.begin(), events_.end(),
-                     [&](const PortEvent& e) {
-                       return e.loc == loc && e.at >= from && e.at <= to;
-                     });
+bool Cmm::port_event_in_window(of::Location a, of::Location b,
+                               sim::SimTime from, sim::SimTime to) const {
+  // events_ is in arrival order, i.e. sorted by time: bisect to the
+  // window's start and walk only the window.
+  auto it = std::lower_bound(
+      events_.begin(), events_.end(), from,
+      [](const PortEvent& e, sim::SimTime t) { return e.at < t; });
+  for (; it != events_.end() && it->at <= to; ++it) {
+    if (it->loc == a || it->loc == b) return true;
+  }
+  return false;
 }
 
 Verdict Cmm::on_lldp_observation(const ctrl::LldpObservation& obs) {
@@ -37,10 +46,10 @@ Verdict Cmm::on_lldp_observation(const ctrl::LldpObservation& obs) {
   // advertised (sender) and receiving port (paper Sec. VI-C: the
   // receiver is not known in advance, so events are logged and checked
   // on receipt).
-  const bool hit =
-      port_event_in_window(obs.src, obs.emitted_at, obs.received_at) ||
-      port_event_in_window(obs.dst, obs.emitted_at, obs.received_at);
-  if (!hit) return Verdict::Allow;
+  if (!port_event_in_window(obs.src, obs.dst, obs.emitted_at,
+                            obs.received_at)) {
+    return Verdict::Allow;
+  }
 
   ++detections_;
   ctrl_.alerts().raise(Alert{

@@ -43,13 +43,15 @@ class Cmm : public ctrl::DefenseModule {
     of::PortStatus::Reason reason;
   };
 
-  [[nodiscard]] bool port_event_in_window(of::Location loc, sim::SimTime from,
+  /// Whether port `a` or port `b` logged an event in [from, to].
+  [[nodiscard]] bool port_event_in_window(of::Location a, of::Location b,
+                                          sim::SimTime from,
                                           sim::SimTime to) const;
   void prune(sim::SimTime now);
 
   ctrl::Controller& ctrl_;
   CmmConfig config_;
-  std::deque<PortEvent> events_;
+  std::deque<PortEvent> events_;  // in time order
   std::uint64_t detections_ = 0;
 };
 

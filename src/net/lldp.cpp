@@ -16,11 +16,8 @@ constexpr std::uint8_t kSubAuth = 0x01;
 constexpr std::uint8_t kSubTimestamp = 0x02;
 
 constexpr std::size_t kAuthLen = 16;
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
+constexpr std::size_t kTlvHeader = 2;               // type + length
+constexpr std::size_t kOrgHeader = kTlvHeader + 1;  // + subtype
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 7; i >= 0; --i) {
@@ -64,35 +61,32 @@ std::uint64_t get_u64(std::span<const std::uint8_t> v) {
 
 }  // namespace
 
-std::vector<std::uint8_t> LldpPacket::core_bytes() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(24);
-  {
-    std::vector<std::uint8_t> v;
-    put_u64(v, chassis_);
-    put_tlv(out, kTlvChassis, v);
-  }
-  {
-    std::vector<std::uint8_t> v;
-    put_u16(v, port_);
-    put_tlv(out, kTlvPort, v);
-  }
-  {
-    std::vector<std::uint8_t> v;
-    put_u16(v, ttl_);
-    put_tlv(out, kTlvTtl, v);
-  }
+std::array<std::uint8_t, LldpPacket::kCoreLen> LldpPacket::core_bytes()
+    const {
+  std::array<std::uint8_t, kCoreLen> out{};
+  std::size_t pos = 0;
+  const auto put = [&](std::uint8_t type, std::uint64_t v, std::size_t len) {
+    out[pos++] = type;
+    out[pos++] = static_cast<std::uint8_t>(len);
+    for (std::size_t i = len; i-- > 0;) {
+      out[pos++] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  put(kTlvChassis, chassis_, 8);
+  put(kTlvPort, port_, 2);
+  put(kTlvTtl, ttl_, 2);
   return out;
 }
 
 void LldpPacket::sign(const crypto::Key& key) {
-  auth_ = crypto::truncated_mac(key, core_bytes(), kAuthLen);
+  const crypto::Digest256 mac = crypto::hmac_sha256(key, core_bytes());
+  auth_.assign(mac.begin(), mac.begin() + kAuthLen);
 }
 
 bool LldpPacket::verify(const crypto::Key& key) const {
   if (auth_.size() != kAuthLen) return false;
-  const auto expect = crypto::truncated_mac(key, core_bytes(), kAuthLen);
-  // Constant-time compare.
+  const crypto::Digest256 expect = crypto::hmac_sha256(key, core_bytes());
+  // Constant-time compare of the truncated MAC.
   std::uint8_t diff = 0;
   for (std::size_t i = 0; i < kAuthLen; ++i) diff |= auth_[i] ^ expect[i];
   return diff == 0;
@@ -124,8 +118,20 @@ void LldpPacket::tamper_timestamp() {
   sealed_ts_[0] ^= 0xff;
 }
 
+std::size_t LldpPacket::serialized_size() const {
+  std::size_t n = kCoreLen + kTlvHeader;  // core TLVs + end marker
+  if (!auth_.empty()) n += kOrgHeader + auth_.size();
+  if (!sealed_ts_.empty()) {
+    n += kOrgHeader + sizeof ts_nonce_ + sealed_ts_.size();
+  }
+  return n;
+}
+
 std::vector<std::uint8_t> LldpPacket::serialize() const {
-  std::vector<std::uint8_t> out = core_bytes();
+  std::vector<std::uint8_t> out;
+  out.reserve(serialized_size());
+  const auto core = core_bytes();
+  out.assign(core.begin(), core.end());
   if (!auth_.empty()) {
     std::vector<std::uint8_t> v;
     v.push_back(kSubAuth);

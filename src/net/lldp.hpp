@@ -7,6 +7,7 @@
 // cryptographic operations run over real wire content.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -68,14 +69,20 @@ class LldpPacket {
   /// Serialize the full packet (core + present optional TLVs).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
 
+  /// `serialize().size()`, by arithmetic (frame sizing for byte counters).
+  [[nodiscard]] std::size_t serialized_size() const;
+
   /// Parse from bytes. nullopt on malformed input.
   static std::optional<LldpPacket> parse(std::span<const std::uint8_t> bytes);
 
   bool operator==(const LldpPacket&) const = default;
 
  private:
+  /// Chassis (2+8), port (2+2) and TTL (2+2) TLVs.
+  static constexpr std::size_t kCoreLen = 18;
+
   /// The byte string covered by the authenticator.
-  [[nodiscard]] std::vector<std::uint8_t> core_bytes() const;
+  [[nodiscard]] std::array<std::uint8_t, kCoreLen> core_bytes() const;
 
   Dpid chassis_ = 0;
   PortNo port_ = 0;

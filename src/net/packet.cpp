@@ -34,7 +34,7 @@ std::size_t Packet::wire_size() const {
       return 20 + t.data_len;
     }
     std::size_t operator()(const LldpPacket& l) const {
-      return l.serialize().size();
+      return l.serialized_size();
     }
     std::size_t operator()(const RawPayload& r) const { return r.size; }
   };

@@ -11,6 +11,7 @@
 #include "defense/arp_inspection.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/testbed.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::defense {
 namespace {
@@ -92,14 +93,14 @@ TEST(ArpSpoof, RedirectsResolvedTraffic) {
   net.tb.run_for(1_s);
   // The peer resolves the victim's IP and pings "it": the echo request
   // lands on the attacker.
-  net.attacker->clear_inbox();
+  const testutil::Inbox attacker_rx{*net.attacker};
   net.peer->send_resolved(
       net.victim->ip(),
       net::make_icmp_echo(net.peer->mac(), net.peer->ip(), net::MacAddress{},
                           net.victim->ip(), 77, 1));
   net.tb.run_for(500_ms);
   bool attacker_got_it = false;
-  for (const auto& p : net.attacker->received()) {
+  for (const auto& p : attacker_rx.packets()) {
     if (p.icmp() && p.icmp()->ident == 77) attacker_got_it = true;
   }
   EXPECT_TRUE(attacker_got_it);
@@ -158,11 +159,11 @@ TEST(Dai, GenuineArpPasses) {
   net.tb.start(1_s);
   dai.deploy();
   net.warm();
-  net.peer->clear_inbox();
+  const testutil::Inbox peer_rx{*net.peer};
   net.peer->send_arp_request(net.victim->ip());
   net.tb.run_for(300_ms);
   bool replied = false;
-  for (const auto& p : net.peer->received()) {
+  for (const auto& p : peer_rx.packets()) {
     if (p.arp() && p.arp()->op == net::ArpPayload::Op::Reply) replied = true;
   }
   EXPECT_TRUE(replied);

@@ -8,6 +8,7 @@
 #include "ctrl/host_tracker.hpp"
 #include "defense/topoguard_plus.hpp"
 #include "scenario/fig1_testbed.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::attack {
 namespace {
@@ -103,14 +104,14 @@ TEST(PortAmnesia, MitmBridgesTransitFaithfully) {
   // verify transit crosses the attackers when the controller picks the
   // fake edge — h1 pings h2 repeatedly and we check bridging occurred
   // whenever the fake path was chosen.
-  f.h1->clear_inbox();
+  const testutil::Inbox h1_rx{*f.h1};
   for (int i = 0; i < 5; ++i) {
     f.h1->send_ping(f.h2->mac(), f.h2->ip(), 0x42,
                     static_cast<std::uint16_t>(i));
     f.tb->run_for(500_ms);
   }
   bool replied = false;
-  for (const auto& p : f.h1->received()) {
+  for (const auto& p : h1_rx.packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply) {
       replied = true;
     }

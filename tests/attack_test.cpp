@@ -2,6 +2,8 @@
 // out-of-band channel, liveness probes, port-probing attack mechanics.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "attack/alert_flood.hpp"
 #include "attack/nic_model.hpp"
 #include "attack/oob_channel.hpp"
@@ -10,6 +12,7 @@
 #include "ctrl/host_tracker.hpp"
 #include "scenario/testbed.hpp"
 #include "stats/descriptive.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::attack {
 namespace {
@@ -30,6 +33,8 @@ struct Lab {
   Host* attacker;
   Host* victim;
   Host* zombie;
+  // Everything each host receives, from before start-up on.
+  std::optional<testutil::Inbox> attacker_rx, victim_rx, zombie_rx;
 
   Lab() {
     tb.add_switch(0x1);
@@ -47,6 +52,9 @@ struct Lab {
     z.ip = net::Ipv4Address::host(2);
     z.idle_scan_zombie = true;
     zombie = &tb.add_host(0x1, 3, z);
+    attacker_rx.emplace(*attacker);
+    victim_rx.emplace(*victim);
+    zombie_rx.emplace(*zombie);
     tb.start(1_s);
   }
 
@@ -60,7 +68,7 @@ TEST(Host, RepliesToArpForItsIp) {
   lab.attacker->send_arp_request(lab.victim->ip());
   lab.run();
   bool got_reply = false;
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     if (p.arp() && p.arp()->op == net::ArpPayload::Op::Reply &&
         p.arp()->sender_ip == lab.victim->ip()) {
       got_reply = true;
@@ -74,7 +82,7 @@ TEST(Host, IgnoresArpForOtherIps) {
   Lab lab;
   lab.attacker->send_arp_request(net::Ipv4Address::host(200));
   lab.run();
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     EXPECT_FALSE(p.arp() && p.arp()->op == net::ArpPayload::Op::Reply);
   }
 }
@@ -84,7 +92,7 @@ TEST(Host, RepliesToIcmpEcho) {
   lab.attacker->send_ping(lab.victim->mac(), lab.victim->ip(), 7, 1);
   lab.run();
   bool got = false;
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply &&
         p.icmp()->ident == 7) {
       got = true;
@@ -100,7 +108,7 @@ TEST(Host, SynToOpenPortGetsSynAck) {
                                    80, net::TcpFlags{.syn = true}));
   lab.run();
   bool got = false;
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     if (p.tcp() && p.tcp()->flags.syn && p.tcp()->flags.ack &&
         p.tcp()->dst_port == 5555) {
       got = true;
@@ -116,7 +124,7 @@ TEST(Host, SynToClosedPortGetsRst) {
                                    8080, net::TcpFlags{.syn = true}));
   lab.run();
   bool got = false;
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     if (p.tcp() && p.tcp()->flags.rst && p.tcp()->dst_port == 5556) got = true;
   }
   EXPECT_TRUE(got);
@@ -134,7 +142,7 @@ TEST(Host, ZombieRstsUnsolicitedSynAckWithSequentialIpId) {
   send_synack(6001);
   lab.run();
   std::vector<std::uint16_t> ipids;
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     if (p.tcp() && p.tcp()->flags.rst && p.ip &&
         p.ip->src == lab.zombie->ip()) {
       ipids.push_back(p.ip->ident);
@@ -150,7 +158,7 @@ TEST(Host, NonZombieIgnoresUnsolicitedSynAck) {
       lab.attacker->mac(), lab.attacker->ip(), lab.victim->mac(),
       lab.victim->ip(), 6002, 80, net::TcpFlags{.syn = true, .ack = true}));
   lab.run();
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     EXPECT_FALSE(p.tcp() && p.tcp()->flags.rst && p.tcp()->dst_port == 6002);
   }
 }
@@ -159,10 +167,10 @@ TEST(Host, DownInterfaceSilent) {
   Lab lab;
   lab.victim->set_interface(false);
   lab.run(100_ms);
-  lab.attacker->clear_inbox();
+  lab.attacker_rx->clear();
   lab.attacker->send_arp_request(lab.victim->ip());
   lab.run();
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     EXPECT_FALSE(p.arp() && p.arp()->op == net::ArpPayload::Op::Reply);
   }
 }
@@ -177,7 +185,7 @@ TEST(Host, HookConsumesBeforeResponder) {
   lab.attacker->send_ping(lab.victim->mac(), lab.victim->ip(), 9, 1);
   lab.run();
   EXPECT_GT(hooked, 0);
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     EXPECT_FALSE(p.icmp() &&
                  p.icmp()->type == net::IcmpPayload::Type::EchoReply);
   }
@@ -191,7 +199,7 @@ TEST(Host, ListenerObservesWithoutConsuming) {
   lab.run();
   EXPECT_GT(listened, 0);
   bool got_reply = false;
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply) {
       got_reply = true;
     }
@@ -228,14 +236,14 @@ TEST(Host, ArpCacheLearnsFromSenderFields) {
 TEST(Host, SendResolvedQueriesArpOnMiss) {
   Lab lab;
   // No prior contact: resolution must run a real ARP exchange first.
-  lab.victim->clear_inbox();
+  lab.victim_rx->clear();
   lab.attacker->send_resolved(
       lab.victim->ip(),
       net::make_icmp_echo(lab.attacker->mac(), lab.attacker->ip(),
                           net::MacAddress{}, lab.victim->ip(), 42, 1));
   lab.run();
   bool got_arp = false, got_ping = false;
-  for (const auto& p : lab.victim->received()) {
+  for (const auto& p : lab.victim_rx->packets()) {
     if (p.arp() && p.arp()->op == net::ArpPayload::Op::Request) got_arp = true;
     if (p.icmp() && p.icmp()->ident == 42) {
       got_ping = true;
@@ -257,7 +265,7 @@ TEST(Host, SendResolvedDropsWhenTargetGone) {
   lab.run(2_s);  // resolve_timeout elapses, queue dropped silently
   lab.victim->set_interface(true);
   lab.run(200_ms);
-  for (const auto& p : lab.victim->received()) {
+  for (const auto& p : lab.victim_rx->packets()) {
     EXPECT_FALSE(p.icmp() && p.icmp()->ident == 43);
   }
 }
@@ -266,20 +274,20 @@ TEST(Host, IpSpoofedProbeElicitsReplyTowardClaimedSource) {
   // The idle-scan enabler: a SYN claiming the zombie's IP (attacker's
   // MAC) must make the victim SYN-ACK the *zombie*, not the attacker.
   Lab lab;
-  lab.zombie->clear_inbox();
+  lab.zombie_rx->clear();
   lab.attacker->send(net::make_tcp(lab.attacker->mac(), lab.zombie->ip(),
                                    lab.victim->mac(), lab.victim->ip(), 7777,
                                    80, net::TcpFlags{.syn = true}));
   lab.run();
   bool zombie_got_synack = false;
-  for (const auto& p : lab.zombie->received()) {
+  for (const auto& p : lab.zombie_rx->packets()) {
     if (p.tcp() && p.tcp()->flags.syn && p.tcp()->flags.ack &&
         p.tcp()->dst_port == 7777) {
       zombie_got_synack = true;
     }
   }
   EXPECT_TRUE(zombie_got_synack);
-  for (const auto& p : lab.attacker->received()) {
+  for (const auto& p : lab.attacker_rx->packets()) {
     EXPECT_FALSE(p.tcp() && p.tcp()->dst_port == 7777);
   }
 }

@@ -8,6 +8,7 @@
 #include "ctrl/host_tracker.hpp"
 #include "defense/topoguard_plus.hpp"
 #include "scenario/testbed.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::scenario {
 namespace {
@@ -126,12 +127,12 @@ TEST_P(Chaos, ControlPlaneSurvivesChurnAndConverges) {
   }
 
   // Invariant 3: end-to-end reachability across the ring.
-  slots[0].host->clear_inbox();
+  const testutil::Inbox rx{*slots[0].host};
   slots[0].host->send_ping(slots[3].host->mac(), slots[3].host->ip(), 0x9,
                            1);
   tb.run_for(1_s);
   bool replied = false;
-  for (const auto& p : slots[0].host->received()) {
+  for (const auto& p : rx.packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply &&
         p.icmp()->ident == 0x9) {
       replied = true;

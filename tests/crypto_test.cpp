@@ -1,12 +1,14 @@
 // Unit tests for the crypto substrate: SHA-256, HMAC-SHA256, XTEA-CTR.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/xtea.hpp"
+#include "sim/rng.hpp"
 
 namespace tmg::crypto {
 namespace {
@@ -131,20 +133,63 @@ TEST(Hmac, DigestEqualDetectsSingleBitFlip) {
   EXPECT_FALSE(digest_equal(a, b));
 }
 
-TEST(Hmac, TruncatedMacIsPrefix) {
-  const Key key = Key::derive(bytes_of("k"));
-  const auto data = bytes_of("m");
-  const auto full = hmac_sha256(key, data);
-  const auto trunc = truncated_mac(key, data, 16);
-  ASSERT_EQ(trunc.size(), 16u);
-  EXPECT_TRUE(std::equal(trunc.begin(), trunc.end(), full.begin()));
+TEST(Hmac, KeyDeriveDeterministic) {
+  const auto msg = bytes_of("m");
+  EXPECT_EQ(hmac_sha256(Key::derive(bytes_of("seed")), msg),
+            hmac_sha256(Key::derive(bytes_of("seed")), msg));
+  EXPECT_NE(hmac_sha256(Key::derive(bytes_of("seed")), msg),
+            hmac_sha256(Key::derive(bytes_of("seeds")), msg));
 }
 
-TEST(Hmac, KeyDeriveDeterministic) {
-  EXPECT_EQ(Key::derive(bytes_of("seed")).bytes,
-            Key::derive(bytes_of("seed")).bytes);
-  EXPECT_NE(Key::derive(bytes_of("seed")).bytes,
-            Key::derive(bytes_of("seeds")).bytes);
+/// HMAC as RFC 2104 writes it: two passes over freshly padded key blocks.
+Digest256 reference_hmac(std::span<const std::uint8_t> key,
+                         std::span<const std::uint8_t> msg) {
+  constexpr std::size_t kBlock = 64;
+  std::vector<std::uint8_t> k(key.begin(), key.end());
+  if (k.size() > kBlock) {
+    const Digest256 kd = Sha256::hash(k);
+    k.assign(kd.begin(), kd.end());
+  }
+  k.resize(kBlock, 0);
+  std::vector<std::uint8_t> inner, outer;
+  for (std::uint8_t b : k) {
+    inner.push_back(static_cast<std::uint8_t>(b ^ 0x36));
+    outer.push_back(static_cast<std::uint8_t>(b ^ 0x5c));
+  }
+  inner.insert(inner.end(), msg.begin(), msg.end());
+  const Digest256 inner_digest = Sha256::hash(inner);
+  outer.insert(outer.end(), inner_digest.begin(), inner_digest.end());
+  return Sha256::hash(outer);
+}
+
+TEST(Hmac, MidstatesMatchRfc2104Reference) {
+  // Every key length 0..200 (longer than 64 takes the hashed-key path),
+  // each key reused for several MACs in a row (its midstates must be
+  // copied, not consumed), and message lengths walking 0..300 so every
+  // length, and with it each 55/56/64-byte padding edge, is hit.
+  sim::Rng rng{2104};
+  const auto random_bytes = [&](std::size_t n) {
+    std::vector<std::uint8_t> out(n);
+    for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
+    return out;
+  };
+  constexpr std::size_t kMacsPerKey = 6;
+  std::size_t msg_len = 0;
+  for (std::size_t key_len = 0; key_len <= 200; ++key_len) {
+    const auto key_bytes = random_bytes(key_len);
+    const Key key{key_bytes};
+    for (std::size_t i = 0; i < kMacsPerKey; ++i) {
+      const auto msg = random_bytes(msg_len);
+      ASSERT_EQ(hmac_sha256(key, msg), reference_hmac(key_bytes, msg))
+          << "key length " << key_len << ", message length " << msg_len;
+      msg_len = (msg_len + 1) % 301;
+    }
+  }
+  // Key::derive keys on the SHA-256 of its seed.
+  const auto seed = bytes_of("seed");
+  const auto msg = bytes_of("m");
+  EXPECT_EQ(hmac_sha256(Key::derive(seed), msg),
+            reference_hmac(Sha256::hash(seed), msg));
 }
 
 // ---------------- XTEA ----------------

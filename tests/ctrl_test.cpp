@@ -13,6 +13,7 @@
 #include "ctrl/link_discovery.hpp"
 #include "ctrl/routing.hpp"
 #include "scenario/testbed.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::ctrl {
 namespace {
@@ -372,6 +373,8 @@ TEST(HostTracker, VetoBlocksRebinding) {
 
 TEST(Routing, EndToEndPingAcrossSwitches) {
   TwoSwitchNet net;
+  const testutil::Inbox h1_rx{*net.h1};
+  const testutil::Inbox h2_rx{*net.h2};
   net.tb.start(1_s);
   net.h1->send_arp_request(net.h2->ip());
   net.h2->send_arp_request(net.h1->ip());
@@ -380,12 +383,12 @@ TEST(Routing, EndToEndPingAcrossSwitches) {
   net.tb.run_for(300_ms);
   // h2 got the echo request and h1 got the reply.
   bool h2_got_req = false, h1_got_rep = false;
-  for (const auto& p : net.h2->received()) {
+  for (const auto& p : h2_rx.packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoRequest) {
       h2_got_req = true;
     }
   }
-  for (const auto& p : net.h1->received()) {
+  for (const auto& p : h1_rx.packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply) {
       h1_got_rep = true;
     }
@@ -411,11 +414,11 @@ TEST(Routing, InstallsFlowRules) {
 TEST(Routing, BroadcastDeliveredOncePerHost) {
   TwoSwitchNet net;
   net.tb.start(1_s);
-  net.h2->clear_inbox();
+  const testutil::Inbox h2_rx{*net.h2};
   net.h1->send_arp_request(net.h2->ip());
   net.tb.run_for(300_ms);
   int arp_reqs = 0;
-  for (const auto& p : net.h2->received()) {
+  for (const auto& p : h2_rx.packets()) {
     if (p.arp() && p.arp()->op == net::ArpPayload::Op::Request) ++arp_reqs;
   }
   EXPECT_EQ(arp_reqs, 1);  // duplicate-suppressed flood
@@ -446,11 +449,11 @@ TEST(Routing, HostMovePurgesStaleRules) {
   net.tb.run_for(300_ms);
   net.h1->send_arp_request(net.h2->ip());  // re-register at new port
   net.tb.run_for(200_ms);
-  net.h1->clear_inbox();
+  const testutil::Inbox h1_rx{*net.h1};
   net.h2->send_ping(net.h1->mac(), net.h1->ip(), 3, 2);
   net.tb.run_for(300_ms);
   bool got_ping = false;
-  for (const auto& p : net.h1->received()) {
+  for (const auto& p : h1_rx.packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoRequest) {
       got_ping = true;
     }

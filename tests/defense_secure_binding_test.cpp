@@ -7,6 +7,7 @@
 #include "defense/secure_binding.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/testbed.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::defense {
 namespace {
@@ -177,8 +178,9 @@ TEST(SecureBinding, MonitorOnlyModeAlertsWithoutBlocking) {
 TEST(SecureBinding, AuthFramesAreLinkLocal) {
   // EAPOL must never be forwarded to other hosts.
   SbNet net;
+  const testutil::Inbox mallory_rx{*net.mallory};
   net.tb.start(1_s);
-  for (const auto& pkt : net.mallory->received()) {
+  for (const auto& pkt : mallory_rx.packets()) {
     EXPECT_FALSE(pkt.raw() && pkt.raw()->label == net::auth_frame_label());
   }
 }

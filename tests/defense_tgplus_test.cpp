@@ -2,6 +2,8 @@
 // Latency Inspector.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "defense/topoguard_plus.hpp"
 #include "scenario/testbed.hpp"
 
@@ -101,6 +103,44 @@ TEST(Cmm, RetroactiveCheckCoversWholeWindow) {
   cmm.on_port_status(Harness::down(0x2, 1));  // logged at t=10ms
   EXPECT_EQ(cmm.on_lldp_observation(Harness::obs(h.t(5), h.t(25))),
             Verdict::Block);
+}
+
+TEST(Cmm, WindowEdgesBehindLongHistory) {
+  // 1,000 events on both involved ports, well before any window, so the
+  // lookup has a long history to skip. Then one event per endpoint and
+  // three windows around it: the window is closed at both ends, and
+  // 1 ns outside either end does not count.
+  Harness h;
+  Cmm cmm{h.tb.controller()};
+  const auto advance_to = [&](SimTime t) {
+    h.tb.run_for(t - h.tb.loop().now());
+    ASSERT_EQ(h.tb.loop().now(), t);
+  };
+  for (int i = 0; i < 1000; ++i) {
+    advance_to(SimTime::from_nanos(i * 1'000));  // t = 0 .. 0.999 ms
+    cmm.on_port_status(i % 2 == 0 ? Harness::down(0x1, 1)
+                                  : Harness::up(0x2, 1));
+  }
+  const auto ns = sim::Duration::nanos(1);
+  const std::pair<of::Dpid, std::int64_t> endpoints[] = {{0x2, 20},
+                                                         {0x1, 40}};
+  for (const auto& [dpid, at_ms] : endpoints) {
+    SCOPED_TRACE(at_ms);
+    const SimTime at = h.t(at_ms);
+    advance_to(at);
+    cmm.on_port_status(Harness::down(dpid, 1));
+    const SimTime before = at - 10_ms;  // after the history, before `at`
+    // 1 ns before emitted_at.
+    EXPECT_EQ(cmm.on_lldp_observation(Harness::obs(at + ns, at + 5_ms)),
+              Verdict::Allow);
+    // 1 ns after received_at.
+    EXPECT_EQ(cmm.on_lldp_observation(Harness::obs(before, at - ns)),
+              Verdict::Allow);
+    // Exactly at received_at.
+    EXPECT_EQ(cmm.on_lldp_observation(Harness::obs(before, at)),
+              Verdict::Block);
+  }
+  EXPECT_EQ(cmm.detections(), 2u);
 }
 
 TEST(Cmm, NonBlockingModeAlertsOnly) {

@@ -8,6 +8,7 @@
 #include "defense/topoguard_plus.hpp"
 #include "scenario/hypervisor.hpp"
 #include "scenario/testbed.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::scenario {
 namespace {
@@ -75,12 +76,13 @@ TEST(Hypervisor, PlacementAndUtilization) {
 
 TEST(Hypervisor, PlacedVmIsReachable) {
   Cloud c;
+  const testutil::Inbox attacker_rx{*c.attacker_net};
   c.hv.start();
   c.tb.start(1_s);
   c.attacker_net->send_arp_request(c.victim->ip());
   c.tb.run_for(300_ms);
   bool replied = false;
-  for (const auto& p : c.attacker_net->received()) {
+  for (const auto& p : attacker_rx.packets()) {
     if (p.arp() && p.arp()->op == net::ArpPayload::Op::Reply) replied = true;
   }
   EXPECT_TRUE(replied);

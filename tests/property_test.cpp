@@ -42,7 +42,8 @@ TEST_P(LldpFuzz, RandomBytesNeverCrashAndRoundTripHolds) {
     (void)net::LldpPacket::parse(junk);
   }
   // (b) serialize -> parse is the identity for random valid packets,
-  // with random combinations of optional TLVs.
+  // with random combinations of optional TLVs, including TLVs that only
+  // a tamper call created; serialized_size() agrees with serialize().
   const crypto::Key akey = crypto::Key::derive({{0x1, 0x2}});
   const crypto::XteaKey tkey = crypto::XteaKey::derive({{0x3, 0x4}});
   for (int i = 0; i < 500; ++i) {
@@ -55,6 +56,9 @@ TEST_P(LldpFuzz, RandomBytesNeverCrashAndRoundTripHolds) {
           tkey, rng.next_u64(),
           SimTime::from_nanos(static_cast<std::int64_t>(rng.next_u64() >> 1)));
     }
+    if (rng.chance(0.25)) p.tamper_authenticator();
+    if (rng.chance(0.25)) p.tamper_timestamp();
+    EXPECT_EQ(p.serialized_size(), p.serialize().size());
     const auto parsed = net::LldpPacket::parse(p.serialize());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, p);
@@ -65,6 +69,7 @@ TEST_P(LldpFuzz, RandomBytesNeverCrashAndRoundTripHolds) {
     net::LldpPacket p{rng.next_u64(), 7};
     p.sign(akey);
     auto bytes = p.serialize();
+    EXPECT_EQ(p.serialized_size(), bytes.size());
     const std::size_t bit = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(bytes.size() * 8 - 1)));
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));

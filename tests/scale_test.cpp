@@ -7,6 +7,7 @@
 #include "ctrl/routing.hpp"
 #include "defense/topoguard_plus.hpp"
 #include "scenario/testbed.hpp"
+#include "host_inbox.hpp"
 
 namespace tmg::scenario {
 namespace {
@@ -83,10 +84,10 @@ TEST_P(ScaleSweep, AnyToAnyRoutingWorks) {
     auto* b = net.hosts[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(net.hosts.size()) - 1))];
     if (a == b) continue;
-    a->clear_inbox();
+    const testutil::Inbox a_rx{*a};
     a->send_ping(b->mac(), b->ip(), static_cast<std::uint16_t>(trial), 1);
     net.tb.run_for(500_ms);
-    for (const auto& p : a->received()) {
+    for (const auto& p : a_rx.packets()) {
       if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply &&
           p.icmp()->ident == trial) {
         ++exchanged;
@@ -143,11 +144,11 @@ TEST(Scale, LinkFailureReroutesTraffic) {
   tb.run_for(500_ms);
 
   // Direct path 1-4 works.
-  h1.clear_inbox();
+  testutil::Inbox h1_rx{h1};
   h1.send_ping(h2.mac(), h2.ip(), 1, 1);
   tb.run_for(500_ms);
   bool before = false;
-  for (const auto& p : h1.received()) {
+  for (const auto& p : h1_rx.packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply) {
       before = true;
     }
@@ -159,11 +160,11 @@ TEST(Scale, LinkFailureReroutesTraffic) {
   closing.set_carrier(of::Side::A, false);
   tb.run_for(6_s);  // rules (5s idle) expire
   EXPECT_EQ(tb.controller().topology().link_count(), 3u);
-  h1.clear_inbox();
+  h1_rx.clear();
   h1.send_ping(h2.mac(), h2.ip(), 2, 1);
   tb.run_for(500_ms);
   bool after = false;
-  for (const auto& p : h1.received()) {
+  for (const auto& p : h1_rx.packets()) {
     if (p.icmp() && p.icmp()->type == net::IcmpPayload::Type::EchoReply &&
         p.icmp()->ident == 2) {
       after = true;
