@@ -299,8 +299,11 @@ void Controller::connect_switch(of::Dpid dpid, of::ControlChannel& channel,
   if (!inserted) throw std::logic_error("switch already connected");
   it->second.channel = &channel;
   it->second.ports = std::move(ports);
-  channel.attach_controller(
-      [this, dpid](const of::SwitchToCtrl& msg) { dispatch(dpid, msg); });
+  // Interned once here; every message from this switch carries the index.
+  const std::uint32_t index = topology_.intern(dpid);
+  channel.attach_controller([this, dpid, index](const of::SwitchToCtrl& msg) {
+    dispatch(dpid, index, msg);
+  });
 }
 
 void Controller::start() {
@@ -524,10 +527,12 @@ void Controller::notify_link_removed(const topo::Link& link) {
   pipeline_.dispatch(PipelineMessage::from(link));
 }
 
-void Controller::dispatch(of::Dpid dpid, const of::SwitchToCtrl& msg) {
+void Controller::dispatch(of::Dpid dpid, std::uint32_t index,
+                          const of::SwitchToCtrl& msg) {
   struct Visitor {
     Controller& c;
     of::Dpid dpid;
+    std::uint32_t index;
     void operator()(const of::PacketIn& pi) {
       // Streaming traffic stats ride the same null-obs guard as every
       // other observability hook: unobserved runs skip the accounting
@@ -538,25 +543,25 @@ void Controller::dispatch(of::Dpid dpid, const of::SwitchToCtrl& msg) {
             pi.dpid, stats::FlowStats::port_key(pi.dpid, pi.in_port),
             pi.packet.wire_size());
       }
-      c.pipeline_.dispatch(PipelineMessage::from(pi));
+      c.pipeline_.dispatch(PipelineMessage::from(index, pi));
     }
     void operator()(const of::PortStatus& ps) {
-      c.pipeline_.dispatch(PipelineMessage::from(dpid, ps));
+      c.pipeline_.dispatch(PipelineMessage::from(dpid, index, ps));
     }
     void operator()(const of::EchoReply& er) {
-      c.pipeline_.dispatch(PipelineMessage::from(dpid, er));
+      c.pipeline_.dispatch(PipelineMessage::from(dpid, index, er));
     }
     void operator()(const of::FlowRemoved& fr) {
-      c.pipeline_.dispatch(PipelineMessage::from(dpid, fr));
+      c.pipeline_.dispatch(PipelineMessage::from(dpid, index, fr));
     }
     void operator()(const of::FlowStatsReply& fsr) {
-      c.pipeline_.dispatch(PipelineMessage::from(dpid, fsr));
+      c.pipeline_.dispatch(PipelineMessage::from(dpid, index, fsr));
     }
     void operator()(const of::PortStatsReply& psr) {
-      c.pipeline_.dispatch(PipelineMessage::from(dpid, psr));
+      c.pipeline_.dispatch(PipelineMessage::from(dpid, index, psr));
     }
   };
-  std::visit(Visitor{*this, dpid}, msg);
+  std::visit(Visitor{*this, dpid, index}, msg);
 }
 
 void Controller::handle_echo_reply(of::Dpid dpid, const of::EchoReply& er) {

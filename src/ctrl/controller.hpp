@@ -95,7 +95,9 @@ class Controller {
   Controller& operator=(const Controller&) = delete;
 
   /// Register a switch reachable over `channel`. `ports` lists the
-  /// switch's dataplane ports (LLDP is emitted to each).
+  /// switch's dataplane ports (LLDP is emitted to each). Interns the
+  /// dpid in topology(); every message from the switch carries that
+  /// index as PipelineMessage::switch_index.
   void connect_switch(of::Dpid dpid, of::ControlChannel& channel,
                       std::vector<of::PortNo> ports);
 
@@ -220,7 +222,8 @@ class Controller {
   class CoreListener;
   class VerdictGate;
 
-  void dispatch(of::Dpid dpid, const of::SwitchToCtrl& msg);
+  void dispatch(of::Dpid dpid, std::uint32_t index,
+                const of::SwitchToCtrl& msg);
   void finish_probe_span(obs::SpanId span, bool reachable);
   void handle_echo_reply(of::Dpid dpid, const of::EchoReply& er);
   void echo_tick();

@@ -17,7 +17,7 @@ std::uint32_t HostTrackingService::subscriptions() const {
 
 Disposition HostTrackingService::on_message(const PipelineMessage& msg,
                                             DispatchContext&) {
-  handle_packet_in(*msg.packet_in);
+  handle_packet_in(*msg.packet_in, msg.switch_index);
   return Disposition::Continue;
 }
 
@@ -34,14 +34,15 @@ net::Ipv4Address HostTrackingService::source_ip_of(const net::Packet& pkt) {
   return net::Ipv4Address::any();
 }
 
-void HostTrackingService::handle_packet_in(const of::PacketIn& pi) {
+void HostTrackingService::handle_packet_in(const of::PacketIn& pi,
+                                           std::uint32_t switch_index) {
   const net::Packet& pkt = pi.packet;
   if (pkt.is_lldp()) return;
   if (pkt.src_mac.is_multicast()) return;
-  const of::Location loc{pi.dpid, pi.in_port};
   // Traffic on switch-internal ports is transit, not first-hop: it never
   // (re)binds a host. Floodlight's DeviceManager does the same.
-  if (ctrl_.topology().is_switch_port(loc)) return;
+  if (ctrl_.topology().is_switch_port(switch_index, pi.in_port)) return;
+  const of::Location loc{pi.dpid, pi.in_port};
 
   const sim::SimTime now = ctrl_.loop().now();
   const net::Ipv4Address src_ip = source_ip_of(pkt);

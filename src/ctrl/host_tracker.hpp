@@ -36,9 +36,10 @@ class HostTrackingService final : public MessageListener {
   Disposition on_message(const PipelineMessage& msg,
                          DispatchContext& ctx) override;
 
-  /// Learn from a (non-LLDP) Packet-In. Ignores multicast sources and
-  /// packets arriving on known switch-internal ports.
-  void handle_packet_in(const of::PacketIn& pi);
+  /// Learn from a (non-LLDP) Packet-In sent by the switch interned at
+  /// `switch_index`. Ignores multicast sources and packets arriving on
+  /// known switch-internal ports.
+  void handle_packet_in(const of::PacketIn& pi, std::uint32_t switch_index);
 
   [[nodiscard]] std::optional<HostRecord> find(net::MacAddress mac) const;
   [[nodiscard]] std::optional<HostRecord> find_by_ip(

@@ -23,54 +23,67 @@ const char* to_string(MessageType t) {
   return "?";
 }
 
-PipelineMessage PipelineMessage::from(const of::PacketIn& pi) {
+PipelineMessage PipelineMessage::from(std::uint32_t switch_index,
+                                      const of::PacketIn& pi) {
   PipelineMessage m;
   m.type = MessageType::PacketIn;
   m.dpid = pi.dpid;
+  m.switch_index = switch_index;
   m.packet_in = &pi;
   return m;
 }
 
 PipelineMessage PipelineMessage::from(of::Dpid dpid,
+                                      std::uint32_t switch_index,
                                       const of::PortStatus& ps) {
   PipelineMessage m;
   m.type = MessageType::PortStatus;
   m.dpid = dpid;
+  m.switch_index = switch_index;
   m.port_status = &ps;
   return m;
 }
 
-PipelineMessage PipelineMessage::from(of::Dpid dpid, const of::EchoReply& er) {
+PipelineMessage PipelineMessage::from(of::Dpid dpid,
+                                      std::uint32_t switch_index,
+                                      const of::EchoReply& er) {
   PipelineMessage m;
   m.type = MessageType::EchoReply;
   m.dpid = dpid;
+  m.switch_index = switch_index;
   m.echo_reply = &er;
   return m;
 }
 
 PipelineMessage PipelineMessage::from(of::Dpid dpid,
+                                      std::uint32_t switch_index,
                                       const of::FlowRemoved& fr) {
   PipelineMessage m;
   m.type = MessageType::FlowRemoved;
   m.dpid = dpid;
+  m.switch_index = switch_index;
   m.flow_removed = &fr;
   return m;
 }
 
 PipelineMessage PipelineMessage::from(of::Dpid dpid,
+                                      std::uint32_t switch_index,
                                       const of::FlowStatsReply& fsr) {
   PipelineMessage m;
   m.type = MessageType::FlowStats;
   m.dpid = dpid;
+  m.switch_index = switch_index;
   m.flow_stats = &fsr;
   return m;
 }
 
 PipelineMessage PipelineMessage::from(of::Dpid dpid,
+                                      std::uint32_t switch_index,
                                       const of::PortStatsReply& psr) {
   PipelineMessage m;
   m.type = MessageType::PortStats;
   m.dpid = dpid;
+  m.switch_index = switch_index;
   m.port_stats = &psr;
   return m;
 }

@@ -79,6 +79,11 @@ enum class MessageType : std::uint32_t {
 struct PipelineMessage {
   MessageType type = MessageType::PacketIn;
   of::Dpid dpid = 0;  // originating switch (FlowModOut: target switch)
+  /// The originating switch's index in the controller's topology graph
+  /// (TopologyGraph::switch_index); topo::kNoSwitch on controller-derived
+  /// events. It rides here, not on of::PacketIn, because the switch that
+  /// builds a Packet-In does not know the controller's index.
+  std::uint32_t switch_index = topo::kNoSwitch;
   const of::PacketIn* packet_in = nullptr;
   const of::PortStatus* port_status = nullptr;
   const of::EchoReply* echo_reply = nullptr;
@@ -90,12 +95,19 @@ struct PipelineMessage {
   const topo::Link* link_removed = nullptr;
   const of::FlowMod* flow_mod = nullptr;
 
-  static PipelineMessage from(const of::PacketIn& pi);
-  static PipelineMessage from(of::Dpid dpid, const of::PortStatus& ps);
-  static PipelineMessage from(of::Dpid dpid, const of::EchoReply& er);
-  static PipelineMessage from(of::Dpid dpid, const of::FlowRemoved& fr);
-  static PipelineMessage from(of::Dpid dpid, const of::FlowStatsReply& fsr);
-  static PipelineMessage from(of::Dpid dpid, const of::PortStatsReply& psr);
+  // Switch-originated messages carry the switch's interned index.
+  static PipelineMessage from(std::uint32_t switch_index,
+                              const of::PacketIn& pi);
+  static PipelineMessage from(of::Dpid dpid, std::uint32_t switch_index,
+                              const of::PortStatus& ps);
+  static PipelineMessage from(of::Dpid dpid, std::uint32_t switch_index,
+                              const of::EchoReply& er);
+  static PipelineMessage from(of::Dpid dpid, std::uint32_t switch_index,
+                              const of::FlowRemoved& fr);
+  static PipelineMessage from(of::Dpid dpid, std::uint32_t switch_index,
+                              const of::FlowStatsReply& fsr);
+  static PipelineMessage from(of::Dpid dpid, std::uint32_t switch_index,
+                              const of::PortStatsReply& psr);
   static PipelineMessage from(const LldpObservation& obs);
   static PipelineMessage from(const HostEvent& ev);
   static PipelineMessage from(const topo::Link& link);

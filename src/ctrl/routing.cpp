@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "check/assert.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/host_tracker.hpp"
 
@@ -25,7 +26,7 @@ std::uint32_t RoutingService::subscriptions() const {
 
 Disposition RoutingService::on_message(const PipelineMessage& msg,
                                        DispatchContext&) {
-  handle_packet_in(*msg.packet_in);
+  handle_packet_in(*msg.packet_in, msg.switch_index);
   return Disposition::Continue;
 }
 
@@ -37,7 +38,8 @@ const HostTrackingService& RoutingService::host_tracking() {
   return *hosts_;
 }
 
-void RoutingService::handle_packet_in(const of::PacketIn& pi) {
+void RoutingService::handle_packet_in(const of::PacketIn& pi,
+                                      std::uint32_t switch_index) {
   const net::Packet& pkt = pi.packet;
 
   // Bridge-filtered group addresses (EAPOL, STP, ...) are link-local:
@@ -45,13 +47,13 @@ void RoutingService::handle_packet_in(const of::PacketIn& pi) {
   if (pkt.dst_mac.is_link_local_group()) return;
 
   if (pkt.dst_mac.is_broadcast() || pkt.dst_mac.is_multicast()) {
-    flood(pi);
+    flood(pi, switch_index);
     return;
   }
 
   const auto dst = host_tracking().find(pkt.dst_mac);
   if (!dst) {
-    flood(pi);
+    flood(pi, switch_index);
     return;
   }
 
@@ -67,7 +69,7 @@ void RoutingService::handle_packet_in(const of::PacketIn& pi) {
     return;
   }
 
-  if (!route(pi, dst->loc)) flood(pi);
+  if (!route(pi, dst->loc)) flood(pi, switch_index);
 }
 
 bool RoutingService::route(const of::PacketIn& pi, const of::Location& dst) {
@@ -109,23 +111,48 @@ bool RoutingService::route(const of::PacketIn& pi, const of::Location& dst) {
   return true;
 }
 
-void RoutingService::flood(const of::PacketIn& pi) {
+void RoutingService::flood(const of::PacketIn& pi,
+                           std::uint32_t switch_index) {
+  if (switch_index / 64 >= flood_words_) {
+    TMG_ASSERT(switch_index < ctrl_.topology().switch_count(),
+               "RoutingService::flood: Packet-In without a switch index");
+    widen_flood_slots((ctrl_.topology().switch_count() + 63) / 64);
+  }
   const std::uint64_t id = pi.packet.trace_id;
   std::size_t slot = flooded_.find(id);
   if (slot == DedupRing::npos) {
     slot = flooded_.push(id);
-    if (slot >= flood_seen_.size()) flood_seen_.resize(slot + 1);
-    flood_seen_[slot].clear();  // reuse the evicted id's storage
+    const std::size_t end = (slot + 1) * flood_words_;
+    if (end > flood_bits_.size()) flood_bits_.resize(end);
+    // Reuse the evicted id's words.
+    std::fill_n(flood_bits_.begin() + static_cast<std::ptrdiff_t>(
+                                          slot * flood_words_),
+                flood_words_, std::uint64_t{0});
     ++floods_;
   }
   // Storm suppression: each switch forwards a given packet once. The
   // flood then propagates hop-by-hop over real links, paying real
   // dataplane latency (copies arriving at already-flooded switches die
   // here).
-  std::vector<of::Dpid>& seen = flood_seen_[slot];
-  if (std::find(seen.begin(), seen.end(), pi.dpid) != seen.end()) return;
-  seen.push_back(pi.dpid);
+  std::uint64_t& word = flood_bits_[slot * flood_words_ + switch_index / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (switch_index % 64);
+  if ((word & bit) != 0) return;
+  word |= bit;
   ctrl_.send_packet_out(pi.dpid, of::kPortFlood, pi.packet, pi.in_port);
+}
+
+void RoutingService::widen_flood_slots(std::size_t words) {
+  const std::size_t slots =
+      flood_words_ == 0 ? 0 : flood_bits_.size() / flood_words_;
+  std::vector<std::uint64_t> wider(slots * words, 0);
+  for (std::size_t s = 0; s < slots; ++s) {
+    std::copy_n(flood_bits_.begin() +
+                    static_cast<std::ptrdiff_t>(s * flood_words_),
+                flood_words_,
+                wider.begin() + static_cast<std::ptrdiff_t>(s * words));
+  }
+  flood_bits_ = std::move(wider);
+  flood_words_ = words;
 }
 
 void RoutingService::on_host_moved(const HostEvent& ev) {

@@ -30,8 +30,9 @@ class RoutingService final : public MessageListener {
   Disposition on_message(const PipelineMessage& msg,
                          DispatchContext& ctx) override;
 
-  /// Route or flood a (non-LLDP) Packet-In.
-  void handle_packet_in(const of::PacketIn& pi);
+  /// Route or flood a (non-LLDP) Packet-In sent by the switch interned
+  /// at `switch_index`.
+  void handle_packet_in(const of::PacketIn& pi, std::uint32_t switch_index);
 
   /// Purge rules delivering to a host that moved, so traffic follows the
   /// new binding immediately (Floodlight does the same on device move).
@@ -50,7 +51,10 @@ class RoutingService final : public MessageListener {
   /// each switch floods a given packet at most once, so broadcasts
   /// propagate over real links (and pay real link latency) without
   /// looping.
-  void flood(const of::PacketIn& pi);
+  void flood(const of::PacketIn& pi, std::uint32_t switch_index);
+  /// Re-lay flood_bits_ at `words` words per slot, keeping every slot's
+  /// bits.
+  void widen_flood_slots(std::size_t words);
   /// Install per-hop rules toward dst and forward the packet. Returns
   /// false if no path exists.
   bool route(const of::PacketIn& pi, const of::Location& dst_loc);
@@ -63,11 +67,13 @@ class RoutingService final : public MessageListener {
   /// All shortest-path queries go through the epoch-keyed cache; any
   /// topology mutation (including a fabricated link) invalidates it.
   topo::PathCache path_cache_;
-  /// Flood dedup: ring of recent trace ids; flood_seen_[slot] lists the
-  /// switches that already flooded that id. Slots are reused on eviction
-  /// so steady-state flooding allocates nothing.
+  /// Flood dedup: ring of recent trace ids. Ring slot s owns the
+  /// flood_words_ words of flood_bits_ starting at s * flood_words_, one
+  /// bit per switch index that already flooded that id. Slots are reused
+  /// on eviction, so steady-state flooding allocates nothing.
   DedupRing flooded_;
-  std::vector<std::vector<of::Dpid>> flood_seen_;
+  std::vector<std::uint64_t> flood_bits_;
+  std::size_t flood_words_ = 0;
   DedupRing routed_;
   std::uint64_t next_cookie_ = 1;
   std::uint64_t paths_ = 0;

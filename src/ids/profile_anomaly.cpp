@@ -74,8 +74,9 @@ const PortProfile* ProfileAnomalyService::baseline(PortKey port) const {
   return it == profile_->ports.end() ? nullptr : &it->second;
 }
 
+template <typename MessageFn>
 bool ProfileAnomalyService::deviate(Deviation kind, PortKey port,
-                                    std::string message) {
+                                    MessageFn&& message) {
   const int k = static_cast<int>(kind);
   obs::Counter* per_kind = nullptr;
   switch (kind) {
@@ -105,21 +106,26 @@ bool ProfileAnomalyService::deviate(Deviation kind, PortKey port,
       break;
   }
   bump(per_kind);
+  const bool alert_grade = kind != Deviation::UnseenTrigram;
+  const bool first_alert = alert_grade && alerts_ != nullptr &&
+                           !alerted_.contains(std::pair{port, k});
+  // The text is built only when a trace instant or a first alert reads
+  // it: a repeat deviation with observability off costs no string.
+  if (obs_ == nullptr && !first_alert) return alert_grade;
+  std::string text = message();
   if (obs_ != nullptr) {
     const obs::SpanId id =
-        obs_->trace().instant(loop_.now(), "ids", instant_name(k), message);
+        obs_->trace().instant(loop_.now(), "ids", instant_name(k), text);
     obs_->trace().annotate(id, "loc", port_key_to_string(port));
     if (g_score_ != nullptr) {
       g_score_->set(static_cast<double>(counters_.deviations()));
     }
   }
-  const bool alert_grade = kind != Deviation::UnseenTrigram;
-  if (alert_grade && alerts_ != nullptr &&
-      alerted_.emplace(port, k).second) {
+  if (first_alert) {
+    alerted_.emplace(port, k);
     alerts_->raise(ctrl::Alert{loop_.now(), name(),
                                ctrl::AlertType::AnomalyDeviation,
-                               std::move(message),
-                               port_key_location(port)});
+                               std::move(text), port_key_location(port)});
     ++counters_.alerts;
     bump(c_alerts_);
   }
@@ -143,19 +149,23 @@ ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
   const PortProfile* base = baseline(port);
   if (base == nullptr) {
     if (config_.alert_unseen_port) {
-      flagged |= deviate(Deviation::UnseenPort, port,
-                         "event at port with no trained baseline");
+      flagged |= deviate(Deviation::UnseenPort, port, [] {
+        return std::string{"event at port with no trained baseline"};
+      });
     }
   } else {
-    if (base->bigrams.count(bigram_key(st.s1, sym)) == 0) {
-      flagged |= deviate(
-          Deviation::UnseenTransition, port,
-          std::string{"unseen transition "} + to_string(st.s1) + ">" +
-              to_string(sym));
-    } else if (base->trigrams.count(trigram_key(st.s2, st.s1, sym)) == 0) {
-      deviate(Deviation::UnseenTrigram, port,
-              std::string{"unseen trigram "} + to_string(st.s2) + ">" +
-                  to_string(st.s1) + ">" + to_string(sym));
+    const Symbol s1 = st.s1;
+    const Symbol s2 = st.s2;
+    if (base->bigrams.count(bigram_key(s1, sym)) == 0) {
+      flagged |= deviate(Deviation::UnseenTransition, port, [s1, sym] {
+        return std::string{"unseen transition "} + to_string(s1) + ">" +
+               to_string(sym);
+      });
+    } else if (base->trigrams.count(trigram_key(s2, s1, sym)) == 0) {
+      deviate(Deviation::UnseenTrigram, port, [s2, s1, sym] {
+        return std::string{"unseen trigram "} + to_string(s2) + ">" +
+               to_string(s1) + ">" + to_string(sym);
+      });
     }
   }
   st.s2 = st.s1;
@@ -172,11 +182,12 @@ ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
         static_cast<double>(base->peak_rate_per_s) * config_.rate_multiplier +
         static_cast<double>(config_.rate_margin);
     if (static_cast<double>(st.in_bucket) > limit) {
-      flagged |= deviate(
-          Deviation::RateBreach, port,
-          "rate envelope breach: " + std::to_string(st.in_bucket) +
-              " events/s vs trained peak " +
-              std::to_string(base->peak_rate_per_s));
+      const std::uint64_t seen = st.in_bucket;
+      const std::uint64_t peak = base->peak_rate_per_s;
+      flagged |= deviate(Deviation::RateBreach, port, [seen, peak] {
+        return "rate envelope breach: " + std::to_string(seen) +
+               " events/s vs trained peak " + std::to_string(peak);
+      });
     }
   }
   if (flagged && config_.veto) {
@@ -199,9 +210,9 @@ ctrl::Verdict ProfileAnomalyService::on_packet_in(const of::PacketIn& pi) {
       trainer_->observe_lldp_src(port, src);
     } else if (const PortProfile* base = baseline(port);
                base != nullptr && base->lldp_srcs.count(src) == 0) {
-      const bool alert_grade = deviate(
-          Deviation::LldpSrc, port,
-          "LLDP from untrained source " + port_key_to_string(src));
+      const bool alert_grade = deviate(Deviation::LldpSrc, port, [src] {
+        return "LLDP from untrained source " + port_key_to_string(src);
+      });
       if (alert_grade && config_.veto) {
         ++counters_.vetoes;
         bump(c_vetoes_);
@@ -240,9 +251,9 @@ ctrl::Verdict ProfileAnomalyService::on_lldp_observation(
       std::max(env.max_ns * config_.duration_multiplier, env.p99_ns);
   if (static_cast<double>(ns) > limit) {
     const PortKey port = port_key(obs.dst);
-    const bool alert_grade = deviate(
-        Deviation::DurationOutlier, port,
-        "lldp.rtt " + std::to_string(ns) + "ns beyond trained envelope");
+    const bool alert_grade = deviate(Deviation::DurationOutlier, port, [ns] {
+      return "lldp.rtt " + std::to_string(ns) + "ns beyond trained envelope";
+    });
     if (alert_grade && config_.veto) {
       ++counters_.vetoes;
       bump(c_vetoes_);

@@ -116,8 +116,11 @@ class ProfileAnomalyService final : public ctrl::DefenseModule {
   /// Feed one symbol at one port; returns the hook verdict.
   ctrl::Verdict score(PortKey port, Symbol sym);
   /// Record a deviation (counters, trace instant, deduped alert).
+  /// `message()` builds the deviation's text; it is called only when a
+  /// trace instant or the first alert for (port, kind) will carry it.
   /// Returns true when the deviation is alert-grade.
-  bool deviate(Deviation kind, PortKey port, std::string message);
+  template <typename MessageFn>
+  bool deviate(Deviation kind, PortKey port, MessageFn&& message);
   [[nodiscard]] const PortProfile* baseline(PortKey port) const;
   void bump(obs::Counter* counter) {
     if (counter != nullptr) counter->add(1);

@@ -1,7 +1,9 @@
 #include "of/switch.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace tmg::of {
 
@@ -12,15 +14,37 @@ Switch::Switch(sim::EventLoop& loop, sim::Rng rng, Config config,
   loop_.post_after(config_.expiry_sweep, [this] { sweep_expired(); });
 }
 
+namespace {
+
+constexpr auto kByPortNo = [](const auto& port, PortNo no) {
+  return port.no < no;
+};
+
+}  // namespace
+
+const Switch::Port* Switch::find_port(PortNo no) const {
+  const auto it = std::lower_bound(ports_.begin(), ports_.end(), no, kByPortNo);
+  return it != ports_.end() && it->no == no ? &*it : nullptr;
+}
+
+Switch::Port* Switch::find_port(PortNo no) {
+  return const_cast<Port*>(std::as_const(*this).find_port(no));
+}
+
 void Switch::attach_link(PortNo port, DataLink& link, Side side) {
   assert(port != 0 && port < kPortFlood);
-  auto [it, inserted] = ports_.try_emplace(port);
-  if (!inserted) throw std::logic_error("port already attached");
-  Port& p = it->second;
+  const auto it =
+      std::lower_bound(ports_.begin(), ports_.end(), port, kByPortNo);
+  if (it != ports_.end() && it->no == port) {
+    throw std::logic_error("port already attached");
+  }
+  Port p;
+  p.no = port;
   p.link = &link;
   p.side = side;
   p.peer_carrier_up = link.carrier(other(side));
   p.oper_up = p.peer_carrier_up;
+  ports_.insert(it, p);
   link.attach(side,
               DataLink::Peer{
                   [this, port](const net::Packet& pkt) { on_rx(port, pkt); },
@@ -29,18 +53,20 @@ void Switch::attach_link(PortNo port, DataLink& link, Side side) {
 }
 
 bool Switch::port_oper_up(PortNo port) const {
-  const auto it = ports_.find(port);
-  return it != ports_.end() && it->second.oper_up;
+  const Port* p = find_port(port);
+  return p != nullptr && p->oper_up;
 }
 
 const PortStats& Switch::port_stats(PortNo port) const {
-  return ports_.at(port).stats;
+  const Port* p = find_port(port);
+  if (p == nullptr) throw std::out_of_range("port not attached");
+  return p->stats;
 }
 
 std::vector<PortNo> Switch::ports() const {
   std::vector<PortNo> out;
   out.reserve(ports_.size());
-  for (const auto& [no, _] : ports_) out.push_back(no);
+  for (const Port& p : ports_) out.push_back(p.no);
   return out;
 }
 
@@ -66,9 +92,9 @@ void Switch::handle_ctrl(const CtrlToSwitch& msg) {
       PortStatsReply reply;
       reply.dpid = sw.dpid();
       reply.xid = req.xid;
-      for (const auto& [no, port] : sw.ports_) {
+      for (const Port& port : sw.ports_) {
         reply.entries.push_back(PortStatsEntry{
-            no, port.stats.rx_packets, port.stats.tx_packets,
+            port.no, port.stats.rx_packets, port.stats.tx_packets,
             port.stats.rx_bytes, port.stats.tx_bytes});
       }
       sw.channel_.to_controller(std::move(reply));
@@ -115,9 +141,9 @@ void Switch::handle_flow_mod(const FlowMod& fm) {
 }
 
 void Switch::on_rx(PortNo port, const net::Packet& pkt) {
-  auto it = ports_.find(port);
-  if (it == ports_.end()) return;
-  Port& p = it->second;
+  Port* found = find_port(port);
+  if (found == nullptr) return;
+  Port& p = *found;
   // A port the switch considers down does not accept frames (e.g. during
   // the brief up-detect window after carrier restoration).
   if (!p.oper_up) return;
@@ -166,15 +192,12 @@ void Switch::apply_action(const net::Packet& pkt, PortNo in_port,
 }
 
 void Switch::forward(const net::Packet& pkt, PortNo out_port) {
-  forward_shared(std::make_shared<const net::Packet>(pkt), out_port);
+  Port* p = find_port(out_port);
+  if (p == nullptr || !p->oper_up) return;
+  forward_shared(std::make_shared<const net::Packet>(pkt), *p);
 }
 
-void Switch::forward_shared(std::shared_ptr<const net::Packet> pkt,
-                            PortNo out_port) {
-  auto it = ports_.find(out_port);
-  if (it == ports_.end()) return;
-  Port& p = it->second;
-  if (!p.oper_up) return;
+void Switch::forward_shared(std::shared_ptr<const net::Packet> pkt, Port& p) {
   ++p.stats.tx_packets;
   p.stats.tx_bytes += pkt->wire_size();
   DataLink* link = p.link;
@@ -188,9 +211,9 @@ void Switch::forward_shared(std::shared_ptr<const net::Packet> pkt,
 void Switch::flood(const net::Packet& pkt, PortNo except_port) {
   // One shared copy feeds every egress port.
   const auto shared = std::make_shared<const net::Packet>(pkt);
-  for (auto& [no, p] : ports_) {
-    if (no == except_port || !p.oper_up) continue;
-    forward_shared(shared, no);
+  for (Port& p : ports_) {
+    if (p.no == except_port || !p.oper_up) continue;
+    forward_shared(shared, p);
   }
 }
 
@@ -200,9 +223,9 @@ void Switch::send_packet_in(PortNo in_port, const net::Packet& pkt,
 }
 
 void Switch::on_peer_carrier(PortNo port, bool up) {
-  auto it = ports_.find(port);
-  if (it == ports_.end()) return;
-  Port& p = it->second;
+  Port* found = find_port(port);
+  if (found == nullptr) return;
+  Port& p = *found;
   p.peer_carrier_up = up;
   ++p.epoch;
   const std::uint64_t epoch = p.epoch;
@@ -215,9 +238,9 @@ void Switch::on_peer_carrier(PortNo port, bool up) {
     const auto delay =
         sim::Duration::nanos(rng_.uniform_int(lo, hi > lo ? hi : lo));
     loop_.post_after(delay, [this, port, epoch] {
-      auto pit = ports_.find(port);
-      if (pit == ports_.end()) return;
-      Port& pp = pit->second;
+      Port* pp_found = find_port(port);
+      if (pp_found == nullptr) return;
+      Port& pp = *pp_found;
       // A newer carrier change supersedes this check (fast flap).
       if (pp.epoch != epoch) return;
       if (!pp.peer_carrier_up && pp.oper_up) {
@@ -228,9 +251,9 @@ void Switch::on_peer_carrier(PortNo port, bool up) {
     });
   } else if (up && !p.oper_up) {
     loop_.post_after(config_.up_detect, [this, port, epoch] {
-      auto pit = ports_.find(port);
-      if (pit == ports_.end()) return;
-      Port& pp = pit->second;
+      Port* pp_found = find_port(port);
+      if (pp_found == nullptr) return;
+      Port& pp = *pp_found;
       if (pp.epoch != epoch) return;
       if (pp.peer_carrier_up && !pp.oper_up) {
         pp.oper_up = true;

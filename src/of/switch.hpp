@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "of/control_channel.hpp"
 #include "of/data_link.hpp"
@@ -52,17 +52,20 @@ class Switch {
   Switch& operator=(const Switch&) = delete;
 
   /// Attach one side of a data link as port `port`. Port numbers are
-  /// switch-local and must be unique.
+  /// switch-local and must be unique (std::logic_error otherwise).
   void attach_link(PortNo port, DataLink& link, Side side);
 
   [[nodiscard]] Dpid dpid() const { return config_.dpid; }
   [[nodiscard]] bool port_oper_up(PortNo port) const;
+  /// Counters of an attached port (std::out_of_range otherwise).
   [[nodiscard]] const PortStats& port_stats(PortNo port) const;
+  /// Attached port numbers, ascending.
   [[nodiscard]] const FlowTable& flow_table() const { return table_; }
   [[nodiscard]] std::vector<PortNo> ports() const;
 
  private:
   struct Port {
+    PortNo no = 0;
     DataLink* link = nullptr;
     Side side = Side::A;
     bool peer_carrier_up = true;  // last raw signal from the far end
@@ -71,6 +74,9 @@ class Switch {
     PortStats stats;
   };
 
+  /// Binary search of ports_; nullptr if `no` is not attached.
+  [[nodiscard]] Port* find_port(PortNo no);
+  [[nodiscard]] const Port* find_port(PortNo no) const;
   void handle_ctrl(const CtrlToSwitch& msg);
   void handle_packet_out(const PacketOut& po);
   void handle_flow_mod(const FlowMod& fm);
@@ -79,9 +85,9 @@ class Switch {
   void forward(const net::Packet& pkt, PortNo out_port);
   /// Copy-free forwarding core: the packet is shared between the
   /// forward-delay event, the wire event, and (on floods) every egress
-  /// port — one Packet copy total per switch traversal.
-  void forward_shared(std::shared_ptr<const net::Packet> pkt,
-                      PortNo out_port);
+  /// port — one Packet copy total per switch traversal. `out` must be
+  /// operationally up.
+  void forward_shared(std::shared_ptr<const net::Packet> pkt, Port& out);
   void flood(const net::Packet& pkt, PortNo except_port);
   void apply_action(const net::Packet& pkt, PortNo in_port,
                     const FlowAction& action);
@@ -93,7 +99,7 @@ class Switch {
   sim::Rng rng_;
   Config config_;
   ControlChannel& channel_;
-  std::map<PortNo, Port> ports_;
+  std::vector<Port> ports_;  // sorted by port number
   FlowTable table_;
 };
 

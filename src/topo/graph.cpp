@@ -68,8 +68,8 @@ bool TopologyGraph::add_link(Location x, Location y) {
   link_slots_.push_back(l);
   const std::uint32_t ia = intern(l.a.dpid);
   const std::uint32_t ib = intern(l.b.dpid);
-  adj_[ia].push_back(Traversal{l.a, l.b});
-  adj_[ib].push_back(Traversal{l.b, l.a});
+  adj_[ia].push_back(Arc{Traversal{l.a, l.b}, ib});
+  adj_[ib].push_back(Arc{Traversal{l.b, l.a}, ia});
   add_port_ref(ia, l.a.port);
   add_port_ref(ib, l.b.port);
   return true;
@@ -90,8 +90,8 @@ bool TopologyGraph::remove_link(Location x, Location y) {
   link_slots_.pop_back();
   // Adjacency erase keeps relative order, preserving BFS tie-breaks.
   const auto drop = [&](std::uint32_t index, Location from, Location to) {
-    std::erase_if(adj_[index], [&](const Traversal& t) {
-      return t.from == from && t.to == to;
+    std::erase_if(adj_[index], [&](const Arc& arc) {
+      return arc.hop.from == from && arc.hop.to == to;
     });
   };
   const std::uint32_t ia = *switch_index(l.a.dpid);
@@ -109,12 +109,16 @@ bool TopologyGraph::has_link(Location x, Location y) const {
 
 bool TopologyGraph::is_switch_port(Location loc) const {
   const auto idx = switch_index(loc.dpid);
-  if (!idx) return false;
-  const std::vector<PortRef>& ports = switch_ports_[*idx];
+  return idx && is_switch_port(*idx, loc.port);
+}
+
+bool TopologyGraph::is_switch_port(std::uint32_t index, PortNo port) const {
+  if (index >= switch_ports_.size()) return false;
+  const std::vector<PortRef>& ports = switch_ports_[index];
   const auto it =
-      std::lower_bound(ports.begin(), ports.end(), loc.port,
+      std::lower_bound(ports.begin(), ports.end(), port,
                        [](const PortRef& r, PortNo p) { return r.port < p; });
-  return it != ports.end() && it->port == loc.port;
+  return it != ports.end() && it->port == port;
 }
 
 std::vector<Link> TopologyGraph::links() const { return links_view(); }
@@ -128,59 +132,57 @@ const std::vector<Link>& TopologyGraph::links_view() const {
   return links_view_;
 }
 
+bool TopologyGraph::bfs(std::uint32_t root, std::uint32_t stop,
+                        BfsTree& tree) const {
+  tree.assign(index_to_dpid_.size(), TreeNode{});
+  tree[root].parent = root;
+  bfs_queue_.clear();
+  bfs_queue_.push_back(root);
+  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
+    const std::uint32_t cur = bfs_queue_[head];
+    const std::vector<Arc>& arcs = adj_[cur];
+    for (std::uint32_t pos = 0; pos < arcs.size(); ++pos) {
+      const std::uint32_t next = arcs[pos].next;
+      if (tree[next].parent != kNoSwitch) continue;
+      tree[next] = TreeNode{cur, pos};
+      if (next == stop) return true;
+      bfs_queue_.push_back(next);
+    }
+  }
+  return false;
+}
+
+void TopologyGraph::bfs_tree(std::uint32_t root, BfsTree& tree) const {
+  bfs(root, kNoSwitch, tree);
+}
+
+std::optional<std::vector<TopologyGraph::Traversal>> TopologyGraph::tree_path(
+    const BfsTree& tree, std::uint32_t to) const {
+  if (to >= tree.size() || tree[to].parent == kNoSwitch) return std::nullopt;
+  std::vector<Traversal> result;
+  for (std::uint32_t walk = to; tree[walk].parent != walk;
+       walk = tree[walk].parent) {
+    result.push_back(adj_[tree[walk].parent][tree[walk].arc].hop);
+  }
+  std::reverse(result.begin(), result.end());
+  return result;
+}
+
 std::optional<std::vector<TopologyGraph::Traversal>> TopologyGraph::path(
     Dpid from, Dpid to) const {
   if (from == to) return std::vector<Traversal>{};
   const auto from_idx = switch_index(from);
   const auto to_idx = switch_index(to);
   if (!from_idx || !to_idx) return std::nullopt;
-
-  // Stamp-recycled scratch: grow once, then reuse across queries.
-  const std::size_t n = index_to_dpid_.size();
-  if (bfs_stamp_.size() < n) {
-    bfs_stamp_.resize(n, 0);
-    bfs_parent_.resize(n);
-  }
-  const std::uint64_t round = ++bfs_round_;
-  bfs_queue_.clear();
-
-  bfs_stamp_[*from_idx] = round;
-  bfs_queue_.push_back(*from_idx);
-  for (std::size_t head = 0; head < bfs_queue_.size(); ++head) {
-    const std::uint32_t cur = bfs_queue_[head];
-    for (const Traversal& t : adj_[cur]) {
-      const std::uint32_t next = *switch_index(t.to.dpid);
-      if (bfs_stamp_[next] == round) continue;
-      bfs_stamp_[next] = round;
-      bfs_parent_[next] = t;
-      if (next == *to_idx) {
-        std::vector<Traversal> result;
-        std::uint32_t walk = next;
-        while (walk != *from_idx) {
-          const Traversal& step = bfs_parent_[walk];
-          result.push_back(step);
-          walk = *switch_index(step.from.dpid);
-        }
-        std::reverse(result.begin(), result.end());
-        return result;
-      }
-      bfs_queue_.push_back(next);
-    }
-  }
-  return std::nullopt;
+  if (!bfs(*from_idx, *to_idx, path_tree_)) return std::nullopt;
+  return tree_path(path_tree_, *to_idx);
 }
 
 void TopologyGraph::clear() {
   link_slots_.clear();
   key_to_slot_.clear();
-  dpid_to_index_.clear();
-  index_to_dpid_.clear();
-  adj_.clear();
-  switch_ports_.clear();
-  bfs_stamp_.clear();
-  bfs_parent_.clear();
-  bfs_queue_.clear();
-  bfs_round_ = 0;
+  for (auto& arcs : adj_) arcs.clear();
+  for (auto& ports : switch_ports_) ports.clear();
   ++epoch_;
 }
 
@@ -189,9 +191,10 @@ std::vector<std::string> TopologyGraph::audit() const {
   const auto has_traversal = [&](Location from, Location to) {
     const auto idx = switch_index(from.dpid);
     if (!idx) return false;
-    return std::any_of(
-        adj_[*idx].begin(), adj_[*idx].end(),
-        [&](const Traversal& t) { return t.from == from && t.to == to; });
+    return std::any_of(adj_[*idx].begin(), adj_[*idx].end(),
+                       [&](const Arc& arc) {
+                         return arc.hop.from == from && arc.hop.to == to;
+                       });
   };
   // Every link must be indexed in both orientations (link symmetry).
   for (const Link& l : link_slots_) {
@@ -207,11 +210,17 @@ std::vector<std::string> TopologyGraph::audit() const {
   // Every adjacency traversal must be backed by a stored link.
   for (std::size_t i = 0; i < adj_.size(); ++i) {
     const Dpid dpid = index_to_dpid_[i];
-    for (const Traversal& t : adj_[i]) {
+    for (const Arc& arc : adj_[i]) {
+      const Traversal& t = arc.hop;
       if (t.from.dpid != dpid) {
         issues.push_back("adjacency of dpid " + std::to_string(dpid) +
                          " holds foreign traversal " + t.from.to_string() +
                          "->" + t.to.to_string());
+      }
+      if (arc.next >= index_to_dpid_.size() ||
+          index_to_dpid_[arc.next] != t.to.dpid) {
+        issues.push_back("adjacency " + t.from.to_string() + "->" +
+                         t.to.to_string() + " points at the wrong index");
       }
       if (!key_to_slot_.contains(key(Link{t.from, t.to}))) {
         issues.push_back("dangling adjacency " + t.from.to_string() + "->" +

@@ -7,12 +7,12 @@
 //
 // Fleet-scale layout (DESIGN.md §12): DPIDs are interned into a
 // contiguous index space on first sight, and adjacency lives in flat
-// per-index vectors instead of per-dpid hash buckets. BFS runs over the
-// interned indices with stamp-recycled scratch arrays, so a shortest
-// path on a 1k-switch fat-tree allocates nothing in steady state. The
-// traversal order (per-switch adjacency in insertion order, FIFO
-// frontier) is bit-identical to the original hash-bucket
-// implementation, so every paper-size result is unchanged.
+// per-index vectors instead of per-dpid hash buckets. Every adjacency
+// entry carries its far switch's interned index, so BFS walks indices
+// and never hashes a dpid per edge. The traversal order (per-switch
+// adjacency in insertion order, FIFO frontier) is bit-identical to the
+// original hash-bucket implementation, so every paper-size result is
+// unchanged.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +28,10 @@ namespace tmg::topo {
 using of::Dpid;
 using of::Location;
 using of::PortNo;
+
+/// "No switch": an unreached BFS tree node, or a message that no switch
+/// originated.
+inline constexpr std::uint32_t kNoSwitch = ~std::uint32_t{0};
 
 /// Undirected inter-switch link; endpoints stored in canonical order.
 struct Link {
@@ -63,6 +67,8 @@ class TopologyGraph {
   /// switch-internal port; host tracking ignores traffic from such ports).
   /// O(log degree): binary search in the switch's sorted port-ref list.
   [[nodiscard]] bool is_switch_port(Location loc) const;
+  /// Same, for the switch interned at `index` (no dpid hash).
+  [[nodiscard]] bool is_switch_port(std::uint32_t index, PortNo port) const;
 
   /// Sorted snapshot of every link (copy). Prefer links_view() on hot
   /// paths — it returns the same sequence without the copy.
@@ -82,9 +88,14 @@ class TopologyGraph {
   }
 
   /// Interned contiguous index for `dpid` (nullopt if never seen). The
-  /// index is stable for the graph's lifetime (clear() resets it) —
+  /// index is stable for the graph's lifetime (clear() keeps it) —
   /// dense per-switch side tables in other modules key off it.
   [[nodiscard]] std::optional<std::uint32_t> switch_index(Dpid dpid) const;
+
+  /// Index for `dpid`, interning it on first sight. Adds no link, so
+  /// epoch() is unchanged: a switch with no links is unreachable from
+  /// every other switch whether or not it is interned.
+  std::uint32_t intern(Dpid dpid);
 
   /// Inverse of switch_index: the dpid interned at `index`.
   [[nodiscard]] Dpid switch_at(std::uint32_t index) const {
@@ -102,6 +113,30 @@ class TopologyGraph {
   [[nodiscard]] std::optional<std::vector<Traversal>> path(Dpid from,
                                                            Dpid to) const;
 
+  /// How BFS first reached one switch: the interned index of the switch
+  /// it came from, and the position of that traversal in the parent's
+  /// adjacency list. The root is its own parent; kNoSwitch = unreached.
+  struct TreeNode {
+    std::uint32_t parent = kNoSwitch;
+    std::uint32_t arc = 0;
+  };
+  /// One BFS tree, indexed by interned switch index. The arc positions
+  /// are valid only at the epoch the tree was built.
+  using BfsTree = std::vector<TreeNode>;
+
+  /// Full BFS from the switch interned at `root`. BFS discovers switches
+  /// in the same order whether or not it stops at a destination, so
+  /// tree_path() on the result equals path() for every destination.
+  void bfs_tree(std::uint32_t root, BfsTree& tree) const;
+
+  /// The path from `tree`'s root to the switch interned at `to`, with
+  /// path()'s contract; nullopt when `to` is unreached or was interned
+  /// after the tree was built.
+  [[nodiscard]] std::optional<std::vector<Traversal>> tree_path(
+      const BfsTree& tree, std::uint32_t to) const;
+
+  /// Drops every link. Interned indices survive, so side tables keyed
+  /// on switch_index() stay valid.
   void clear();
 
   /// Self-consistency audit: every stored link must appear in the
@@ -121,8 +156,16 @@ class TopologyGraph {
     std::uint32_t refs = 0;
   };
 
+  /// One adjacency entry: the traversal plus its far switch's index.
+  struct Arc {
+    Traversal hop;
+    std::uint32_t next = 0;
+  };
+
   [[nodiscard]] static std::uint64_t key(const Link& l);
-  std::uint32_t intern(Dpid dpid);
+  /// BFS from `root` into `tree`, stopping as soon as `stop` is reached
+  /// (kNoSwitch: never). Returns true if `stop` was reached.
+  bool bfs(std::uint32_t root, std::uint32_t stop, BfsTree& tree) const;
   void add_port_ref(std::uint32_t index, PortNo port);
   void drop_port_ref(std::uint32_t index, PortNo port);
 
@@ -136,7 +179,7 @@ class TopologyGraph {
 
   // Flat adjacency: index -> oriented traversals out of that switch, in
   // link-insertion order (the order BFS ties break on).
-  std::vector<std::vector<Traversal>> adj_;
+  std::vector<std::vector<Arc>> adj_;
   // index -> sorted (port, refcount) list backing is_switch_port().
   std::vector<std::vector<PortRef>> switch_ports_;
 
@@ -146,13 +189,10 @@ class TopologyGraph {
   mutable std::vector<Link> links_view_;
   mutable std::uint64_t links_view_epoch_ = ~std::uint64_t{0};
 
-  // BFS scratch, recycled across path() calls via a visit stamp: a slot
-  // is "seen this query" iff its stamp equals the current round. No
-  // allocation once the arrays have grown to the switch count.
-  mutable std::vector<std::uint64_t> bfs_stamp_;
-  mutable std::vector<Traversal> bfs_parent_;
+  // BFS scratch, reused across calls: no allocation once the arrays
+  // have grown to the switch count.
+  mutable BfsTree path_tree_;
   mutable std::vector<std::uint32_t> bfs_queue_;
-  mutable std::uint64_t bfs_round_ = 0;
 };
 
 }  // namespace tmg::topo

@@ -6,14 +6,15 @@ namespace tmg::topo {
 
 namespace {
 
-bool same_path(
-    const std::optional<std::vector<TopologyGraph::Traversal>>& a,
-    const std::optional<std::vector<TopologyGraph::Traversal>>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a.has_value()) return true;
-  if (a->size() != b->size()) return false;
-  for (std::size_t i = 0; i < a->size(); ++i) {
-    if (!((*a)[i].from == (*b)[i].from && (*a)[i].to == (*b)[i].to)) {
+// A switch interned after `stored` was built has no links (interning
+// alone keeps the epoch), so `fresh` must leave it unreached.
+bool same_tree(const TopologyGraph::BfsTree& stored,
+               const TopologyGraph::BfsTree& fresh) {
+  if (stored.size() > fresh.size()) return false;
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const TopologyGraph::TreeNode want =
+        i < stored.size() ? stored[i] : TopologyGraph::TreeNode{};
+    if (want.parent != fresh[i].parent || want.arc != fresh[i].arc) {
       return false;
     }
   }
@@ -24,39 +25,53 @@ bool same_path(
 
 std::optional<std::vector<TopologyGraph::Traversal>> PathCache::path(
     Dpid from, Dpid to) {
+  if (from == to) return std::vector<TopologyGraph::Traversal>{};
   if (epoch_ != graph_.epoch()) {
-    // Topology changed since the entries were computed (possibly by a
+    // Topology changed since the trees were built (possibly by a
     // fabricated link): nothing stored may be served.
-    entries_.clear();
+    drop_trees();
     epoch_ = graph_.epoch();
   }
-  const Key key{from, to};
-  if (const auto it = entries_.find(key); it != entries_.end()) {
-    ++hits_;
-    return it->second;
+  const auto root = graph_.switch_index(from);
+  if (!root) {
+    ++misses_;
+    return std::nullopt;
   }
-  ++misses_;
-  auto result = graph_.path(from, to);
-  entries_.emplace(key, result);
-  return result;
+  if (*root >= trees_.size()) trees_.resize(*root + 1);
+  TopologyGraph::BfsTree& tree = trees_[*root];
+  if (tree.empty()) {
+    ++misses_;
+    graph_.bfs_tree(*root, tree);
+    roots_.push_back(*root);
+  } else {
+    ++hits_;
+  }
+  const auto dst = graph_.switch_index(to);
+  if (!dst) return std::nullopt;
+  return graph_.tree_path(tree, *dst);
+}
+
+void PathCache::drop_trees() {
+  for (const std::uint32_t root : roots_) trees_[root].clear();
+  roots_.clear();
 }
 
 void PathCache::clear() {
-  entries_.clear();
+  drop_trees();
   hits_ = 0;
   misses_ = 0;
 }
 
 std::vector<std::string> PathCache::audit() const {
   std::vector<std::string> issues;
-  if (epoch_ != graph_.epoch() || entries_.empty()) return issues;
-  // tmglint: allow(unordered-iter) issues are sorted below
-  for (const auto& [key, cached] : entries_) {
-    const auto fresh = graph_.path(key.from, key.to);
-    if (!same_path(cached, fresh)) {
-      issues.push_back("path cache entry (" + std::to_string(key.from) +
-                       " -> " + std::to_string(key.to) +
-                       ") diverges from fresh BFS at epoch " +
+  if (epoch_ != graph_.epoch()) return issues;
+  TopologyGraph::BfsTree fresh;
+  for (const std::uint32_t root : roots_) {
+    graph_.bfs_tree(root, fresh);
+    if (!same_tree(trees_[root], fresh)) {
+      issues.push_back("path cache tree rooted at " +
+                       std::to_string(graph_.switch_at(root)) +
+                       " diverges from fresh BFS at epoch " +
                        std::to_string(epoch_));
     }
   }

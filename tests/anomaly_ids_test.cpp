@@ -7,11 +7,15 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
+#include "ctrl/alert_bus.hpp"
 #include "ctrl/profiles.hpp"
 #include "ids/behavior_profile.hpp"
 #include "ids/profile_anomaly.hpp"
 #include "obs/observability.hpp"
+#include "of/messages.hpp"
+#include "sim/event_loop.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/trial_runner.hpp"
 
@@ -291,6 +295,81 @@ TEST(AnomalyScoring, HostHijackDeviates) {
   const auto out = scenario::run_hijack(hijack);
   EXPECT_GT(out.alerts_anomaly, 0u);
   EXPECT_GT(out.anomaly.deviations(), 0u);
+}
+
+// ---------------- alert dedup ----------------
+
+// Many repeats of a deviation raise exactly one alert per (port, kind),
+// carrying the first deviation's message, while every deviation is
+// still counted and traced — with and without observability.
+TEST(AnomalyScoring, RepeatDeviationsAlertOncePerPortAndKind) {
+  using ids::Symbol;
+  const of::Location trained{0x1, 1};
+  const of::Location untrained{0x2, 1};
+  ids::BehaviorProfile profile;
+  ids::PortProfile& base = profile.ports[ids::port_key(trained)];
+  base.bigrams[ids::bigram_key(Symbol::Start, Symbol::PortUp)] = 1;
+  base.bigrams[ids::bigram_key(Symbol::PortUp, Symbol::PortUp)] = 1;
+  base.trigrams[ids::trigram_key(Symbol::Start, Symbol::Start,
+                                 Symbol::PortUp)] = 1;
+  base.trigrams[ids::trigram_key(Symbol::Start, Symbol::PortUp,
+                                 Symbol::PortUp)] = 1;
+  base.trigrams[ids::trigram_key(Symbol::PortUp, Symbol::PortUp,
+                                 Symbol::PortUp)] = 1;
+  base.peak_rate_per_s = 0;  // rate limit: 0 * 2 + 8 events per second
+
+  const auto run = [&](obs::Observability* obs) {
+    sim::EventLoop loop;
+    ctrl::AlertBus alerts;
+    ids::ProfileAnomalyService service{loop};
+    service.set_profile(&profile);
+    service.set_alert_bus(&alerts);
+    service.set_observability(obs);
+    const auto port_event = [&](of::Location loc, of::PortStatus::Reason r) {
+      service.on_port_status(of::PortStatus{loc.dpid, loc.port, r});
+    };
+    // All in sim-second 0: breaches from the 9th event at `trained`.
+    for (int i = 0; i < 50; ++i) {
+      port_event(trained, of::PortStatus::Reason::Up);
+      port_event(untrained, of::PortStatus::Reason::Up);
+    }
+    // Two different unseen transitions: one kind, two messages.
+    port_event(trained, of::PortStatus::Reason::Down);
+    port_event(trained, of::PortStatus::Reason::Up);
+    return std::pair{alerts.alerts(), service.counters()};
+  };
+
+  const auto [alerts, counters] = run(nullptr);
+  EXPECT_EQ(counters.unseen_port, 50u);
+  EXPECT_EQ(counters.rate_breach, 44u);  // events 9..52 at `trained`
+  EXPECT_EQ(counters.unseen_transition, 2u);
+  EXPECT_EQ(counters.unseen_trigram, 0u);
+  EXPECT_EQ(counters.alerts, 3u);
+  ASSERT_EQ(alerts.size(), 3u);
+  EXPECT_EQ(alerts[0].location, untrained);
+  EXPECT_EQ(alerts[0].message, "event at port with no trained baseline");
+  EXPECT_EQ(alerts[1].location, trained);
+  EXPECT_EQ(alerts[1].message,
+            "rate envelope breach: 9 events/s vs trained peak 0");
+  EXPECT_EQ(alerts[2].location, trained);
+  EXPECT_EQ(alerts[2].message, "unseen transition PortUp>PortDown");
+
+  obs::Observability obs;
+  const auto [observed_alerts, observed_counters] = run(&obs);
+  ASSERT_EQ(observed_alerts.size(), alerts.size());
+  for (std::size_t i = 0; i < alerts.size(); ++i) {
+    EXPECT_EQ(observed_alerts[i].message, alerts[i].message);
+    EXPECT_EQ(observed_alerts[i].location, alerts[i].location);
+  }
+  EXPECT_EQ(observed_counters.deviations(), counters.deviations());
+  // Every deviation, repeats included, is still a trace instant.
+  const std::string trace = obs.trace().to_jsonl();
+  std::size_t instants = 0;
+  for (auto at = trace.find("ANOMALY_"); at != std::string::npos;
+       at = trace.find("ANOMALY_", at + 1)) {
+    ++instants;
+  }
+  EXPECT_EQ(instants, counters.deviations());
 }
 
 // ---------------- observability wiring ----------------

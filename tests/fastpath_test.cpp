@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <deque>
 #include <optional>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "sim/rng.hpp"
 #include "stats/latency_window.hpp"
 #include "stats/quantile.hpp"
+#include "topo/generate.hpp"
 #include "topo/graph.hpp"
 #include "topo/path_cache.hpp"
 
@@ -244,6 +246,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableFuzz,
 
 class PathCacheFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
+void expect_same_path(
+    const std::optional<std::vector<topo::TopologyGraph::Traversal>>& cached,
+    const std::optional<std::vector<topo::TopologyGraph::Traversal>>& fresh,
+    const std::string& where) {
+  ASSERT_EQ(cached.has_value(), fresh.has_value()) << where;
+  if (!cached) return;
+  ASSERT_EQ(cached->size(), fresh->size()) << where;
+  for (std::size_t i = 0; i < cached->size(); ++i) {
+    ASSERT_EQ((*cached)[i].from, (*fresh)[i].from) << where;
+    ASSERT_EQ((*cached)[i].to, (*fresh)[i].to) << where;
+  }
+}
+
 TEST_P(PathCacheFuzz, CachedPathsMatchFreshBfsAcrossChurn) {
   Rng rng{GetParam()};
   topo::TopologyGraph graph;
@@ -258,32 +273,34 @@ TEST_P(PathCacheFuzz, CachedPathsMatchFreshBfsAcrossChurn) {
 
   for (int step = 0; step < 3000; ++step) {
     const int op = static_cast<int>(rng.uniform_int(0, 99));
-    if (op < 25) {
+    if (op < 42) {
       const std::uint64_t before = graph.epoch();
-      const bool added = graph.add_link(random_loc(), random_loc());
-      // The epoch must move iff the link set changed.
-      ASSERT_EQ(graph.epoch() != before, added);
-    } else if (op < 40) {
-      const std::uint64_t before = graph.epoch();
-      const bool removed = graph.remove_link(random_loc(), random_loc());
-      ASSERT_EQ(graph.epoch() != before, removed);
-    } else if (op < 42) {
-      const std::uint64_t before = graph.epoch();
-      graph.clear();
-      ASSERT_GT(graph.epoch(), before);
+      if (op < 25) {
+        const bool added = graph.add_link(random_loc(), random_loc());
+        // The epoch must move iff the link set changed.
+        ASSERT_EQ(graph.epoch() != before, added);
+      } else if (op < 40) {
+        const bool removed = graph.remove_link(random_loc(), random_loc());
+        ASSERT_EQ(graph.epoch() != before, removed);
+      } else {
+        graph.clear();
+        ASSERT_GT(graph.epoch(), before);
+      }
+      // Every pair, including from == to and the never-linked dpid
+      // kSwitches + 1, against the early-exit reference BFS.
+      for (of::Dpid from = 1; from <= kSwitches + 1; ++from) {
+        for (of::Dpid to = 1; to <= kSwitches + 1; ++to) {
+          expect_same_path(cache.path(from, to), graph.path(from, to),
+                           "step " + std::to_string(step) + " pair " +
+                               std::to_string(from) + "->" +
+                               std::to_string(to));
+        }
+      }
     } else {
       const auto from = static_cast<of::Dpid>(rng.uniform_int(1, kSwitches));
       const auto to = static_cast<of::Dpid>(rng.uniform_int(1, kSwitches));
-      const auto cached = cache.path(from, to);
-      const auto fresh = graph.path(from, to);
-      ASSERT_EQ(cached.has_value(), fresh.has_value()) << "step " << step;
-      if (cached) {
-        ASSERT_EQ(cached->size(), fresh->size()) << "step " << step;
-        for (std::size_t i = 0; i < cached->size(); ++i) {
-          ASSERT_EQ((*cached)[i].from, (*fresh)[i].from);
-          ASSERT_EQ((*cached)[i].to, (*fresh)[i].to);
-        }
-      }
+      expect_same_path(cache.path(from, to), graph.path(from, to),
+                       "step " + std::to_string(step));
     }
     ASSERT_TRUE(cache.audit().empty()) << "step " << step;
   }
@@ -311,6 +328,48 @@ TEST(PathCache, FabricatedLinkInvalidatesCachedPath) {
   ASSERT_TRUE(after.has_value());
   ASSERT_EQ(after->size(), 1u);  // routed over the fabricated edge
   ASSERT_TRUE(cache.audit().empty());
+}
+
+// One BFS serves every destination from a source: on a k=4 fat-tree,
+// the paths from one edge switch to all 19 others cost one tree build.
+// A fabricated link bumps the epoch, so the next query rebuilds the
+// tree and routes over the new edge.
+TEST(PathCache, OneTreePerSourcePerEpoch) {
+  topo::GeneratorConfig cfg;
+  cfg.family = topo::TopoFamily::FatTree;
+  cfg.k = 4;
+  topo::GeneratedTopology t = topo::generate(cfg);
+  topo::TopologyGraph& graph = t.graph;
+  topo::PathCache cache{graph};
+  const of::Dpid src = t.tiers[2].front();
+  const of::Dpid far = t.tiers[2].back();  // another pod: 4 hops away
+
+  std::size_t others = 0;
+  for (const auto& tier : t.tiers) {
+    for (const of::Dpid dst : tier) {
+      if (dst == src) continue;
+      ++others;
+      expect_same_path(cache.path(src, dst), graph.path(src, dst),
+                       "dst " + std::to_string(dst));
+    }
+  }
+  ASSERT_EQ(others, 19u);
+  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.hits(), 18u);
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_EQ(cache.path(src, far)->size(), 4u);
+  EXPECT_EQ(cache.misses(), 1u);
+
+  const of::Location near_end{src, 99};
+  const of::Location far_end{far, 99};
+  ASSERT_TRUE(graph.add_link(near_end, far_end));
+  const auto after = cache.path(src, far);
+  EXPECT_EQ(cache.misses(), 2u);
+  ASSERT_TRUE(after.has_value());
+  ASSERT_EQ(after->size(), 1u);
+  EXPECT_EQ((*after)[0].from, near_end);
+  EXPECT_EQ((*after)[0].to, far_end);
+  EXPECT_TRUE(cache.audit().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathCacheFuzz,

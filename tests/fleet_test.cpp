@@ -2,7 +2,14 @@
 // (src/scenario/fleet.*, src/scenario/background_traffic.*).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
+
+#include "ctrl/controller.hpp"
 #include "ctrl/host_tracker.hpp"
+#include "ctrl/routing.hpp"
 #include "ids/behavior_profile.hpp"
 #include "net/packet.hpp"
 #include "scenario/fleet.hpp"
@@ -170,10 +177,15 @@ TEST(FleetHijack, RunsOnThousandSwitchFabric) {
   EXPECT_EQ(out.hosts_tracked, 64u);
 }
 
-TEST(FleetLinkAttack, ClassicRelayFabricatesLinkOnUndefendedFleet) {
+// The undefended classic relay on a fat-tree of arity k, with the
+// invariant checker on. At k=8 (80 switches) the checker's path-tree
+// audit, index-based host tracking and the routing flood bitset all run
+// past one 64-bit word, against a fabricated link.
+void expect_classic_relay_fabricates_link(int k) {
+  SCOPED_TRACE("k=" + std::to_string(k));
   net::reset_trace_ids();
   FleetLinkAttackConfig cfg;
-  cfg.topology.k = 4;
+  cfg.topology.k = k;
   cfg.kind = LinkAttackKind::ClassicRelay;
   cfg.suite = DefenseSuite::None;
   cfg.seed = 5;
@@ -182,9 +194,50 @@ TEST(FleetLinkAttack, ClassicRelayFabricatesLinkOnUndefendedFleet) {
   const FleetLinkAttackOutcome out = run_fleet_link_attack(cfg);
   EXPECT_TRUE(out.link_registered);
   EXPECT_GT(out.lldp_relayed, 0u);
-  EXPECT_EQ(out.hosts_tracked, 16u);
+  EXPECT_EQ(out.hosts_tracked, static_cast<std::size_t>(k * k * k / 4));
   EXPECT_GT(out.background.flows_started, 0u);
   EXPECT_EQ(out.invariant_violations, 0u);
+}
+
+TEST(FleetLinkAttack, ClassicRelayFabricatesLinkOnUndefendedFleet) {
+  expect_classic_relay_fabricates_link(4);
+}
+
+TEST(FleetLinkAttack, ClassicRelayFabricatesLinkOnUndefendedFleetAtK8) {
+  expect_classic_relay_fabricates_link(8);
+}
+
+// The routing flood bitset at two words: on a k=8 fat-tree (80 switch
+// indices) one broadcast ARP makes every switch flood exactly once. The
+// ARP asks for an address nobody holds, so no reply adds Packet-Outs.
+TEST(FleetRouting, BroadcastFloodsOncePerSwitchAcrossTwoBitsetWords) {
+  static_assert(
+      std::is_same_v<std::variant_alternative_t<0, of::CtrlToSwitch>,
+                     of::PacketOut>);
+  net::reset_trace_ids();
+  FleetTestbedConfig cfg = small_fat_tree();
+  cfg.topology.k = 8;
+  FleetTestbed f = make_fleet_testbed(cfg);
+  ASSERT_EQ(f.topo.switch_count(), 80u);
+  f.tb->start(Duration::seconds(2));
+  ctrl::Controller& c = f.tb->controller();
+  const std::vector<of::Dpid> dpids = c.switch_dpids();
+  ASSERT_EQ(dpids.size(), 80u);
+  const auto packet_outs = [&](of::Dpid dpid) {
+    return f.tb->control_channel(dpid).to_switch_counts()[0];
+  };
+  std::vector<std::uint64_t> before;
+  for (const of::Dpid dpid : dpids) before.push_back(packet_outs(dpid));
+  const std::uint64_t floods_before = c.routing().floods();
+
+  f.victim->send_arp_request(net::Ipv4Address{10, 254, 254, 1});
+  f.tb->run_for(Duration::millis(300));
+
+  EXPECT_EQ(c.routing().floods(), floods_before + 1);
+  for (std::size_t i = 0; i < dpids.size(); ++i) {
+    EXPECT_EQ(packet_outs(dpids[i]) - before[i], 1u)
+        << "switch " << dpids[i];
+  }
 }
 
 TEST(FleetLinkAttack, FlowRuleRelayFabricatesLinkOnFleetFabric) {

@@ -253,7 +253,7 @@ TEST(MessagePipeline, ResetStatsZeroesCountersButKeepsChain) {
 
   of::PacketIn pi;
   for (int i = 0; i < 5; ++i) {
-    (void)p.dispatch(ctrl::PipelineMessage::from(pi));
+    (void)p.dispatch(ctrl::PipelineMessage::from(0, pi));
   }
   auto stats = p.stats();
   ASSERT_EQ(stats.size(), 2u);
@@ -270,7 +270,7 @@ TEST(MessagePipeline, ResetStatsZeroesCountersButKeepsChain) {
   EXPECT_TRUE(p.audit().empty());
 
   // Counters restart cleanly.
-  (void)p.dispatch(ctrl::PipelineMessage::from(pi));
+  (void)p.dispatch(ctrl::PipelineMessage::from(0, pi));
   EXPECT_EQ(p.stats()[0].dispatches, 1u);
 }
 

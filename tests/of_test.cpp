@@ -3,6 +3,7 @@
 // Port-Down semantics, which Port Amnesia depends on).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "of/control_channel.hpp"
@@ -640,6 +641,62 @@ TEST(Switch, PortsListed) {
   SwitchFixture f;
   EXPECT_EQ(f.sw.ports(), (std::vector<PortNo>{1, 2, 3}));
   EXPECT_EQ(f.sw.dpid(), 0xAu);
+}
+
+// Ports attached out of order and far apart: the sorted port table must
+// list, flood and report them in ascending order, reject a duplicate,
+// and throw on an unknown port like the old std::map::at did.
+TEST(Switch, SparsePortNumbers) {
+  EventLoop loop;
+  ControlChannel channel{loop, Rng{7}, sim::make_fixed(1_ms)};
+  Switch::Config cfg;
+  cfg.dpid = 0xB;
+  Switch sw{loop, Rng{11}, cfg, channel};
+  std::vector<SwitchToCtrl> inbox;
+  channel.attach_controller(
+      [&inbox](const SwitchToCtrl& m) { inbox.push_back(m); });
+  DataLink l300{loop, Rng{8}, sim::make_fixed(100_us)};
+  DataLink l1{loop, Rng{9}, sim::make_fixed(100_us)};
+  DataLink l7{loop, Rng{10}, sim::make_fixed(100_us)};
+  std::vector<PortNo> delivered;  // far-side port of each delivery
+  const auto tap = [&delivered](PortNo port) {
+    return DataLink::Peer{
+        [&delivered, port](const net::Packet&) { delivered.push_back(port); },
+        [](bool) {}};
+  };
+  sw.attach_link(300, l300, Side::A);
+  sw.attach_link(1, l1, Side::A);
+  sw.attach_link(7, l7, Side::A);
+  l300.attach(Side::B, tap(300));
+  l1.attach(Side::B, tap(1));
+  l7.attach(Side::B, tap(7));
+
+  EXPECT_EQ(sw.ports(), (std::vector<PortNo>{1, 7, 300}));
+
+  FlowMod fm;
+  fm.action = FlowAction::flood();
+  channel.to_switch(fm);
+  loop.run_until(loop.now() + 10_ms);
+  l7.send(Side::B, ping(1, 2));
+  loop.run_until(loop.now() + 10_ms);
+  EXPECT_EQ(delivered, (std::vector<PortNo>{1, 300}));
+
+  channel.to_switch(PortStatsRequest{1});
+  loop.run_until(loop.now() + 10_ms);
+  std::vector<PortNo> reported;
+  for (const auto& m : inbox) {
+    if (const auto* reply = std::get_if<PortStatsReply>(&m)) {
+      for (const auto& e : reply->entries) reported.push_back(e.port);
+    }
+  }
+  EXPECT_EQ(reported, (std::vector<PortNo>{1, 7, 300}));
+  EXPECT_EQ(sw.port_stats(7).rx_packets, 1u);
+  EXPECT_EQ(sw.port_stats(300).tx_packets, 1u);
+
+  DataLink spare{loop, Rng{12}, sim::make_fixed(100_us)};
+  EXPECT_THROW(sw.attach_link(7, spare, Side::A), std::logic_error);
+  EXPECT_THROW((void)sw.port_stats(2), std::out_of_range);
+  EXPECT_EQ(sw.ports(), (std::vector<PortNo>{1, 7, 300}));
 }
 
 TEST(Location, Formatting) {

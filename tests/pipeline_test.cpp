@@ -49,7 +49,7 @@ class TestListener final : public MessageListener {
 };
 
 PipelineMessage packet_in_message(const of::PacketIn& pi) {
-  return PipelineMessage::from(pi);
+  return PipelineMessage::from(0, pi);
 }
 
 // ---------------------------------------------------------------------
@@ -138,7 +138,7 @@ TEST(MessagePipeline, SubscriptionMaskFiltersDelivery) {
   EXPECT_EQ(both.calls, 1);
 
   of::PortStatus ps;
-  p.dispatch(PipelineMessage::from(0x1, ps));
+  p.dispatch(PipelineMessage::from(0x1, 0, ps));
   EXPECT_EQ(ports.calls, 1);
   EXPECT_EQ(both.calls, 2);
 }

@@ -136,9 +136,13 @@ TEST(TopologyGraph, PathHandlesCycles) {
 TEST(TopologyGraph, ClearEmpties) {
   TopologyGraph g;
   g.add_link(kS1P1, kS2P1);
+  const auto index = g.switch_index(0x1);
+  ASSERT_TRUE(index.has_value());
   g.clear();
   EXPECT_EQ(g.link_count(), 0u);
   EXPECT_FALSE(g.path(0x1, 0x2).has_value());
+  // Interning survives: side tables keyed on the index stay valid.
+  EXPECT_EQ(g.switch_index(0x1), index);
 }
 
 TEST(TopologyGraph, MultipleLinksBetweenSameSwitches) {
