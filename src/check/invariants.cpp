@@ -208,6 +208,11 @@ void InvariantChecker::check_caches(std::vector<std::string>& out) {
   for (std::string& issue : ctrl_.routing().path_cache().audit()) {
     report(out, "cache: routing: " + issue);
   }
+  // Link discovery's LLDP authenticators: every tag must equal a fresh
+  // HMAC of its core.
+  for (std::string& issue : ctrl_.link_discovery().audit()) {
+    report(out, "cache: link-discovery: " + issue);
+  }
   // Defense-module internal caches (e.g. LLI's incremental statistics).
   for (const auto& module : ctrl_.defense_modules()) {
     for (std::string& issue : module->audit()) {

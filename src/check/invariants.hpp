@@ -22,7 +22,8 @@
 //      exactly one classification bucket.
 //   7. Cache coherence — every fast-path structure must agree with the
 //      naive recomputation it replaces: the routing service's path cache
-//      against fresh BFS, each defense module's internal caches (LLI's
+//      against fresh BFS, link discovery's memoized LLDP authenticators
+//      against a fresh HMAC, each defense module's internal caches (LLI's
 //      incremental order statistics), and any externally registered
 //      audits (the Testbed wires in each switch's indexed flow table).
 //   8. Pipeline/registry coherence — the message pipeline's listener

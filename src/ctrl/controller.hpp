@@ -242,7 +242,7 @@ class Controller {
   std::unique_ptr<LinkDiscoveryService> links_;
   std::unique_ptr<HostTrackingService> hosts_;
   std::unique_ptr<RoutingService> routing_;
-  crypto::Key lldp_key_;
+  const crypto::Key lldp_key_;
   crypto::XteaKey ts_key_;
   std::uint64_t next_echo_token_ = 1;
   std::uint16_t next_probe_ident_ = 1;

@@ -42,13 +42,15 @@ Disposition LinkDiscoveryService::on_message(const PipelineMessage& msg,
 
 net::LldpPacket LinkDiscoveryService::construct_lldp(
     of::Dpid dpid, of::PortNo port, std::uint64_t nonce,
-    sim::SimTime departure) const {
+    sim::SimTime departure) {
   net::LldpPacket lldp{dpid, port};
   if (ctrl_.config().lldp_timestamps) {
     lldp.set_encrypted_timestamp(ctrl_.ts_key(), nonce, departure);
   }
   if (ctrl_.config().authenticate_lldp) {
-    lldp.sign(ctrl_.lldp_key());
+    const auto [mac, fresh] = macs_.try_emplace(core_of(lldp));
+    if (fresh) mac->second = lldp.authenticator(ctrl_.lldp_key());
+    lldp.set_authenticator(mac->second);
   }
   return lldp;
 }
@@ -73,7 +75,7 @@ void LinkDiscoveryService::emit_port(of::Dpid dpid, of::PortNo port) {
     span = obs->trace().begin_span(now, "lldp", "rtt");
     obs->trace().annotate(span, "src", of::Location{dpid, port}.to_string());
   }
-  slot->second = Emission{nonce, now, false, span};
+  slot->second = Emission{now, false, span};
   ++emissions_;
   ctrl_.send_packet_out(
       dpid, port,
@@ -128,9 +130,14 @@ void LinkDiscoveryService::handle_lldp_packet_in(const of::PacketIn& pi) {
   obs.dst = dst;
   obs.received_at = now;
 
-  // Signature check (TopoGuard "authenticated LLDP").
-  obs.signature_valid =
-      !ctrl_.config().authenticate_lldp || lldp->verify(ctrl_.lldp_key());
+  // Signature check (TopoGuard "authenticated LLDP"): against the
+  // memoized tag when this controller emitted the core, else a fresh MAC.
+  if (ctrl_.config().authenticate_lldp) {
+    const auto mac = macs_.find(core_of(*lldp));
+    obs.signature_valid = mac != macs_.end()
+                              ? lldp->verify(mac->second)
+                              : lldp->verify(ctrl_.lldp_key());
+  }
   if (!obs.signature_valid) {
     ++invalid_signature_;
     ctrl_.alerts().raise(Alert{now, "LinkDiscovery",
@@ -233,6 +240,25 @@ LinkDiscoveryService::LldpAccounting LinkDiscoveryService::lldp_accounting()
     if (!em.matched) ++acc.outstanding_unmatched;
   }
   return acc;
+}
+
+LinkDiscoveryService::Core LinkDiscoveryService::core_of(
+    const net::LldpPacket& lldp) {
+  return {lldp.chassis_id(), lldp.port_id(), lldp.ttl()};
+}
+
+std::vector<std::string> LinkDiscoveryService::audit() const {
+  std::vector<std::string> issues;
+  for (const auto& [core, mac] : macs_) {
+    const auto& [chassis, port, ttl] = core;
+    if (net::LldpPacket{chassis, port, ttl}.authenticator(ctrl_.lldp_key()) !=
+        mac) {
+      issues.push_back("LLDP authenticator memo: entry for " +
+                       of::Location{chassis, port}.to_string() + " ttl " +
+                       std::to_string(ttl) + " differs from a fresh HMAC");
+    }
+  }
+  return issues;
 }
 
 std::vector<LinkDiscoveryService::LinkState>

@@ -9,11 +9,21 @@
 // With `authenticate_lldp` the packets carry a truncated HMAC; with
 // `lldp_timestamps` they carry an XTEA-sealed departure time used by the
 // TOPOGUARD+ LLI to estimate per-link latency.
+//
+// The HMAC covers only the chassis, port and TTL TLVs, and the key is
+// fixed for the controller's lifetime, so a port's tag is the same every
+// round. The service MACs each core it emits once and keeps the tag: it
+// signs every later probe for that core with it, and checks every
+// received copy of that core against it. A core it never emitted takes a
+// fresh MAC and is not kept, so received traffic cannot grow the memo.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "ctrl/message_pipeline.hpp"
 #include "net/lldp.hpp"
@@ -50,11 +60,12 @@ class LinkDiscoveryService final : public MessageListener {
   /// a fabricated link must be re-relayed by the attacker.
   void handle_port_down(of::Location loc);
 
-  /// Construct the LLDP packet for one (switch, port) emission. Public
+  /// Construct the LLDP packet for one (switch, port) emission; the
+  /// first construction of a core MACs it and memoizes the tag. Public
   /// so the Table II benchmark can measure construction cost directly.
   [[nodiscard]] net::LldpPacket construct_lldp(of::Dpid dpid, of::PortNo port,
                                                std::uint64_t nonce,
-                                               sim::SimTime departure) const;
+                                               sim::SimTime departure);
 
   /// Emit one full LLDP round immediately (also runs periodically).
   void emit_round();
@@ -89,9 +100,17 @@ class LinkDiscoveryService final : public MessageListener {
   };
   [[nodiscard]] LldpAccounting lldp_accounting() const;
 
+  /// Invariant 7: every memoized authenticator must equal a fresh
+  /// HMAC of its core under the controller's key. One line per entry
+  /// that differs.
+  [[nodiscard]] std::vector<std::string> audit() const;
+
  private:
+  /// Everything the authenticator covers: chassis, port and TTL.
+  using Core = std::tuple<of::Dpid, of::PortNo, std::uint16_t>;
+  [[nodiscard]] static Core core_of(const net::LldpPacket& lldp);
+
   struct Emission {
-    std::uint64_t nonce = 0;
     sim::SimTime sent_at;
     bool matched = false;  // at least one reception referenced it
     /// Open "lldp/rtt" span covering emission -> first reception (closed
@@ -107,6 +126,8 @@ class LinkDiscoveryService final : public MessageListener {
   Controller& ctrl_;
   std::map<of::Location, Emission> outstanding_;  // last emission per port
   std::map<topo::Link, LinkState> links_;
+  /// Tag of every core this controller emitted (authenticate_lldp only).
+  std::map<Core, net::LldpPacket::Authenticator> macs_;
   std::uint64_t next_nonce_ = 1;
   std::uint64_t emissions_ = 0;
   std::uint64_t receptions_ = 0;

@@ -1,5 +1,6 @@
 #include "net/lldp.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace tmg::net {
@@ -15,7 +16,7 @@ constexpr std::uint8_t kTlvOrg = 127;
 constexpr std::uint8_t kSubAuth = 0x01;
 constexpr std::uint8_t kSubTimestamp = 0x02;
 
-constexpr std::size_t kAuthLen = 16;
+constexpr std::size_t kAuthLen = std::tuple_size_v<LldpPacket::Authenticator>;
 constexpr std::size_t kTlvHeader = 2;               // type + length
 constexpr std::size_t kOrgHeader = kTlvHeader + 1;  // + subtype
 
@@ -78,18 +79,32 @@ std::array<std::uint8_t, LldpPacket::kCoreLen> LldpPacket::core_bytes()
   return out;
 }
 
-void LldpPacket::sign(const crypto::Key& key) {
+LldpPacket::Authenticator LldpPacket::authenticator(
+    const crypto::Key& key) const {
   const crypto::Digest256 mac = crypto::hmac_sha256(key, core_bytes());
-  auth_.assign(mac.begin(), mac.begin() + kAuthLen);
+  Authenticator tag{};
+  std::copy_n(mac.begin(), kAuthLen, tag.begin());
+  return tag;
+}
+
+void LldpPacket::set_authenticator(const Authenticator& tag) {
+  auth_.assign(tag.begin(), tag.end());
+}
+
+void LldpPacket::sign(const crypto::Key& key) {
+  set_authenticator(authenticator(key));
+}
+
+bool LldpPacket::verify(const Authenticator& tag) const {
+  if (auth_.size() != kAuthLen) return false;
+  // Constant time: no exit at the first differing byte.
+  std::uint8_t diff = 0;
+  for (std::size_t i = 0; i < kAuthLen; ++i) diff |= auth_[i] ^ tag[i];
+  return diff == 0;
 }
 
 bool LldpPacket::verify(const crypto::Key& key) const {
-  if (auth_.size() != kAuthLen) return false;
-  const crypto::Digest256 expect = crypto::hmac_sha256(key, core_bytes());
-  // Constant-time compare of the truncated MAC.
-  std::uint8_t diff = 0;
-  for (std::size_t i = 0; i < kAuthLen; ++i) diff |= auth_[i] ^ expect[i];
-  return diff == 0;
+  return has_authenticator() && verify(authenticator(key));
 }
 
 void LldpPacket::tamper_authenticator() {

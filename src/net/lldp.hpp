@@ -36,10 +36,26 @@ class LldpPacket {
 
   // --- Authenticator TLV (TopoGuard) ---
 
-  /// Sign the core TLVs (chassis/port/ttl) with a truncated HMAC-SHA256.
+  /// The authenticator TLV's value: HMAC-SHA256 truncated to 16 bytes.
+  using Authenticator = std::array<std::uint8_t, 16>;
+
+  /// The tag sign(key) attaches: the MAC of the core TLVs
+  /// (chassis/port/ttl) under `key`. Nothing else enters it, so a core
+  /// keeps its tag for as long as the key lives.
+  [[nodiscard]] Authenticator authenticator(const crypto::Key& key) const;
+
+  /// Attach `tag` as the authenticator, replacing any present.
+  void set_authenticator(const Authenticator& tag);
+
+  /// Sign the core TLVs: set_authenticator(authenticator(key)).
   void sign(const crypto::Key& key);
 
-  /// Verify the authenticator. False if absent or mismatched.
+  /// True iff an authenticator is present and equals `tag`. The compare
+  /// runs in constant time.
+  [[nodiscard]] bool verify(const Authenticator& tag) const;
+
+  /// Verify the authenticator against authenticator(key). False if
+  /// absent or mismatched.
   [[nodiscard]] bool verify(const crypto::Key& key) const;
 
   [[nodiscard]] bool has_authenticator() const { return !auth_.empty(); }

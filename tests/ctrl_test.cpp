@@ -232,6 +232,81 @@ TEST(LinkDiscovery, ForgedLldpAcceptedWithoutAuth) {
       of::Location{0x2, 7}, of::Location{0x1, 1}));
 }
 
+TEST(LinkDiscovery, AuthenticatorBindsChassisPortAndTtl) {
+  // The controller checks a core it emitted against the tag it signed
+  // that core with, and any other core with a fresh MAC. Host h1 sends
+  // a genuine probe's copy (accepted), the same tag on another TTL
+  // (rejected: a tag looked up by port alone would pass it), a signed
+  // probe for a port never emitted (accepted, unsolicited) and the
+  // genuine copy with a tampered tag (rejected).
+  TestbedOptions opts;
+  opts.controller.authenticate_lldp = true;
+  TwoSwitchNet net{std::move(opts)};
+  net.tb.start(1_s);
+  Controller& ctrl = net.tb.controller();
+  const auto send = [&](net::LldpPacket lldp) {
+    net.h1->send(net::make_lldp_frame(net::MacAddress::lldp_multicast(),
+                                      std::move(lldp)));
+    net.tb.run_for(100_ms);
+  };
+  const auto rejected = [&] {
+    return ctrl.alerts().count(AlertType::InvalidLldpSignature);
+  };
+  const of::Location h1_port{0x1, 1};
+  const topo::Link real{of::Location{0x1, 10}, of::Location{0x2, 10}};
+  const topo::Link relayed{of::Location{0x2, 10}, h1_port};
+  const topo::Link forged{of::Location{0x2, 7}, h1_port};
+  ASSERT_EQ(ctrl.topology().links(), std::vector<topo::Link>{real});
+  const auto before = ctrl.link_discovery().lldp_accounting();
+  ASSERT_EQ(before.invalid_signature, 0u);
+
+  net::LldpPacket genuine{0x2, 10};
+  genuine.sign(ctrl.lldp_key());
+  send(genuine);
+  std::vector<topo::Link> expect{real, relayed};
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(ctrl.topology().links(), expect);
+  EXPECT_EQ(rejected(), 0u);
+  auto acc = ctrl.link_discovery().lldp_accounting();
+  EXPECT_EQ(acc.invalid_signature, 0u);
+  EXPECT_EQ(acc.duplicate, before.duplicate + 1);  // 0x2:10 was answered
+
+  // Bytes 16-17 are the TTL TLV's value (chassis 2+8, port 2+2, TTL 2+2).
+  std::vector<std::uint8_t> bytes = genuine.serialize();
+  bytes[16] = 0;
+  bytes[17] = 60;
+  const auto retimed = net::LldpPacket::parse(bytes);
+  ASSERT_TRUE(retimed.has_value());
+  ASSERT_EQ(retimed->ttl(), 60);
+  send(*retimed);
+  EXPECT_EQ(ctrl.topology().links(), expect);
+  EXPECT_EQ(rejected(), 1u);
+  acc = ctrl.link_discovery().lldp_accounting();
+  EXPECT_EQ(acc.invalid_signature, 1u);
+  EXPECT_EQ(acc.duplicate, before.duplicate + 1);
+
+  net::LldpPacket unsolicited{0x2, 7};
+  unsolicited.sign(ctrl.lldp_key());
+  send(unsolicited);
+  expect.push_back(forged);
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(ctrl.topology().links(), expect);
+  EXPECT_EQ(rejected(), 1u);
+  acc = ctrl.link_discovery().lldp_accounting();
+  EXPECT_EQ(acc.invalid_signature, 1u);
+  EXPECT_EQ(acc.unsolicited, before.unsolicited + 1);
+
+  net::LldpPacket tampered = genuine;
+  tampered.tamper_authenticator();
+  send(tampered);
+  EXPECT_EQ(ctrl.topology().links(), expect);
+  EXPECT_EQ(rejected(), 2u);
+  acc = ctrl.link_discovery().lldp_accounting();
+  EXPECT_EQ(acc.invalid_signature, 2u);
+  EXPECT_EQ(acc.duplicate, before.duplicate + 1);
+  EXPECT_EQ(acc.unsolicited, before.unsolicited + 1);
+}
+
 TEST(LinkDiscovery, VetoBlocksNewLink) {
   TwoSwitchNet net;
   net.rec->veto_links = true;

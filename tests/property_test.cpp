@@ -44,13 +44,20 @@ TEST_P(LldpFuzz, RandomBytesNeverCrashAndRoundTripHolds) {
   // (b) serialize -> parse is the identity for random valid packets,
   // with random combinations of optional TLVs, including TLVs that only
   // a tamper call created; serialized_size() agrees with serialize().
+  // sign(key) attaches exactly authenticator(key), and verifying against
+  // that tag agrees with verify(key).
   const crypto::Key akey = crypto::Key::derive({{0x1, 0x2}});
   const crypto::XteaKey tkey = crypto::XteaKey::derive({{0x3, 0x4}});
   for (int i = 0; i < 500; ++i) {
     net::LldpPacket p{rng.next_u64(),
                       static_cast<net::PortNo>(rng.uniform_int(0, 65535)),
                       static_cast<std::uint16_t>(rng.uniform_int(0, 65535))};
-    if (rng.chance(0.5)) p.sign(akey);
+    if (rng.chance(0.5)) {
+      net::LldpPacket tagged = p;
+      tagged.set_authenticator(p.authenticator(akey));
+      p.sign(akey);
+      EXPECT_EQ(p, tagged);
+    }
     if (rng.chance(0.5)) {
       p.set_encrypted_timestamp(
           tkey, rng.next_u64(),
@@ -58,22 +65,29 @@ TEST_P(LldpFuzz, RandomBytesNeverCrashAndRoundTripHolds) {
     }
     if (rng.chance(0.25)) p.tamper_authenticator();
     if (rng.chance(0.25)) p.tamper_timestamp();
+    EXPECT_EQ(p.verify(p.authenticator(akey)), p.verify(akey));
     EXPECT_EQ(p.serialized_size(), p.serialize().size());
     const auto parsed = net::LldpPacket::parse(p.serialize());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, p);
   }
   // (c) single-bit corruption of a signed packet must break the MAC or
-  // the structure — never yield a different packet that still verifies.
+  // the structure — never yield a different packet that still verifies,
+  // by verify(key) or by its own authenticator(key).
   for (int i = 0; i < 300; ++i) {
     net::LldpPacket p{rng.next_u64(), 7};
     p.sign(akey);
+    EXPECT_TRUE(p.verify(p.authenticator(akey)));
     auto bytes = p.serialize();
     EXPECT_EQ(p.serialized_size(), bytes.size());
     const std::size_t bit = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(bytes.size() * 8 - 1)));
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     const auto parsed = net::LldpPacket::parse(bytes);
+    if (parsed) {
+      EXPECT_EQ(parsed->verify(parsed->authenticator(akey)),
+                parsed->verify(akey));
+    }
     if (parsed && parsed->verify(akey)) {
       // Only acceptable if the flip landed in ignored padding, i.e. the
       // packet is bit-identical in content.
