@@ -18,6 +18,7 @@ using namespace tmg::bench;
 using namespace tmg::sim::literals;
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts = parse_harness_args(argc, argv);
   banner("Ablation",
          "Relay channel latency vs. LLI detection (Fig. 9 testbed)");
 
@@ -35,7 +36,6 @@ int main(int argc, char** argv) {
   };
   constexpr std::size_t kSweeps = 5;
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   scenario::TrialRunner runner{opts.runner_options()};
   const auto series_by_sweep = runner.map(kSweeps, [&](std::size_t i) {
     const Sweep& sweep = sweeps[i];

@@ -30,7 +30,6 @@
 //                export its metrics / trace — the trace carries the
 //                ANOMALY_* instants tools/check_trace_schema.py pins
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -139,13 +138,11 @@ std::string row_json(const Row& row, const RowAcc& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool check = false;
+  const HarnessOptions opts =
+      parse_harness_args(argc, argv, {scenario::cli_switch("--check", check)});
   banner("Anomaly IDS", "learned baselines vs the attack matrix");
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-  }
   const std::size_t per_row = opts.trial_count(6, 2);
   const std::size_t train_trials = opts.quick ? 2 : 4;
   const std::vector<ctrl::ControllerProfile> profiles = ctrl::all_profiles();

@@ -24,7 +24,6 @@
 //   --check            attach the runtime invariant checker to every
 //                      trial and fail on any violation (CI smoke)
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <optional>
@@ -45,27 +44,7 @@ using namespace tmg::bench;
 using scenario::DefenseSuite;
 using scenario::LinkAttackKind;
 
-namespace {
-
-// Strict resolution, same contract as parse_trials_or_die: an unknown
-// profile name is a usage error, not a silent default.
-ctrl::ControllerProfile parse_profile_or_die(const std::string& value) {
-  auto profile = ctrl::profile_by_name(value);
-  if (!profile) {
-    std::string names;
-    for (const auto& n : ctrl::profile_cli_names()) names += " " + n;
-    std::fprintf(stderr, "error: unknown --profile '%s' (valid:%s)\n",
-                 value.c_str(), names.c_str());
-    std::exit(2);
-  }
-  return *profile;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  banner("Sec. V-A", "Link fabrication attack/defense matrix");
-
   const LinkAttackKind kinds[] = {
       LinkAttackKind::ClassicRelay,
       LinkAttackKind::OobAmnesia,
@@ -84,22 +63,17 @@ int main(int argc, char** argv) {
   bool show_pipeline = false;
   bool check_invariants = false;
   std::optional<ctrl::ControllerProfile> profile;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--stacked") stacked = true;
-    if (arg == "--pipeline-stats") show_pipeline = true;
-    if (arg == "--check") check_invariants = true;
-    if (arg.rfind("--profile=", 0) == 0) {
-      profile = parse_profile_or_die(arg.substr(10));
-    } else if (arg == "--profile" && i + 1 < argc) {
-      profile = parse_profile_or_die(argv[++i]);
-    }
-  }
+  const HarnessOptions opts = parse_harness_args(
+      argc, argv,
+      {scenario::cli_switch("--stacked", stacked),
+       scenario::cli_switch("--pipeline-stats", show_pipeline),
+       scenario::cli_switch("--check", check_invariants),
+       scenario::cli_profile(profile)});
+  banner("Sec. V-A", "Link fabrication attack/defense matrix");
   if (stacked) suites.push_back(DefenseSuite::Stacked);
   const std::size_t n_suites = suites.size();
   const std::size_t kCells = 4 * n_suites;
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   // Default: 1 trial per cell with the canonical seed 42 (the classic
   // single-run table); --trials 10 = 200-experiment workload.
   const std::size_t trials_per_cell = opts.trial_count(1, 1);

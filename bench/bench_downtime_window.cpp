@@ -16,6 +16,7 @@ using namespace tmg::bench;
 using namespace tmg::sim::literals;
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts = parse_harness_args(argc, argv);
   banner("Sec. IV-B2", "Downtime window vs. hijack viability");
 
   struct Row {
@@ -32,7 +33,6 @@ int main(int argc, char** argv) {
   };
   constexpr std::size_t kRows = 5;
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   const std::size_t n = opts.trial_count(10, 3);  // seeds per scenario row
 
   scenario::TrialRunner runner{opts.runner_options()};

@@ -9,10 +9,10 @@ using namespace tmg;
 using namespace tmg::bench;
 
 int main(int argc, char** argv) {
-  banner("Fig. 5", "Victim Down -> Attacker Interface Up");
   const int rc = run_hijack_figure(
-      argc, argv, "fig5_iface_up", 100, /*nmap_regime=*/true, "ms", 0.0,
-      1000.0, [](const scenario::HijackOutcome& out) {
+      argc, argv, "Fig. 5", "Victim Down -> Attacker Interface Up",
+      "fig5_iface_up", 100, /*nmap_regime=*/true, "ms", 0.0, 1000.0,
+      [](const scenario::HijackOutcome& out) {
         return out.down_to_iface_up_ms;
       });
   std::printf(

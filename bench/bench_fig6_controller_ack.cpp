@@ -10,10 +10,10 @@ using namespace tmg;
 using namespace tmg::bench;
 
 int main(int argc, char** argv) {
-  banner("Fig. 6", "Victim Down -> Controller acknowledges attacker");
   const int rc = run_hijack_figure(
-      argc, argv, "fig6_controller_ack", 100, /*nmap_regime=*/true, "ms", 0.0,
-      1000.0, [](const scenario::HijackOutcome& out) {
+      argc, argv, "Fig. 6", "Victim Down -> Controller acknowledges attacker",
+      "fig6_controller_ack", 100, /*nmap_regime=*/true, "ms", 0.0, 1000.0,
+      [](const scenario::HijackOutcome& out) {
         return out.down_to_confirmed_ms;
       });
   std::printf(

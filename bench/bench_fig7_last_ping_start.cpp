@@ -12,10 +12,10 @@ using namespace tmg;
 using namespace tmg::bench;
 
 int main(int argc, char** argv) {
-  banner("Fig. 7", "Victim Down -> start of attacker's final probe");
   const int rc = run_hijack_figure(
-      argc, argv, "fig7_last_ping_start", 200, /*nmap_regime=*/false, "ms",
-      -50.0, 50.0, [](const scenario::HijackOutcome& out) {
+      argc, argv, "Fig. 7", "Victim Down -> start of attacker's final probe",
+      "fig7_last_ping_start", 200, /*nmap_regime=*/false, "ms", -50.0, 50.0,
+      [](const scenario::HijackOutcome& out) {
         return out.down_to_final_probe_start_ms;
       });
   std::printf(

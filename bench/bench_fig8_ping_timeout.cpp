@@ -10,10 +10,10 @@ using namespace tmg;
 using namespace tmg::bench;
 
 int main(int argc, char** argv) {
-  banner("Fig. 8", "Victim Down -> attack probe timeout");
   const int rc = run_hijack_figure(
-      argc, argv, "fig8_ping_timeout", 200, /*nmap_regime=*/false, "ms", 0.0,
-      100.0, [](const scenario::HijackOutcome& out) {
+      argc, argv, "Fig. 8", "Victim Down -> attack probe timeout",
+      "fig8_ping_timeout", 200, /*nmap_regime=*/false, "ms", 0.0, 100.0,
+      [](const scenario::HijackOutcome& out) {
         return out.down_to_declared_down_ms;
       });
   std::printf(

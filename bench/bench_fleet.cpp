@@ -2,7 +2,7 @@
 //
 // Every cell instantiates a generated fat-tree (topo::generate) as a
 // live testbed — hundreds of switches, the full host population tracked
-// by the sharded HTS — and runs the paper's two attacks end to end
+// by the host table — and runs the paper's two attacks end to end
 // through the real pipeline while scenario::BackgroundTraffic keeps the
 // control plane busy: the host-location hijack (Figs. 5-8 race windows,
 // now raced against a loaded controller) and the classic link
@@ -181,7 +181,7 @@ std::string dist_json(const Dist& d) {
   return s;
 }
 
-/// Direct sharded-table inserts and lookups at fleet-beyond population
+/// Direct host-table inserts and lookups at fleet-beyond population
 /// sizes (the HTS data structure, without the simulator around it).
 /// Returns the JSON fragment of its counts.
 std::string host_table_pass(std::size_t records) {
@@ -211,9 +211,9 @@ std::string host_table_pass(std::size_t records) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts = parse_harness_args(argc, argv);
   banner("Fleet scale", "generated fabrics + background load, both attacks");
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   const std::size_t per_cell = opts.trial_count(4, 2);
 
   std::vector<Cell> cells;

@@ -1,9 +1,7 @@
 #include "bench_harness.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
+#include <iterator>
 
 #include "obs/observability.hpp"
 #include "scenario/trial_runner.hpp"
@@ -11,54 +9,22 @@
 
 namespace tmg::bench {
 
-namespace {
-
-/// Strict counterpart of the --jobs parsing: a malformed --trials value
-/// must not silently run the bench default (strtoul would turn
-/// '--trials abc' into 0 and '--trials 10x' into 10).
-std::size_t parse_trials_or_die(const char* value) {
-  const std::optional<std::size_t> parsed =
-      scenario::parse_jobs_value(value);
-  if (!parsed) {
-    std::fprintf(stderr,
-                 "error: invalid --trials value '%s' (expected a "
-                 "non-negative integer; 0 = bench default)\n",
-                 value);
-    std::exit(2);
-  }
-  return *parsed;
-}
-
-}  // namespace
-
-HarnessOptions parse_harness_args(int argc, char** argv) {
+HarnessOptions parse_harness_args(int argc, char** argv,
+                                  std::vector<scenario::CliFlag> extra) {
   HarnessOptions opts;
-  opts.jobs = scenario::parse_jobs_arg(argc, argv);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      opts.quick = true;
-    } else if (std::strcmp(argv[i], "--obs") == 0) {
-      opts.obs = true;
-    } else if (std::strcmp(argv[i], "--legacy-runner") == 0) {
-      opts.legacy_runner = true;
-    } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      opts.trials = parse_trials_or_die(argv[i + 1]);
-    } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      opts.trials = parse_trials_or_die(argv[i] + 9);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      opts.json_path = argv[i] + 7;
-    } else if (std::strcmp(argv[i], "--obs-out") == 0 && i + 1 < argc) {
-      opts.obs_out_path = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--obs-out=", 10) == 0) {
-      opts.obs_out_path = argv[i] + 10;
-    } else if (std::strcmp(argv[i], "--trace-out") == 0 && i + 1 < argc) {
-      opts.trace_out_path = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      opts.trace_out_path = argv[i] + 12;
-    }
-  }
+  std::vector<scenario::CliFlag> flags = {
+      scenario::cli_count("--trials", opts.trials, "0 = bench default"),
+      scenario::cli_count("--jobs", opts.jobs, "0 = hardware default"),
+      scenario::cli_switch("--quick", opts.quick),
+      scenario::cli_text("--json", "PATH", opts.json_path),
+      scenario::cli_switch("--obs", opts.obs),
+      scenario::cli_text("--obs-out", "PATH", opts.obs_out_path),
+      scenario::cli_text("--trace-out", "PATH", opts.trace_out_path),
+      scenario::cli_switch("--legacy-runner", opts.legacy_runner),
+  };
+  flags.insert(flags.end(), std::make_move_iterator(extra.begin()),
+               std::make_move_iterator(extra.end()));
+  scenario::parse_cli(argc, argv, flags);
   // The export flags only make sense with the observability layer
   // attached, so they imply --obs.
   if (!opts.obs_out_path.empty() || !opts.trace_out_path.empty()) {

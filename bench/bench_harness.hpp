@@ -1,7 +1,9 @@
 // Benchmark harness: shared CLI flags and the BENCH.json emitter used by
 // tools/run_bench.py.
 //
-// Every trial-looping bench accepts:
+// Every trial-looping bench accepts the flags below, each as `--flag
+// VALUE` or `--flag=VALUE`, plus any flags the bench declares itself.
+// Anything else exits 2 and lists the valid flags (scenario/cli.hpp):
 //   --trials N      trial count (0 = bench default)
 //   --jobs N        worker threads (default: hardware concurrency;
 //                   --jobs 1 = the chunked serial path, no threads)
@@ -30,7 +32,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "scenario/cli.hpp"
 #include "scenario/trial_runner.hpp"
 
 namespace tmg::obs {
@@ -63,9 +67,10 @@ struct HarnessOptions {
   }
 };
 
-/// Parse the shared flags (unknown arguments are ignored so benches can
-/// layer their own).
-HarnessOptions parse_harness_args(int argc, char** argv);
+/// Parse the shared flags plus the bench's own `extra` flags. Any other
+/// argument, or a malformed value, exits 2.
+HarnessOptions parse_harness_args(int argc, char** argv,
+                                  std::vector<scenario::CliFlag> extra = {});
 
 /// Write the --obs-out / --trace-out artifacts from an observed run:
 /// the final-time metrics snapshot and the trace JSONL export. No-op

@@ -15,6 +15,7 @@ using namespace tmg::bench;
 using scenario::DefenseSuite;
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts = parse_harness_args(argc, argv);
   banner("Sec. IV-B / VI-A", "Hijack outcome per defense suite");
 
   const DefenseSuite suites[] = {
@@ -27,7 +28,6 @@ int main(int argc, char** argv) {
   };
   constexpr std::size_t kSuites = 6;
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   // Aggregate over several seeds per suite for robustness.
   const std::size_t runs = opts.trial_count(5, 2);
 

@@ -135,9 +135,9 @@ std::string dist_json(const Dist& d) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts = parse_harness_args(argc, argv);
   banner("Figs. 5-8 @ scale", "Monte-Carlo race-window distributions");
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   const std::size_t per_cell = opts.trial_count(1000, 50);
   const std::vector<ctrl::ControllerProfile> profiles = ctrl::all_profiles();
   const scenario::DefenseSuite suites[] = {

@@ -17,6 +17,7 @@ using namespace tmg::sim::literals;
 using attack::ProbeType;
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts = parse_harness_args(argc, argv);
   banner("Sec. V-B2", "IDS detection vs. scan rate (30 s per cell)");
 
   const ProbeType types[] = {ProbeType::TcpSyn, ProbeType::ArpPing,
@@ -25,7 +26,6 @@ int main(int argc, char** argv) {
   constexpr std::size_t kRates = 7;
   constexpr std::size_t kCells = 3 * kRates;
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   const auto window =
       opts.quick ? 5_s : 30_s;  // simulated scan window per cell
 

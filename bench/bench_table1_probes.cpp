@@ -16,6 +16,7 @@ using namespace tmg::bench;
 using attack::ProbeType;
 
 int main(int argc, char** argv) {
+  const HarnessOptions opts = parse_harness_args(argc, argv);
   banner("Table I", "Liveness Probe Options");
   std::printf(
       "Paper reference (nmap on the authors' testbed):\n"
@@ -28,7 +29,6 @@ int main(int argc, char** argv) {
                              ProbeType::ArpPing, ProbeType::TcpIdleScan};
   constexpr std::size_t kTypes = 4;
 
-  const HarnessOptions opts = parse_harness_args(argc, argv);
   const std::size_t scans = opts.trial_count(1000, 100);  // probes per type
 
   scenario::TrialRunner runner{opts.runner_options()};

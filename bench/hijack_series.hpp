@@ -86,14 +86,17 @@ inline void print_series(const HijackSeries& series, const char* unit,
   std::printf("%s", hist.to_csv().c_str());
 }
 
-/// Full driver for one hijack-timing figure: parse flags, run the
+/// Full driver for one hijack-timing figure: print the banner, run the
 /// series (`full_default` trials; 25 under --quick), print, report JSON.
-inline int run_hijack_figure(int argc, char** argv, const char* bench_id,
+/// Flags are parsed first, so a bad command line prints nothing.
+inline int run_hijack_figure(int argc, char** argv, const char* figure,
+                             const char* title, const char* bench_id,
                              std::size_t full_default, bool nmap_regime,
                              const char* unit, double hist_lo, double hist_hi,
                              const std::function<std::optional<double>(
                                  const scenario::HijackOutcome&)>& metric) {
   const HarnessOptions opts = parse_harness_args(argc, argv);
+  banner(figure, title);
   const std::size_t n = opts.trial_count(full_default, 25);
   const auto series =
       collect_hijack_metric(n, nmap_regime, metric, opts.runner_options());

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   const DefenseSuite suites[] = {DefenseSuite::TopoGuard,
                                  DefenseSuite::Sphinx,
                                  DefenseSuite::TopoGuardAndSphinx};
-  TrialRunner runner{{parse_jobs_arg(argc, argv)}};
+  TrialRunner runner{{g_args.jobs}};
   const auto outcomes = runner.map(3, [&](std::size_t i) {
     HijackConfig cfg;
     cfg.seed = 7;

@@ -1,7 +1,10 @@
 // Shared helpers for the example programs.
 //
 // Every example parses its command line through parse_example_args, so
-// all of them accept the same flag set:
+// all of them accept the same flag set. A valued flag also takes the
+// `--flag VALUE` spelling; any other argument, a malformed value or an
+// unknown --profile exits 2 and lists the valid flags
+// (scenario/cli.hpp):
 //
 //   --check            attach the runtime invariant checker (src/check)
 //                      and print a verification footer. A violation
@@ -11,7 +14,8 @@
 //   --modules=list     print the controller's message-pipeline chain
 //                      (priority order) and exit codes aside, continue.
 //   --modules=+X,-Y    enable (+) / disable (-) pipeline listeners by
-//                      name before the simulation starts.
+//                      name before the simulation starts. Any other
+//                      token is a usage error.
 //   --pipeline-stats   print per-listener dispatch counters at the end.
 //   --obs-out=DIR      attach the observability layer and write
 //                      metrics.json / metrics.csv / trace.jsonl /
@@ -21,15 +25,14 @@
 //   --profile=NAME     run under that controller pipeline profile
 //                      (floodlight / pox / opendaylight / onos —
 //                      layout, dispatch discipline, timers, and
-//                      migration policy all follow the profile). An
-//                      unknown name is a usage error: exit 2 with the
-//                      valid names listed, never a silent default.
+//                      migration policy all follow the profile).
+//   --jobs N           worker threads for examples that run independent
+//                      trials (0 = hardware default); output is the
+//                      same for every N.
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -40,6 +43,7 @@
 #include "ctrl/controller.hpp"
 #include "ctrl/profiles.hpp"
 #include "obs/observability.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/testbed.hpp"
 
 namespace tmg::examples {
@@ -53,6 +57,7 @@ struct ExampleArgs {
   std::string obs_out;    // --obs-out=DIR (empty: disabled)
   std::string trace_out;  // --trace-out=FILE (empty: disabled)
   std::optional<ctrl::ControllerProfile> profile;  // --profile=NAME
+  std::size_t jobs = 0;   // --jobs N (0: hardware default)
 
   /// Either observability flag present?
   [[nodiscard]] bool obs_enabled() const {
@@ -60,67 +65,39 @@ struct ExampleArgs {
   }
 };
 
-/// Strict --profile value resolution (same convention as the bench
-/// harness's parse_jobs_value/parse_trials_or_die pair): the testable
-/// half returns nullopt on an unknown name, the _or_die wrapper turns
-/// that into exit 2 with the valid names listed.
-inline std::optional<ctrl::ControllerProfile> parse_profile_value(
-    const std::string& value) {
-  return ctrl::profile_by_name(value);
-}
-
-inline ctrl::ControllerProfile parse_profile_or_die(
-    const std::string& value) {
-  auto profile = parse_profile_value(value);
-  if (!profile) {
-    std::string names;
-    for (const auto& n : ctrl::profile_cli_names()) names += " " + n;
-    std::fprintf(stderr, "error: unknown --profile '%s' (valid:%s)\n",
-                 value.c_str(), names.c_str());
-    std::exit(2);
-  }
-  return *profile;
-}
-
-/// Parse the shared example flags. Unknown arguments are ignored so
-/// individual examples can layer their own.
+/// Parse the shared example flags; exits 2 on anything else.
 inline ExampleArgs parse_example_args(int argc, char** argv) {
   ExampleArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--check") == 0) {
-      args.check = true;
-    } else if (std::strcmp(arg, "--pipeline-stats") == 0) {
-      args.pipeline_stats = true;
-    } else if (std::strncmp(arg, "--obs-out=", 10) == 0) {
-      args.obs_out = arg + 10;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      args.trace_out = arg + 12;
-    } else if (std::strncmp(arg, "--profile=", 10) == 0) {
-      args.profile = parse_profile_or_die(arg + 10);
-    } else if (std::strncmp(arg, "--modules=", 10) == 0) {
-      // Comma-separated list of "list", "+Name" or "-Name" tokens.
-      std::string rest = arg + 10;
-      while (!rest.empty()) {
-        const std::size_t comma = rest.find(',');
-        std::string token = rest.substr(0, comma);
-        rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-        if (token.empty()) continue;
-        if (token == "list") {
-          args.list_modules = true;
-        } else if (token[0] == '+') {
-          args.enable_modules.push_back(token.substr(1));
-        } else if (token[0] == '-') {
-          args.disable_modules.push_back(token.substr(1));
-        } else {
-          std::fprintf(stderr,
-                       "warning: --modules token '%s' is not 'list', "
-                       "'+name' or '-name'; ignored\n",
-                       token.c_str());
-        }
+  // Comma-separated list of "list", "+Name" or "-Name" tokens.
+  const auto modules = [&args](const std::string& value) {
+    std::string rest = value;
+    while (!rest.empty()) {
+      const std::size_t comma = rest.find(',');
+      const std::string token = rest.substr(0, comma);
+      rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+      if (token.empty()) continue;
+      if (token == "list") {
+        args.list_modules = true;
+      } else if (token[0] == '+') {
+        args.enable_modules.push_back(token.substr(1));
+      } else if (token[0] == '-') {
+        args.disable_modules.push_back(token.substr(1));
+      } else {
+        return "--modules token '" + token +
+               "' is not 'list', '+name' or '-name'";
       }
     }
-  }
+    return std::string{};
+  };
+  scenario::parse_cli(
+      argc, argv,
+      {scenario::cli_switch("--check", args.check),
+       scenario::cli_switch("--pipeline-stats", args.pipeline_stats),
+       {"--modules", "LIST", modules},
+       scenario::cli_text("--obs-out", "DIR", args.obs_out),
+       scenario::cli_text("--trace-out", "FILE", args.trace_out),
+       scenario::cli_profile(args.profile),
+       scenario::cli_count("--jobs", args.jobs, "0 = hardware default")});
   return args;
 }
 

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   examples::warn_modules_unavailable(args);
   // --jobs N fans the independent measurements below across N worker
   // threads; output is identical for every N (see DESIGN.md §7).
-  scenario::TrialRunner runner{{scenario::parse_jobs_arg(argc, argv)}};
+  scenario::TrialRunner runner{{args.jobs}};
   std::printf("== Scan stealth lab ==\n\n");
   std::printf(
       "The port-probing attacker must poll the victim frequently enough\n"

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
   std::printf("After %s of warm-up, link discovery found:\n",
               to_string(tb.loop().now()).c_str());
-  for (const auto& link : tb.controller().topology().links_view()) {
+  for (const auto& link : tb.controller().topology().links()) {
     std::printf("  link %s\n", link.to_string().c_str());
   }
 

@@ -104,7 +104,7 @@ void InvariantChecker::check_hosts(std::vector<std::string>& out) {
   const sim::SimTime now = ctrl_.loop().now();
   std::vector<std::pair<std::string, of::Location>> found;
   // hosts_sorted() is already MAC-ordered, so findings come out sorted
-  // without depending on the sharded table's physical layout.
+  // without depending on the table's physical layout.
   for (const auto& rec : ctrl_.host_tracker().hosts_sorted()) {
     if (rec.first_seen > rec.last_seen) {
       found.emplace_back("host " + rec.mac.to_string() + " first_seen " +
@@ -121,8 +121,8 @@ void InvariantChecker::check_hosts(std::vector<std::string>& out) {
                          rec.loc);
     }
   }
-  // Structural audit of the sharded open-addressed store itself (probe
-  // reachability, shard assignment, load bounds).
+  // Structural audit of the open-addressed store itself (probe
+  // reachability, load bound, size count).
   for (const std::string& what : ctrl_.host_tracker().audit_table()) {
     found.emplace_back("host table: " + what, of::Location{});
   }
@@ -219,7 +219,7 @@ void InvariantChecker::check_caches(std::vector<std::string>& out) {
       report(out, "cache: " + module->name() + ": " + issue);
     }
   }
-  // Externally registered audits (indexed switch flow tables, etc.).
+  // Externally registered audits (switch flow-table order, etc.).
   for (const auto& [name, fn] : audits_) {
     for (std::string& issue : fn()) {
       report(out, "cache: " + name + ": " + issue);

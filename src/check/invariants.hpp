@@ -25,7 +25,8 @@
 //      against fresh BFS, link discovery's memoized LLDP authenticators
 //      against a fresh HMAC, each defense module's internal caches (LLI's
 //      incremental order statistics), and any externally registered
-//      audits (the Testbed wires in each switch's indexed flow table).
+//      audits (the Testbed wires in each switch's flow-table priority
+//      order).
 //   8. Pipeline/registry coherence — the message pipeline's listener
 //      chain is priority-sorted with unique names and sane counters
 //      (delegated to MessagePipeline::audit), the chain matches the

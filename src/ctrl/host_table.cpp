@@ -4,12 +4,7 @@
 
 namespace tmg::ctrl {
 
-HostTable::HostTable() : shards_(kShards) {
-  for (Shard& s : shards_) {
-    s.slots.resize(kInitialSlots);
-    s.used.assign(kInitialSlots, 0);
-  }
-}
+HostTable::HostTable() : slots_(kInitialSlots), used_(kInitialSlots, 0) {}
 
 std::uint64_t HostTable::mix(net::MacAddress mac) {
   std::uint64_t z = mac.to_u64() + 0x9e3779b97f4a7c15ULL;
@@ -18,45 +13,29 @@ std::uint64_t HostTable::mix(net::MacAddress mac) {
   return z ^ (z >> 31);
 }
 
-HostRecord* HostTable::probe(Shard& shard, net::MacAddress mac,
-                             std::uint64_t h, bool& found) {
-  const std::size_t mask = shard.slots.size() - 1;
-  std::size_t i = static_cast<std::size_t>(h) & mask;
-  while (shard.used[i] != 0) {
-    if (shard.slots[i].mac == mac) {
-      found = true;
-      return &shard.slots[i];
-    }
-    i = (i + 1) & mask;
-  }
-  found = false;
-  return &shard.slots[i];
+std::size_t HostTable::probe(net::MacAddress mac) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(mix(mac)) & mask;
+  while (used_[i] != 0 && slots_[i].mac != mac) i = (i + 1) & mask;
+  return i;
 }
 
-void HostTable::grow(Shard& shard) {
-  std::vector<HostRecord> old_slots(shard.slots.size() * 2);
-  std::vector<std::uint8_t> old_used(shard.slots.size() * 2, 0);
-  old_slots.swap(shard.slots);
-  old_used.swap(shard.used);
-  // old_* now hold the NEW (doubled, empty) arrays' previous contents:
-  // after the swaps, shard.slots/used are the doubled arrays and
-  // old_slots/old_used the originals to re-insert.
-  const std::size_t mask = shard.slots.size() - 1;
+void HostTable::grow() {
+  std::vector<HostRecord> old_slots(slots_.size() * 2);
+  std::vector<std::uint8_t> old_used(used_.size() * 2, 0);
+  old_slots.swap(slots_);
+  old_used.swap(used_);
   for (std::size_t i = 0; i < old_slots.size(); ++i) {
     if (old_used[i] == 0) continue;
-    std::size_t j = static_cast<std::size_t>(mix(old_slots[i].mac)) & mask;
-    while (shard.used[j] != 0) j = (j + 1) & mask;
-    shard.slots[j] = old_slots[i];
-    shard.used[j] = 1;
+    const std::size_t j = probe(old_slots[i].mac);
+    slots_[j] = old_slots[i];
+    used_[j] = 1;
   }
 }
 
 HostRecord* HostTable::find(net::MacAddress mac) {
-  const std::uint64_t h = mix(mac);
-  Shard& shard = shards_[shard_of(h)];
-  bool found = false;
-  HostRecord* slot = probe(shard, mac, h, found);
-  return found ? slot : nullptr;
+  const std::size_t i = probe(mac);
+  return used_[i] != 0 ? &slots_[i] : nullptr;
 }
 
 const HostRecord* HostTable::find(net::MacAddress mac) const {
@@ -64,21 +43,16 @@ const HostRecord* HostTable::find(net::MacAddress mac) const {
 }
 
 HostRecord& HostTable::insert(const HostRecord& rec) {
-  const std::uint64_t h = mix(rec.mac);
-  Shard& shard = shards_[shard_of(h)];
   // Grow at 7/8 load so probe runs stay short; records are copied to
   // their new slots, so this is the only allocating path.
-  if ((shard.count + 1) * 8 > shard.slots.size() * 7) grow(shard);
-  bool found = false;
-  HostRecord* slot = probe(shard, rec.mac, h, found);
-  if (!found) {
-    ++shard.count;
+  if ((size_ + 1) * 8 > slots_.size() * 7) grow();
+  const std::size_t i = probe(rec.mac);
+  if (used_[i] == 0) {
+    used_[i] = 1;
     ++size_;
   }
-  *slot = rec;
-  const std::size_t i = static_cast<std::size_t>(slot - shard.slots.data());
-  shard.used[i] = 1;
-  return *slot;
+  slots_[i] = rec;
+  return slots_[i];
 }
 
 std::vector<HostRecord> HostTable::sorted() const {
@@ -94,52 +68,34 @@ std::vector<HostRecord> HostTable::sorted() const {
 
 std::vector<std::string> HostTable::audit() const {
   std::vector<std::string> issues;
-  std::size_t total = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = shards_[s];
-    if (shard.slots.size() != shard.used.size() ||
-        (shard.slots.size() & (shard.slots.size() - 1)) != 0) {
-      issues.push_back("shard " + std::to_string(s) +
-                       " capacity is not a power of two");
-      continue;
-    }
-    if (shard.count * 8 > shard.slots.size() * 7) {
-      issues.push_back("shard " + std::to_string(s) +
-                       " exceeds the 7/8 load bound");
-    }
-    std::size_t occupied = 0;
-    for (std::size_t i = 0; i < shard.slots.size(); ++i) {
-      if (shard.used[i] == 0) continue;
-      ++occupied;
-      const HostRecord& rec = shard.slots[i];
-      const std::uint64_t h = mix(rec.mac);
-      if (shard_of(h) != s) {
-        issues.push_back("record " + rec.mac.to_string() +
-                         " stored in wrong shard " + std::to_string(s));
-      }
-      // Linear probing invariant: the walk from the record's home slot
-      // to its actual slot must cross no empty slot, or find() would
-      // stop short and miss it.
-      const std::size_t mask = shard.slots.size() - 1;
-      for (std::size_t j = static_cast<std::size_t>(h) & mask; j != i;
-           j = (j + 1) & mask) {
-        if (shard.used[j] == 0) {
-          issues.push_back("record " + rec.mac.to_string() +
-                           " unreachable: empty slot inside its probe run");
-          break;
-        }
-      }
-    }
-    if (occupied != shard.count) {
-      issues.push_back("shard " + std::to_string(s) + " count " +
-                       std::to_string(shard.count) + " != occupied slots " +
-                       std::to_string(occupied));
-    }
-    total += occupied;
+  if (slots_.size() != used_.size() ||
+      (slots_.size() & (slots_.size() - 1)) != 0) {
+    return {"capacity is not a power of two"};
   }
-  if (total != size_) {
+  if (size_ * 8 > slots_.size() * 7) {
+    issues.push_back("table exceeds the 7/8 load bound");
+  }
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t occupied = 0;
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (used_[i] == 0) continue;
+    ++occupied;
+    // Linear probing invariant: the walk from the record's home slot to
+    // its actual slot must cross no empty slot, or find() would stop
+    // short and miss it.
+    const HostRecord& rec = slots_[i];
+    for (std::size_t j = static_cast<std::size_t>(mix(rec.mac)) & mask;
+         j != i; j = (j + 1) & mask) {
+      if (used_[j] == 0) {
+        issues.push_back("record " + rec.mac.to_string() +
+                         " unreachable: empty slot inside its probe run");
+        break;
+      }
+    }
+  }
+  if (occupied != size_) {
     issues.push_back("table size " + std::to_string(size_) +
-                     " != total occupied slots " + std::to_string(total));
+                     " != occupied slots " + std::to_string(occupied));
   }
   std::sort(issues.begin(), issues.end());
   return issues;

@@ -1,20 +1,14 @@
-// Sharded open-addressed host-record store (DESIGN.md §12).
+// Open-addressed host-record store (DESIGN.md §12).
 //
-// The Host Tracking Service is the controller's hottest per-packet
-// state: every non-LLDP Packet-In probes it, and fleet-scale workloads
-// (millions of learned hosts, background ARP churn) made the original
-// single unordered_map the bottleneck — per-learn node allocation plus
-// full-table rehash pauses on the Packet-In path.
+// The Host Tracking Service probes this table on every non-LLDP
+// Packet-In, so a learn must not allocate per host or rehash a node
+// table. Layout: one power-of-two array with linear probing, grown at
+// 7/8 load. Host records are never erased (bindings are only created or
+// rewritten — exactly the property Host Location Hijacking abuses), so
+// there are no tombstones and probes stop at the first empty slot. The
+// table starts at 64 slots; fleet_k16's 1,024 hosts take 2,048.
 //
-// Layout: 16 shards selected by a mixed MAC hash; each shard is a
-// power-of-two open-addressed array with linear probing. Host records
-// are never erased (bindings are only created or rewritten — exactly
-// the property Host Location Hijacking abuses), so there are no
-// tombstones and probes stop at the first empty slot. A learn in
-// steady state touches one cache-resident probe run and allocates
-// nothing; the only allocation is the amortized shard doubling.
-//
-// Iteration order over shards/slots is hash order and must never reach
+// Iteration order over slots is hash order and must never reach
 // output: callers that export records use sorted() (by MAC), and
 // find_by_ip-style scans must be order-free reductions.
 #pragma once
@@ -47,9 +41,9 @@ class HostTable {
   [[nodiscard]] HostRecord* find(net::MacAddress mac);
   [[nodiscard]] const HostRecord* find(net::MacAddress mac) const;
 
-  /// Insert a record for `rec.mac` (which must not be present).
+  /// Insert a record for `rec.mac`, or rewrite the one already stored.
   /// Returns the stored record. Pointers are invalidated by the next
-  /// insert (shard growth may move records).
+  /// insert (growth moves records).
   HostRecord& insert(const HostRecord& rec);
 
   [[nodiscard]] std::size_t size() const { return size_; }
@@ -59,45 +53,34 @@ class HostTable {
   /// for exports and logs, not the packet path.
   [[nodiscard]] std::vector<HostRecord> sorted() const;
 
-  /// Visit every record in shard/slot (hash) order. The order is NOT
+  /// Visit every record in slot (hash) order. The order is NOT
   /// deterministic across table histories — callers must only fold
   /// order-free reductions (max/min/count) out of it, never output.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const Shard& shard : shards_) {
-      for (std::size_t i = 0; i < shard.slots.size(); ++i) {
-        if (shard.used[i] != 0) fn(shard.slots[i]);
-      }
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (used_[i] != 0) fn(slots_[i]);
     }
   }
 
-  /// Self-consistency audit: shard assignment, probe reachability of
-  /// every occupied slot, size bookkeeping, and load-factor bounds.
-  /// Returns sorted violation strings (empty when healthy).
+  /// Self-consistency audit: probe reachability of every occupied slot,
+  /// the load bound and the size count. Returns sorted violation
+  /// strings (empty when healthy).
   [[nodiscard]] std::vector<std::string> audit() const;
 
  private:
-  static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kInitialSlots = 64;  // per shard
-
-  struct Shard {
-    std::vector<HostRecord> slots;
-    std::vector<std::uint8_t> used;
-    std::size_t count = 0;
-  };
+  static constexpr std::size_t kInitialSlots = 64;
 
   /// SplitMix64 finalizer over the 48-bit MAC: the raw value is nearly
   /// sequential for generated fleets, which would cluster probes.
   [[nodiscard]] static std::uint64_t mix(net::MacAddress mac);
-  [[nodiscard]] static std::size_t shard_of(std::uint64_t h) {
-    return static_cast<std::size_t>(h >> 60) & (kShards - 1);
-  }
 
-  static void grow(Shard& shard);
-  [[nodiscard]] static HostRecord* probe(Shard& shard, net::MacAddress mac,
-                                         std::uint64_t h, bool& found);
+  void grow();
+  /// The slot holding `mac`, or the empty slot that ends its probe run.
+  [[nodiscard]] std::size_t probe(net::MacAddress mac) const;
 
-  std::vector<Shard> shards_;
+  std::vector<HostRecord> slots_;
+  std::vector<std::uint8_t> used_;
   std::size_t size_ = 0;
 };
 

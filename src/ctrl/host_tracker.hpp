@@ -5,9 +5,9 @@
 // III-A.2): whoever originates traffic with the victim's identifiers
 // first, from anywhere, owns the binding.
 //
-// Bindings live in a sharded open-addressed HostTable (host_table.hpp)
-// sized for fleet-scale populations: a steady-state learn allocates
-// nothing, and enumeration is only exposed as a MAC-sorted snapshot.
+// Bindings live in an open-addressed HostTable (host_table.hpp): a
+// steady-state learn allocates nothing, and enumeration is only exposed
+// as a MAC-sorted snapshot.
 #pragma once
 
 #include <map>
@@ -53,7 +53,7 @@ class HostTrackingService final : public MessageListener {
   }
   [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
-  /// Structural audit of the sharded table (for the invariant checker).
+  /// Structural audit of the host table (for the invariant checker).
   [[nodiscard]] std::vector<std::string> audit_table() const {
     return hosts_.audit();
   }

@@ -45,7 +45,7 @@ void Sphinx::check_link_symmetry() {
                                            config_.tau) +
                     config_.byte_slack;
   };
-  for (const auto& link : ctrl_.topology().links_view()) {
+  for (const auto& link : ctrl_.topology().links()) {
     const of::PortStatsEntry* a = lookup(link.a);
     const of::PortStatsEntry* b = lookup(link.b);
     if (!a || !b) continue;  // not all counters sampled yet

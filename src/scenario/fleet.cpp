@@ -22,9 +22,9 @@ FleetTestbed make_fleet_testbed(const FleetTestbedConfig& config) {
   for (const auto& tier : f.topo.tiers) {
     for (topo::Dpid dpid : tier) tb.add_switch(dpid);
   }
-  // links_view() is canonical-sorted, so the wiring order (and with it
+  // links() is canonical-sorted, so the wiring order (and with it
   // every latency-model draw) is a pure function of the topology.
-  for (const topo::Link& l : f.topo.graph.links_view()) {
+  for (const topo::Link& l : f.topo.graph.links()) {
     tb.connect_switches(l.a.dpid, l.a.port, l.b.dpid, l.b.port);
   }
 
@@ -169,13 +169,13 @@ TestbedRoles fleet_roles(FleetTestbed& f,
 }
 
 /// Flow-rule relay target: the attacker's edge switch when it has two
-/// fabric links, else the lowest-dpid switch that does (links_view() is
+/// fabric links, else the lowest-dpid switch that does (links() is
 /// sorted, so the choice is deterministic). Splicing the relay's first
 /// two inter-switch ports makes discovery fabricate a direct link
 /// between their far ends.
 void place_flow_relay(const FleetTestbed& f, TestbedRoles& roles) {
   std::map<of::Dpid, std::vector<topo::Link>> incident;
-  for (const topo::Link& l : f.topo.graph.links_view()) {
+  for (const topo::Link& l : f.topo.graph.links()) {
     incident[l.a.dpid].push_back(l);
     incident[l.b.dpid].push_back(l);
   }

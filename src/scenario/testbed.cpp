@@ -39,8 +39,8 @@ check::InvariantChecker& Testbed::enable_invariant_checker(
     opts.assert_on_violation = true;
     checker_ =
         std::make_unique<check::InvariantChecker>(*controller_, opts);
-    // Cache-coherence audits: each switch's indexed flow table must keep
-    // agreeing with the plain priority-sorted vector it accelerates.
+    // Each switch's flow table must stay priority-sorted, the order
+    // every first-hit scan relies on.
     for (auto& [dpid, entry] : switches_) {
       of::Switch* sw = entry.sw.get();
       checker_->add_audit("flow table dpid " + std::to_string(dpid),

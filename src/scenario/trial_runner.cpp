@@ -1,10 +1,6 @@
 #include "scenario/trial_runner.hpp"
 
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <mutex>
@@ -229,50 +225,6 @@ void TrialRunner::run_indexed(
       }
     }
   });
-}
-
-std::optional<std::size_t> parse_jobs_value(const char* text) {
-  if (text == nullptr || *text == '\0') return std::nullopt;
-  // Digits only: reject signs, whitespace and unit suffixes outright
-  // (strtoul would accept "-1" by wrapping it into a huge unsigned).
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return std::nullopt;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno == ERANGE || end == text || *end != '\0') return std::nullopt;
-  if (v > std::numeric_limits<std::size_t>::max()) return std::nullopt;
-  return static_cast<std::size_t>(v);
-}
-
-namespace {
-
-[[noreturn]] void bad_jobs(const char* value) {
-  std::fprintf(stderr,
-               "error: invalid --jobs value '%s' (expected a "
-               "non-negative integer; 0 = hardware default)\n",
-               value);
-  std::exit(2);
-}
-
-}  // namespace
-
-std::size_t parse_jobs_arg(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* value = nullptr;
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      value = argv[i + 1];
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      value = argv[i] + 7;
-    } else {
-      continue;
-    }
-    const std::optional<std::size_t> parsed = parse_jobs_value(value);
-    if (!parsed) bad_jobs(value);
-    return *parsed;
-  }
-  return 0;
 }
 
 }  // namespace tmg::scenario

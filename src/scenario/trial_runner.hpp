@@ -166,17 +166,4 @@ class TrialRunner {
   bool legacy_;
 };
 
-/// Parse `--jobs N` / `--jobs=N` from a command line (0 when absent,
-/// meaning "hardware default"). Malformed values — non-numeric text,
-/// negative numbers, trailing garbage, overflow — are rejected with an
-/// error message on stderr and exit(2): a typo must not silently run
-/// the hardware-default worker count. Shared by the benches and
-/// examples.
-std::size_t parse_jobs_arg(int argc, char** argv);
-
-/// Pure parsing core of parse_jobs_arg, exposed for unit tests: returns
-/// the parsed value, or std::nullopt if `text` is not a plain
-/// non-negative decimal integer in range.
-std::optional<std::size_t> parse_jobs_value(const char* text);
-
 }  // namespace tmg::scenario

@@ -121,15 +121,10 @@ bool TopologyGraph::is_switch_port(std::uint32_t index, PortNo port) const {
   return it != ports.end() && it->port == port;
 }
 
-std::vector<Link> TopologyGraph::links() const { return links_view(); }
-
-const std::vector<Link>& TopologyGraph::links_view() const {
-  if (links_view_epoch_ != epoch_) {
-    links_view_.assign(link_slots_.begin(), link_slots_.end());
-    std::sort(links_view_.begin(), links_view_.end());
-    links_view_epoch_ = epoch_;
-  }
-  return links_view_;
+std::vector<Link> TopologyGraph::links() const {
+  std::vector<Link> out = link_slots_;
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 bool TopologyGraph::bfs(std::uint32_t root, std::uint32_t stop,

@@ -55,10 +55,10 @@ class TopologyGraph {
 
   /// Monotonically increasing mutation counter: bumped by every
   /// successful add_link / remove_link and by clear(). Any structure
-  /// memoizing a function of the link set (e.g. topo::PathCache, the
-  /// links_view() cache) keys its entries on this epoch, so a
-  /// fabricated or removed link — the very state the paper's attacks
-  /// poison — invalidates every cached answer by construction.
+  /// memoizing a function of the link set (topo::PathCache) keys its
+  /// entries on this epoch, so a fabricated or removed link — the very
+  /// state the paper's attacks poison — invalidates every cached answer
+  /// by construction.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   [[nodiscard]] bool has_link(Location x, Location y) const;
@@ -70,15 +70,9 @@ class TopologyGraph {
   /// Same, for the switch interned at `index` (no dpid hash).
   [[nodiscard]] bool is_switch_port(std::uint32_t index, PortNo port) const;
 
-  /// Sorted snapshot of every link (copy). Prefer links_view() on hot
-  /// paths — it returns the same sequence without the copy.
+  /// Sorted snapshot of every link (copy). No benchmark trial calls
+  /// it: its users are set-up, tests and SPHINX's opt-in symmetry check.
   [[nodiscard]] std::vector<Link> links() const;
-
-  /// Sorted link list as a const reference, rebuilt lazily and cached
-  /// per topology epoch: repeated calls between mutations are free.
-  /// The reference is invalidated by the next mutation or links_view()
-  /// call after a mutation.
-  [[nodiscard]] const std::vector<Link>& links_view() const;
 
   [[nodiscard]] std::size_t link_count() const { return link_slots_.size(); }
 
@@ -184,10 +178,6 @@ class TopologyGraph {
   std::vector<std::vector<PortRef>> switch_ports_;
 
   std::uint64_t epoch_ = 0;
-
-  // links_view() cache, keyed on epoch_ (~0 = never built).
-  mutable std::vector<Link> links_view_;
-  mutable std::uint64_t links_view_epoch_ = ~std::uint64_t{0};
 
   // BFS scratch, reused across calls: no allocation once the arrays
   // have grown to the switch count.

@@ -669,7 +669,7 @@ TEST(ControllerConfig, RejectsNonPositiveLinkTimeout) {
   EXPECT_TRUE(any_mentions(msgs, "link_timeout"));
 }
 
-// --- Sharded open-addressed host table (host_table.hpp) ---
+// --- Open-addressed host table (host_table.hpp) ---
 
 HostRecord make_rec(std::uint32_t i) {
   HostRecord rec;
@@ -682,8 +682,7 @@ HostRecord make_rec(std::uint32_t i) {
 
 TEST(HostTable, InsertFindGrowAcrossShardDoublings) {
   HostTable table;
-  // Well past the per-shard initial capacity so every shard doubles
-  // several times.
+  // Well past the initial 64 slots, so the table doubles nine times.
   constexpr std::uint32_t kHosts = 20'000;
   for (std::uint32_t i = 0; i < kHosts; ++i) table.insert(make_rec(i));
   EXPECT_EQ(table.size(), kHosts);

@@ -1,9 +1,11 @@
-// Randomized equivalence tests for the algorithmic fast paths.
+// Randomized equivalence tests for the caches and tables on the hot path.
 //
-// Each fast-path structure (epoch-keyed PathCache, dst-MAC-indexed
-// FlowTable, incremental LatencyWindow, DedupRing) is driven with random
-// operation sequences and compared, step by step, against the naive
-// reference it replaces. Seeded Rng, so failures are reproducible.
+// Each structure (epoch-keyed PathCache, incremental LatencyWindow,
+// DedupRing, and the linear FlowTable) is driven with random operation
+// sequences and compared, step by step, against a plain reference. The
+// flow table's reference is the same linear algorithm as src/, written
+// out independently here as the oracle. Seeded Rng, so failures are
+// reproducible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -74,8 +76,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LatencyWindowFuzz,
 
 // ---------------- FlowTable vs linear-scan reference ----------------
 
-/// The original linear-scan flow table, kept verbatim as the semantic
-/// oracle for the indexed implementation.
+/// Linear-scan flow table: the same algorithm as of::FlowTable, kept
+/// here as an independent oracle so a regression in either shows up as
+/// a divergence.
 class LinearFlowTable {
  public:
   void add(of::FlowEntry entry, SimTime now) {
@@ -110,6 +113,21 @@ class LinearFlowTable {
   of::FlowEntry* lookup(const net::Packet& pkt, of::PortNo in_port,
                         SimTime now) {
     for (auto& e : entries_) {
+      if (e.match.matches(pkt, in_port)) {
+        ++e.packet_count;
+        e.byte_count += pkt.wire_size();
+        e.last_matched_at = now;
+        return &e;
+      }
+    }
+    return nullptr;
+  }
+
+  /// The first LLDP-pinned entry, in table order, that matches.
+  of::FlowEntry* lookup_lldp_override(const net::Packet& pkt,
+                                      of::PortNo in_port, SimTime now) {
+    for (auto& e : entries_) {
+      if (e.match.ethertype != net::EtherType::Lldp) continue;
       if (e.match.matches(pkt, in_port)) {
         ++e.packet_count;
         e.byte_count += pkt.wire_size();
@@ -161,7 +179,7 @@ class FlowTableFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FlowTableFuzz, IndexedTableMatchesLinearScan) {
   Rng rng{GetParam()};
-  of::FlowTable indexed;
+  of::FlowTable table;
   LinearFlowTable linear;
   SimTime now = SimTime::zero();
   std::uint64_t next_cookie = 1;
@@ -172,18 +190,33 @@ TEST_P(FlowTableFuzz, IndexedTableMatchesLinearScan) {
     return net::MacAddress::host(
         static_cast<std::uint32_t>(rng.uniform_int(1, 6)));
   };
+  // Some matches pin an ethertype (LLDP, the flow-rule relay's rule, or
+  // IPv4) and some packets are LLDP frames to the LLDP multicast
+  // address, so the override path sees pinned, unpinned and
+  // wrong-ethertype entries against both kinds of frame.
+  const auto random_ethertype = [&] {
+    return rng.uniform_int(0, 1) == 0 ? net::EtherType::Lldp
+                                      : net::EtherType::Ipv4;
+  };
   const auto random_match = [&] {
     of::FlowMatch m;
     if (rng.uniform_int(0, 9) < 8) m.dst_mac = random_mac();
     if (rng.uniform_int(0, 9) < 3) m.src_mac = random_mac();
     if (rng.uniform_int(0, 9) < 2)
       m.in_port = static_cast<of::PortNo>(rng.uniform_int(1, 4));
+    if (rng.uniform_int(0, 9) < 3) m.ethertype = random_ethertype();
     return m;
   };
   const auto random_packet = [&] {
     net::Packet pkt;
     pkt.src_mac = random_mac();
     pkt.dst_mac = random_mac();
+    if (rng.uniform_int(0, 9) < 3) {
+      pkt.ethertype = net::EtherType::Lldp;
+      if (rng.uniform_int(0, 1) == 0) {
+        pkt.dst_mac = net::MacAddress::lldp_multicast();
+      }
+    }
     return pkt;
   };
 
@@ -201,27 +234,35 @@ TEST_P(FlowTableFuzz, IndexedTableMatchesLinearScan) {
         e.idle_timeout = Duration::seconds(rng.uniform_int(1, 5));
       if (rng.uniform_int(0, 3) == 0)
         e.hard_timeout = Duration::seconds(rng.uniform_int(1, 8));
-      indexed.add(e, now);
+      table.add(e, now);
       linear.add(e, now);
     } else if (op < 75) {
       const net::Packet pkt = random_packet();
       const auto in_port = static_cast<of::PortNo>(rng.uniform_int(1, 4));
-      of::FlowEntry* a = indexed.lookup(pkt, in_port, now);
-      of::FlowEntry* b = linear.lookup(pkt, in_port, now);
+      // Half the lookups take the override path (the switch's path for
+      // LLDP frames), with any frame: it must skip every entry that
+      // does not pin LLDP.
+      const bool override_path = op < 50;
+      of::FlowEntry* a =
+          override_path ? table.lookup_lldp_override(pkt, in_port, now)
+                        : table.lookup(pkt, in_port, now);
+      of::FlowEntry* b =
+          override_path ? linear.lookup_lldp_override(pkt, in_port, now)
+                        : linear.lookup(pkt, in_port, now);
       ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
       if (a != nullptr) {
         ASSERT_TRUE(same_entry(*a, *b)) << "step " << step;
       }
     } else if (op < 85) {
       const of::FlowMatch m = random_match();  // DeleteMatching semantics
-      const auto a = indexed.remove_matching(m);
+      const auto a = table.remove_matching(m);
       const auto b = linear.remove_matching(m);
       ASSERT_EQ(a.size(), b.size()) << "step " << step;
       for (std::size_t i = 0; i < a.size(); ++i) {
         ASSERT_TRUE(same_entry(a[i], b[i])) << "step " << step;
       }
     } else {
-      const auto a = indexed.expire(now);
+      const auto a = table.expire(now);
       const auto b = linear.expire(now);
       ASSERT_EQ(a.size(), b.size()) << "step " << step;
       for (std::size_t i = 0; i < a.size(); ++i) {
@@ -230,12 +271,12 @@ TEST_P(FlowTableFuzz, IndexedTableMatchesLinearScan) {
       }
     }
     // Full-state equivalence after every operation.
-    ASSERT_EQ(indexed.entries().size(), linear.entries().size());
-    for (std::size_t i = 0; i < indexed.entries().size(); ++i) {
-      ASSERT_TRUE(same_entry(indexed.entries()[i], linear.entries()[i]))
+    ASSERT_EQ(table.entries().size(), linear.entries().size());
+    for (std::size_t i = 0; i < table.entries().size(); ++i) {
+      ASSERT_TRUE(same_entry(table.entries()[i], linear.entries()[i]))
           << "step " << step << " position " << i;
     }
-    ASSERT_TRUE(indexed.audit().empty()) << "step " << step;
+    ASSERT_TRUE(table.audit().empty()) << "step " << step;
   }
 }
 

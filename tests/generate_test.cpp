@@ -22,13 +22,13 @@ bool same_topology(const GeneratedTopology& a, const GeneratedTopology& b) {
       return false;
     }
   }
-  return a.graph.links_view() == b.graph.links_view();
+  return a.graph.links() == b.graph.links();
 }
 
 // Per-switch fabric degree, counted from the link list.
 std::size_t degree(const GeneratedTopology& t, Dpid d) {
   std::size_t n = 0;
-  for (const Link& l : t.graph.links_view()) {
+  for (const Link& l : t.graph.links()) {
     if (l.a.dpid == d) ++n;
     if (l.b.dpid == d) ++n;
   }
@@ -112,7 +112,7 @@ TEST(LeafSpine, BipartiteFabric) {
   const std::set<Dpid> spines(t.tiers[0].begin(), t.tiers[0].end());
   const std::set<Dpid> leaves(t.tiers[1].begin(), t.tiers[1].end());
   // Every link crosses tiers: no leaf-leaf or spine-spine edges.
-  for (const Link& l : t.graph.links_view()) {
+  for (const Link& l : t.graph.links()) {
     const bool a_spine = spines.contains(l.a.dpid);
     const bool b_spine = spines.contains(l.b.dpid);
     EXPECT_NE(a_spine, b_spine) << "intra-tier link " << l.to_string();

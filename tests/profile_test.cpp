@@ -66,13 +66,21 @@ TEST(ProfileNames, CliNamesMatchAllProfilesOrder) {
 }
 
 TEST(ProfileNames, ExampleParseProfileValue) {
-  // The examples' testable half of --profile=NAME parsing (the _or_die
-  // wrapper adds exit 2, same convention as the bench harness).
-  const auto ok = examples::parse_profile_value("onos");
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_EQ(ok->name, "ONOS");
-  EXPECT_FALSE(examples::parse_profile_value("neutron").has_value());
-  EXPECT_FALSE(examples::parse_profile_value("").has_value());
+  // The examples' --profile flag resolves the CLI name; an unknown or
+  // empty name is an error listing the valid names, which parse_cli
+  // turns into exit 2 (the bench harness shares the flag).
+  const char* argv[] = {"example", "--profile=onos"};
+  const auto args =
+      examples::parse_example_args(2, const_cast<char**>(argv));
+  ASSERT_TRUE(args.profile.has_value());
+  EXPECT_EQ(args.profile->name, "ONOS");
+  std::optional<ctrl::ControllerProfile> out;
+  const scenario::CliFlag flag = scenario::cli_profile(out);
+  EXPECT_EQ(flag.apply("neutron"),
+            "unknown --profile 'neutron' (valid: floodlight pox "
+            "opendaylight onos)");
+  EXPECT_FALSE(out.has_value());
+  EXPECT_FALSE(flag.apply("").empty());
 }
 
 // ---------------- Layout plumbing ----------------

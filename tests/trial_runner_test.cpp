@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/trial_arena.hpp"
 #include "scenario/trial_runner.hpp"
@@ -423,8 +424,8 @@ TEST(TrialRunnerTest, DisablingInvariantCheckerIsResultNeutral) {
 }
 
 // ---------------------------------------------------------------------
-// parse_jobs_value / parse_jobs_arg (satellite: malformed --jobs must
-// be rejected, not silently treated as the hardware default)
+// parse_jobs_value and the --jobs flag (a malformed --jobs must be
+// rejected, not silently treated as the hardware default)
 // ---------------------------------------------------------------------
 
 TEST(ParseJobsTest, AcceptsPlainNonNegativeIntegers) {
@@ -451,12 +452,17 @@ TEST(ParseJobsTest, RejectsMalformedValues) {
 }
 
 TEST(ParseJobsTest, ParsesBothFlagSpellings) {
-  const char* eq_form[] = {"bench", "--jobs=8"};
-  EXPECT_EQ(parse_jobs_arg(2, const_cast<char**>(eq_form)), 8u);
-  const char* sep_form[] = {"bench", "--jobs", "3"};
-  EXPECT_EQ(parse_jobs_arg(3, const_cast<char**>(sep_form)), 3u);
-  const char* absent[] = {"bench", "--trials", "10"};
-  EXPECT_EQ(parse_jobs_arg(3, const_cast<char**>(absent)), 0u);
+  const auto jobs_of = [](std::vector<const char*> argv) {
+    std::size_t jobs = 0;
+    std::size_t trials = 0;
+    parse_cli(static_cast<int>(argv.size()), const_cast<char**>(argv.data()),
+              {cli_count("--jobs", jobs, "0 = hardware default"),
+               cli_count("--trials", trials, "0 = bench default")});
+    return jobs;
+  };
+  EXPECT_EQ(jobs_of({"bench", "--jobs=8"}), 8u);
+  EXPECT_EQ(jobs_of({"bench", "--jobs", "3"}), 3u);
+  EXPECT_EQ(jobs_of({"bench", "--trials", "10"}), 0u);
 }
 
 TEST(TrialRunnerTest, ParallelTrialsActuallyRunOnPoolThreads) {
