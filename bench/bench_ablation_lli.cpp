@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/experiments.hpp"
 #include "stats/latency_window.hpp"
 
@@ -80,7 +81,8 @@ Replay replay(const scenario::LliSeries& series, Policy& policy) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Ablation", "LLI outlier policy: IQR fence vs mean+k*sigma");
 
   scenario::LliExperimentConfig cfg;

@@ -10,6 +10,7 @@
 
 #include "bench_util.hpp"
 #include "defense/topoguard_plus.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/testbed.hpp"
 
 using namespace tmg;
@@ -44,7 +45,8 @@ double reset_rate(sim::Duration hold, int n, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Ablation",
          "Flap hold vs. link-integrity pulse window (16±8 ms)");
 

@@ -12,6 +12,7 @@
 #include "attack/port_amnesia.hpp"
 #include "bench_util.hpp"
 #include "defense/topoguard_plus.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/fig9_testbed.hpp"
 
 using namespace tmg;
@@ -68,7 +69,8 @@ Result run(sim::Duration poll, double tau, bool blackhole) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Ablation", "SPHINX counter checks vs. blackholing fake link");
 
   Table table({"Poll period", "tau", "Transit", "First alert after",

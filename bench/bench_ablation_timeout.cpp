@@ -9,13 +9,15 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "sim/rng.hpp"
 #include "stats/quantile.hpp"
 
 using namespace tmg;
 using namespace tmg::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Ablation", "Probe timeout vs. false-positive rate (RTT N(20,5) ms)");
 
   constexpr double kRttMean = 20.0, kRttSd = 5.0;

@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "defense/active_probe.hpp"
 #include "defense/topoguard_plus.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/fig9_testbed.hpp"
 
 using namespace tmg;
@@ -75,7 +76,8 @@ Outcome run(Stack stack, double channel_ms) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Sec. X", "Passive (TOPOGUARD+) vs. active link verification");
 
   Table table({"Relay channel (one-way, ms)", "TOPOGUARD+ stops it",

@@ -9,6 +9,7 @@
 #include "attack/alert_flood.hpp"
 #include "bench_util.hpp"
 #include "ctrl/host_tracker.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/experiments.hpp"
 
 using namespace tmg;
@@ -81,7 +82,8 @@ FloodResult run_flood(std::size_t identities, sim::Duration window) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Sec. IV-B", "Alert floods: drowning the operator");
 
   Table table({"Spoofed IDs", "Spoof packets", "Migration alerts",

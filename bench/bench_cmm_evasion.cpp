@@ -14,6 +14,7 @@
 #include "attack/port_amnesia.hpp"
 #include "bench_util.hpp"
 #include "defense/topoguard_plus.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/fig9_testbed.hpp"
 
 using namespace tmg;
@@ -64,7 +65,8 @@ Outcome run(bool bidirectional, bool with_lli) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Finding", "Minimal-flap in-band attacker vs. the CMM");
 
   Table table({"Attacker", "Defense", "Flaps", "CMM alerts", "LLI alerts",

@@ -9,6 +9,7 @@
 
 #include "attack/port_amnesia.hpp"
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/fig9_testbed.hpp"
 
 using namespace tmg;
@@ -50,7 +51,8 @@ double mean_fabrication_s(const ctrl::ControllerProfile& profile, int runs) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Table III corollary",
          "Controller profile vs. link-fabrication latency");
 

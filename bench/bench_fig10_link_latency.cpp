@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/experiments.hpp"
 #include "stats/histogram.hpp"
 
@@ -14,7 +15,8 @@ using namespace tmg;
 using namespace tmg::bench;
 using namespace tmg::sim::literals;
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Fig. 10", "The latency of switch internal links");
 
   scenario::LliExperimentConfig cfg;

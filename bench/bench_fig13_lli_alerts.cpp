@@ -7,13 +7,15 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/experiments.hpp"
 
 using namespace tmg;
 using namespace tmg::bench;
 using namespace tmg::sim::literals;
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Fig. 13", "TOPOGUARD+ alerts: anomalous link latencies");
 
   scenario::LliExperimentConfig cfg;

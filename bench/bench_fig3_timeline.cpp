@@ -6,12 +6,14 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/experiments.hpp"
 
 using namespace tmg;
 using namespace tmg::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Fig. 3", "Host location hijacking timeline (not drawn to scale)");
 
   scenario::HijackConfig cfg;

@@ -5,13 +5,15 @@
 
 #include "attack/nic_model.hpp"
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/histogram.hpp"
 
 using namespace tmg;
 using namespace tmg::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Fig. 4", "Distribution of identity-change (ifconfig) time");
 
   sim::Rng rng{42};

@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nEach cell: %zu hijack + %zu link-fabrication trials on a live\n"
-      "generated fabric (full population tracked by the sharded HTS,\n"
+      "generated fabric (full population tracked by the HTS,\n"
       "background flows/ARP churn/mobility on unless 'idle'), streamed\n"
       "through per-worker arenas; byte-identical at any --jobs.\n",
       per_cell, per_cell);

@@ -11,6 +11,7 @@
 
 #include "attack/port_amnesia.hpp"
 #include "bench_util.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/fig9_testbed.hpp"
 #include "stats/descriptive.hpp"
 
@@ -48,7 +49,8 @@ stats::Summary relay_summary(attack::PortAmnesiaAttack::Mode mode,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Sec. V-A", "LLDP relay latency: out-of-band vs. in-band");
 
   using Mode = attack::PortAmnesiaAttack::Mode;

@@ -8,6 +8,7 @@
 
 #include "bench_util.hpp"
 #include "ctrl/link_discovery.hpp"
+#include "scenario/cli.hpp"
 #include "scenario/testbed.hpp"
 
 using namespace tmg;
@@ -62,7 +63,8 @@ Measured measure(const ctrl::ControllerProfile& profile) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  scenario::parse_cli(argc, argv, {});
   banner("Table III", "Link timeout and discovery intervals per controller");
   Table table({"Controller", "Discovery interval (cfg)", "Link timeout (cfg)",
                "Observed emission period", "Dead link removed after"});

@@ -231,14 +231,6 @@ void InvariantChecker::check_pipeline(std::vector<std::string>& out) {
   for (std::string& issue : ctrl_.pipeline().audit()) {
     report(out, "pipeline: " + issue);
   }
-  for (const char* service :
-       {ctrl::kLinkDiscoveryServiceName, ctrl::kHostTrackingServiceName,
-        ctrl::kRoutingServiceName}) {
-    if (!ctrl_.services().has(service)) {
-      report(out, std::string{"registry: core service '"} + service +
-                      "' is not registered");
-    }
-  }
 
   // The chain must match the active profile's slot table: every fixed
   // listener at its layout slot (the verdict gate only when the layout

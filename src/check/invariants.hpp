@@ -27,15 +27,13 @@
 //      incremental order statistics), and any externally registered
 //      audits (the Testbed wires in each switch's flow-table priority
 //      order).
-//   8. Pipeline/registry coherence — the message pipeline's listener
-//      chain is priority-sorted with unique names and sane counters
-//      (delegated to MessagePipeline::audit), the chain matches the
-//      active ControllerProfile's PipelineLayout (fixed listeners at
-//      their slots, the verdict gate only where the layout keeps one,
-//      defense adapters in the band progression with the profile's
-//      subscription mask), and the service registry still exposes the
-//      three core services every listener resolves lazily
-//      (link-discovery, host-tracking, routing).
+//   8. Pipeline coherence — the message pipeline's listener chain is
+//      priority-sorted with unique names and sane counters (delegated
+//      to MessagePipeline::audit), and the chain matches the active
+//      ControllerProfile's PipelineLayout (fixed listeners at their
+//      slots, the verdict gate only where the layout keeps one, defense
+//      adapters in the band progression with the profile's
+//      subscription mask).
 //
 // Violations are raised on the controller's AlertBus as
 // AlertType::InvariantViolation (mirrored into an attached trace) —

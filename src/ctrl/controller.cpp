@@ -146,6 +146,41 @@ class Controller::VerdictGate final : public MessageListener {
 
 namespace {
 
+/// Hands `msg` to the matching typed hook of `module`. A Block verdict
+/// accumulates into the context; every other hook result is Allow.
+void deliver(DefenseModule& module, const PipelineMessage& msg,
+             DispatchContext& ctx) {
+  Verdict v = Verdict::Allow;
+  switch (msg.type) {
+    case MessageType::PacketIn:
+      v = module.on_packet_in(*msg.packet_in);
+      break;
+    case MessageType::PortStatus:
+      module.on_port_status(*msg.port_status);
+      break;
+    case MessageType::FlowStats:
+      module.on_flow_stats(*msg.flow_stats);
+      break;
+    case MessageType::PortStats:
+      module.on_port_stats(*msg.port_stats);
+      break;
+    case MessageType::LldpObservation:
+      v = module.on_lldp_observation(*msg.lldp_observation);
+      break;
+    case MessageType::HostEvent:
+      v = module.on_host_event(*msg.host_event);
+      break;
+    case MessageType::LinkRemoved:
+      module.on_link_removed(*msg.link_removed);
+      break;
+    case MessageType::FlowModOut:
+      module.on_flow_mod(msg.dpid, *msg.flow_mod);
+      break;
+    default: break;
+  }
+  if (v == Verdict::Block) ctx.verdict = Verdict::Block;
+}
+
 /// Adapts a DefenseModule's typed hooks onto the listener interface.
 /// Always returns Continue: defenses influence the dispatch only
 /// through the accumulated context verdict (the gate stops the chain),
@@ -164,41 +199,11 @@ class DefenseListenerAdapter final : public MessageListener {
 
   Disposition on_message(const PipelineMessage& msg,
                          DispatchContext& ctx) override {
-    switch (msg.type) {
-      case MessageType::PacketIn:
-        accumulate(module_.on_packet_in(*msg.packet_in), ctx);
-        break;
-      case MessageType::PortStatus:
-        module_.on_port_status(*msg.port_status);
-        break;
-      case MessageType::FlowStats:
-        module_.on_flow_stats(*msg.flow_stats);
-        break;
-      case MessageType::PortStats:
-        module_.on_port_stats(*msg.port_stats);
-        break;
-      case MessageType::LldpObservation:
-        accumulate(module_.on_lldp_observation(*msg.lldp_observation), ctx);
-        break;
-      case MessageType::HostEvent:
-        accumulate(module_.on_host_event(*msg.host_event), ctx);
-        break;
-      case MessageType::LinkRemoved:
-        module_.on_link_removed(*msg.link_removed);
-        break;
-      case MessageType::FlowModOut:
-        module_.on_flow_mod(msg.dpid, *msg.flow_mod);
-        break;
-      default: break;
-    }
+    deliver(module_, msg, ctx);
     return Disposition::Continue;
   }
 
  private:
-  static void accumulate(Verdict v, DispatchContext& ctx) {
-    if (v == Verdict::Block) ctx.verdict = Verdict::Block;
-  }
-
   DefenseModule& module_;
   std::uint32_t subscriptions_;
 };
@@ -224,36 +229,11 @@ class AnomalyListenerAdapter final : public MessageListener {
   Disposition on_message(const PipelineMessage& msg,
                          DispatchContext& ctx) override {
     DefenseModule* det = c_.anomaly_detector();
-    if (det == nullptr) return Disposition::Continue;
-    switch (msg.type) {
-      case MessageType::PacketIn:
-        accumulate(det->on_packet_in(*msg.packet_in), ctx);
-        break;
-      case MessageType::PortStatus:
-        det->on_port_status(*msg.port_status);
-        break;
-      case MessageType::LldpObservation:
-        accumulate(det->on_lldp_observation(*msg.lldp_observation), ctx);
-        break;
-      case MessageType::HostEvent:
-        accumulate(det->on_host_event(*msg.host_event), ctx);
-        break;
-      case MessageType::LinkRemoved:
-        det->on_link_removed(*msg.link_removed);
-        break;
-      case MessageType::FlowModOut:
-        det->on_flow_mod(msg.dpid, *msg.flow_mod);
-        break;
-      default: break;
-    }
+    if (det != nullptr) deliver(*det, msg, ctx);
     return Disposition::Continue;
   }
 
  private:
-  static void accumulate(Verdict v, DispatchContext& ctx) {
-    if (v == Verdict::Block) ctx.verdict = Verdict::Block;
-  }
-
   const Controller& c_;
 };
 
@@ -270,10 +250,6 @@ Controller::Controller(sim::EventLoop& loop, sim::Rng rng,
   links_ = std::make_unique<LinkDiscoveryService>(*this);
   hosts_ = std::make_unique<HostTrackingService>(*this);
   routing_ = std::make_unique<RoutingService>(*this);
-
-  services_.provide(kLinkDiscoveryServiceName, links_.get());
-  services_.provide(kHostTrackingServiceName, hosts_.get());
-  services_.provide(kRoutingServiceName, routing_.get());
 
   // The chain is assembled from the profile's slot table; a negative
   // slot omits that listener (OpenDaylight runs without a verdict gate).

@@ -1,15 +1,14 @@
 // SDN controller core.
 //
-// The controller is a thin host for two pieces of machinery (DESIGN.md
-// §9): the MessagePipeline — an ordered, observable chain of
-// MessageListeners through which every switch-originated message and
-// every controller-derived event flows — and the ServiceRegistry, where
-// the Floodlight-style services the paper's attacks target (link
-// discovery, host tracking, reactive routing) and the installed defense
-// modules publish themselves for cross-module lookup. The controller
-// also tracks per-switch control-link RTT (average of the latest three
-// echo exchanges), which TOPOGUARD+'s LLI subtracts from LLDP
-// propagation time (paper Sec. VI-D).
+// The controller hosts the MessagePipeline (DESIGN.md §9) — an
+// ordered, observable chain of MessageListeners through which every
+// switch-originated message and every controller-derived event flows —
+// and owns the Floodlight-style services the paper's attacks target
+// (link discovery, host tracking, reactive routing) and the installed
+// defense modules; peers reach them through its typed accessors. The
+// controller also tracks per-switch control-link RTT (average of the
+// latest three echo exchanges), which TOPOGUARD+'s LLI subtracts from
+// LLDP propagation time (paper Sec. VI-D).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +25,6 @@
 #include "ctrl/defense_module.hpp"
 #include "ctrl/message_pipeline.hpp"
 #include "ctrl/profiles.hpp"
-#include "ctrl/service_registry.hpp"
 #include "of/control_channel.hpp"
 #include "of/messages.hpp"
 #include "sim/event_loop.hpp"
@@ -140,11 +138,9 @@ class Controller {
   [[nodiscard]] const std::vector<of::PortNo>& switch_ports(
       of::Dpid dpid) const;
 
-  // --- Pipeline & registry ---
+  // --- Pipeline ---
   [[nodiscard]] MessagePipeline& pipeline() { return pipeline_; }
   [[nodiscard]] const MessagePipeline& pipeline() const { return pipeline_; }
-  [[nodiscard]] ServiceRegistry& services() { return services_; }
-  [[nodiscard]] const ServiceRegistry& services() const { return services_; }
   /// Per-listener dispatch/stop/wall-time counters, in chain order
   /// (surfaced by the --pipeline-stats flag in examples and benches).
   [[nodiscard]] std::vector<MessagePipeline::ListenerStats> pipeline_stats()
@@ -236,7 +232,6 @@ class Controller {
   AlertBus alerts_;
   topo::TopologyGraph topology_;
   MessagePipeline pipeline_;
-  ServiceRegistry services_;
   std::map<of::Dpid, SwitchConn> switches_;
   std::vector<std::unique_ptr<DefenseModule>> modules_;
   std::unique_ptr<LinkDiscoveryService> links_;

@@ -21,13 +21,6 @@ Disposition HostTrackingService::on_message(const PipelineMessage& msg,
   return Disposition::Continue;
 }
 
-RoutingService& HostTrackingService::routing_service() {
-  if (routing_ == nullptr) {
-    routing_ = &ctrl_.services().require<RoutingService>(kRoutingServiceName);
-  }
-  return *routing_;
-}
-
 net::Ipv4Address HostTrackingService::source_ip_of(const net::Packet& pkt) {
   if (const auto* arp = pkt.arp()) return arp->sender_ip;
   if (pkt.ip) return pkt.ip->src;
@@ -144,7 +137,7 @@ void HostTrackingService::commit_move(HostRecord& rec, of::Location new_loc,
   rec.last_seen = now;
   if (ip != net::Ipv4Address::any()) rec.ip = ip;
   ++migrations_;
-  routing_service().on_host_moved(ev);
+  ctrl_.routing().on_host_moved(ev);
 }
 
 std::optional<HostRecord> HostTrackingService::find(

@@ -24,7 +24,6 @@
 namespace tmg::ctrl {
 
 class Controller;
-class RoutingService;
 
 class HostTrackingService final : public MessageListener {
  public:
@@ -83,9 +82,6 @@ class HostTrackingService final : public MessageListener {
   };
 
   static net::Ipv4Address source_ip_of(const net::Packet& pkt);
-  /// Peer service, resolved through the registry on first use (the
-  /// registry is populated after the services are constructed).
-  [[nodiscard]] RoutingService& routing_service();
   /// Probe resolution: a reachable old location rejects the move; an
   /// unanswered probe dispatches the Moved event and commits.
   void finish_move(net::MacAddress mac, bool old_loc_reachable);
@@ -94,7 +90,6 @@ class HostTrackingService final : public MessageListener {
                    net::Ipv4Address ip);
 
   Controller& ctrl_;
-  RoutingService* routing_ = nullptr;  // lazily cached registry lookup
   HostTable hosts_;
   // std::map for deterministic iteration/erasure order across trials.
   std::map<net::MacAddress, PendingMove> pending_moves_;

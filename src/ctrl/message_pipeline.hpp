@@ -127,6 +127,12 @@ struct DispatchContext {
   const char* stopped_by = nullptr;
 };
 
+/// Listener names of the controller-core services. --pipeline-stats
+/// prints them, and per-listener dispatch metrics are named from them.
+inline constexpr const char* kLinkDiscoveryServiceName = "link-discovery";
+inline constexpr const char* kHostTrackingServiceName = "host-tracking";
+inline constexpr const char* kRoutingServiceName = "routing";
+
 class MessageListener {
  public:
   virtual ~MessageListener() = default;

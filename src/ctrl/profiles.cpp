@@ -5,9 +5,7 @@ namespace tmg::ctrl {
 using sim::Duration;
 
 // Each profile is built by explicit member assignment (not aggregate
-// init) so the non-default pipeline knobs read as data — and so the
-// tmglint pipeline pass can harvest the per-profile layout overrides
-// (`p.layout.<slot> = <value>;`) statically.
+// init) so the non-default pipeline knobs read as data.
 
 ControllerProfile floodlight_profile() {
   ControllerProfile p;

@@ -30,14 +30,6 @@ Disposition RoutingService::on_message(const PipelineMessage& msg,
   return Disposition::Continue;
 }
 
-const HostTrackingService& RoutingService::host_tracking() {
-  if (hosts_ == nullptr) {
-    hosts_ = &ctrl_.services().require<HostTrackingService>(
-        kHostTrackingServiceName);
-  }
-  return *hosts_;
-}
-
 void RoutingService::handle_packet_in(const of::PacketIn& pi,
                                       std::uint32_t switch_index) {
   const net::Packet& pkt = pi.packet;
@@ -51,7 +43,7 @@ void RoutingService::handle_packet_in(const of::PacketIn& pi,
     return;
   }
 
-  const auto dst = host_tracking().find(pkt.dst_mac);
+  const auto dst = ctrl_.host_tracker().find(pkt.dst_mac);
   if (!dst) {
     flood(pi, switch_index);
     return;

@@ -18,7 +18,6 @@
 namespace tmg::ctrl {
 
 class Controller;
-class HostTrackingService;
 
 class RoutingService final : public MessageListener {
  public:
@@ -58,12 +57,8 @@ class RoutingService final : public MessageListener {
   /// Install per-hop rules toward dst and forward the packet. Returns
   /// false if no path exists.
   bool route(const of::PacketIn& pi, const of::Location& dst_loc);
-  /// Peer service, resolved through the registry on first use (the
-  /// registry is populated after the services are constructed).
-  [[nodiscard]] const HostTrackingService& host_tracking();
 
   Controller& ctrl_;
-  const HostTrackingService* hosts_ = nullptr;  // lazily cached lookup
   /// All shortest-path queries go through the epoch-keyed cache; any
   /// topology mutation (including a fabricated link) invalidates it.
   topo::PathCache path_cache_;

@@ -191,7 +191,6 @@ ActiveLinkVerifier& install_active_probe(ctrl::Controller& ctrl,
   auto module = std::make_unique<ActiveLinkVerifier>(ctrl, config);
   ActiveLinkVerifier& ref = *module;
   ctrl.add_defense(std::move(module));
-  ctrl.services().offer("ActiveProbe", &ref);
   return ref;
 }
 

@@ -14,14 +14,6 @@ DynamicArpInspection::DynamicArpInspection(ctrl::Controller& ctrl,
                                            ArpInspectionConfig config)
     : ctrl_{ctrl}, config_{config} {}
 
-const ctrl::HostTrackingService& DynamicArpInspection::host_tracking() {
-  if (hosts_ == nullptr) {
-    hosts_ = &ctrl_.services().require<ctrl::HostTrackingService>(
-        ctrl::kHostTrackingServiceName);
-  }
-  return *hosts_;
-}
-
 void DynamicArpInspection::deploy() {
   if (deployed_) return;
   deployed_ = true;
@@ -43,7 +35,7 @@ Verdict DynamicArpInspection::on_packet_in(const of::PacketIn& pi) {
 
   // Validate the claimed sender binding against the HTS view: an IP
   // already bound to a different MAC is being spoofed.
-  const auto known = host_tracking().find_by_ip(arp->sender_ip);
+  const auto known = ctrl_.host_tracker().find_by_ip(arp->sender_ip);
   const bool violation = known.has_value() && known->mac != arp->sender_mac;
   if (!violation) return Verdict::Allow;
 
@@ -62,7 +54,6 @@ DynamicArpInspection& install_arp_inspection(ctrl::Controller& ctrl,
   auto module = std::make_unique<DynamicArpInspection>(ctrl, config);
   DynamicArpInspection& ref = *module;
   ctrl.add_defense(std::move(module));
-  ctrl.services().offer("DAI", &ref);
   return ref;
 }
 

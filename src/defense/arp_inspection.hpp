@@ -40,12 +40,7 @@ class DynamicArpInspection : public ctrl::DefenseModule {
   [[nodiscard]] std::uint64_t violations() const { return violations_; }
 
  private:
-  /// HTS binding view, resolved through the service registry (defenses
-  /// never reach peer services through Controller accessors).
-  [[nodiscard]] const ctrl::HostTrackingService& host_tracking();
-
   ctrl::Controller& ctrl_;
-  const ctrl::HostTrackingService* hosts_ = nullptr;  // cached lookup
   ArpInspectionConfig config_;
   std::uint64_t inspected_ = 0;
   std::uint64_t violations_ = 0;

@@ -74,7 +74,6 @@ SecureBinding& install_secure_binding(ctrl::Controller& ctrl,
   auto module = std::make_unique<SecureBinding>(ctrl, std::move(config));
   SecureBinding& ref = *module;
   ctrl.add_defense(std::move(module));
-  ctrl.services().offer("SecureBinding", &ref);
   return ref;
 }
 

@@ -13,11 +13,9 @@ TopoGuardPlus install_topoguard_plus(ctrl::Controller& ctrl,
   auto cmm = std::make_unique<Cmm>(ctrl, config.cmm);
   handles.cmm = cmm.get();
   ctrl.add_defense(std::move(cmm));
-  ctrl.services().offer("CMM", handles.cmm);
   auto lli = std::make_unique<Lli>(ctrl, config.lli);
   handles.lli = lli.get();
   ctrl.add_defense(std::move(lli));
-  ctrl.services().offer("LLI", handles.lli);
   return handles;
 }
 
@@ -25,9 +23,6 @@ TopoGuard& install_topoguard(ctrl::Controller& ctrl, TopoGuardConfig config) {
   auto tg = std::make_unique<TopoGuard>(ctrl, config);
   TopoGuard& ref = *tg;
   ctrl.add_defense(std::move(tg));
-  // Published so peers (e.g. the invariant checker's port-profile watch)
-  // resolve the typed handle without Controller friend-access.
-  ctrl.services().offer("TopoGuard", &ref);
   return ref;
 }
 
@@ -35,7 +30,6 @@ Sphinx& install_sphinx(ctrl::Controller& ctrl, SphinxConfig config) {
   auto sphinx = std::make_unique<Sphinx>(ctrl, config);
   Sphinx& ref = *sphinx;
   ctrl.add_defense(std::move(sphinx));
-  ctrl.services().offer("SPHINX", &ref);
   ref.start();
   return ref;
 }

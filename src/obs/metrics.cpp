@@ -4,35 +4,11 @@
 #include <cstdio>
 
 #include "check/assert.hpp"
+#include "obs/trace_log.hpp"
 
 namespace tmg::obs {
 
 namespace {
-
-/// Escape a metric name for embedding in a JSON string. Names are
-/// restricted by valid_name(), but the escaper keeps the exporter safe
-/// even for values that bypassed registration.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void append_f(std::string& out, const char* fmt, ...) {
   char buf[512];

@@ -4,8 +4,6 @@
 
 namespace tmg::obs {
 
-namespace {
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -27,6 +25,8 @@ std::string json_escape(const std::string& s) {
   }
   return out;
 }
+
+namespace {
 
 void append_args(
     std::string& out,

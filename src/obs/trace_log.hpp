@@ -28,6 +28,10 @@ namespace tmg::obs {
 /// Trace record id; 0 is the null id (dropped record or "no parent").
 using SpanId = std::uint64_t;
 
+/// `s` escaped for the inside of a JSON string literal; the trace and
+/// metrics exports both write through it.
+[[nodiscard]] std::string json_escape(const std::string& s);
+
 class TraceLog {
  public:
   /// Record cap: once reached, new records are dropped (counted in

@@ -16,6 +16,7 @@ namespace {
   for (const CliFlag& f : flags) {
     valid += " " + f.name + (f.value.empty() ? "" : " " + f.value);
   }
+  if (flags.empty()) valid = " (none)";
   std::fprintf(stderr, "error: %s\nvalid flags:%s\n", message.c_str(),
                valid.c_str());
   std::exit(2);

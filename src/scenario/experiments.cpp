@@ -105,11 +105,9 @@ DefenseHandles install_suite(ctrl::Controller& ctrl, DefenseSuite suite,
       auto cmm = std::make_unique<defense::Cmm>(ctrl, plus_cfg.cmm);
       handles.cmm = cmm.get();
       ctrl.add_defense(std::move(cmm));
-      ctrl.services().offer("CMM", handles.cmm);
       auto lli = std::make_unique<defense::Lli>(ctrl, plus_cfg.lli);
       handles.lli = lli.get();
       ctrl.add_defense(std::move(lli));
-      ctrl.services().offer("LLI", handles.lli);
       break;
     }
   }

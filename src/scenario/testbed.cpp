@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "defense/topoguard.hpp"
 #include "obs/observability.hpp"
 
 namespace tmg::scenario {
@@ -47,10 +48,10 @@ check::InvariantChecker& Testbed::enable_invariant_checker(
                           [sw] { return sw->flow_table().audit(); });
     }
   }
-  // No explicit handle: fall back to the service registry, where the
-  // TopoGuard installer publishes itself.
-  if (!topoguard) {
-    topoguard = controller_->services().find<defense::TopoGuard>("TopoGuard");
+  // No explicit handle: watch the first installed TopoGuard.
+  for (const auto& module : controller_->defense_modules()) {
+    if (topoguard) break;
+    topoguard = dynamic_cast<const defense::TopoGuard*>(module.get());
   }
   if (topoguard) checker_->watch_topoguard(*topoguard);
   return *checker_;

@@ -1,20 +1,27 @@
-// Tests for the message pipeline and service registry (DESIGN.md §9):
-// deterministic chain ordering, Stop semantics, verdict accumulation,
-// enable/disable, per-listener stats, and registry lookups — plus
-// end-to-end determinism of the stacked-defense suite across repeated
-// runs and worker counts.
+// Tests for the message pipeline (DESIGN.md §9): deterministic chain
+// ordering, Stop semantics, verdict accumulation, enable/disable,
+// per-listener stats, and each profile's live chain against its golden
+// in tests/golden/ — plus end-to-end determinism of the stacked-defense
+// suite across repeated runs and worker counts.
+//
+// TMG_SOURCE_ROOT is a compile definition set in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "check/assert.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/message_pipeline.hpp"
-#include "ctrl/service_registry.hpp"
+#include "ctrl/profiles.hpp"
+#include "defense/sphinx.hpp"
+#include "defense/topoguard.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/trial_runner.hpp"
 
@@ -184,57 +191,6 @@ TEST(MessagePipeline, DisabledListenersAreSkippedButKeepTheirSlot) {
 }
 
 // ---------------------------------------------------------------------
-// Service registry
-// ---------------------------------------------------------------------
-
-TEST(ServiceRegistry, ProvideFindRequireRoundTrip) {
-  ServiceRegistry reg;
-  int service = 42;
-  reg.provide("answer", &service);
-  EXPECT_TRUE(reg.has("answer"));
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_EQ(reg.find<int>("answer"), &service);
-  EXPECT_EQ(&reg.require<int>("answer"), &service);
-  EXPECT_EQ(reg.find<int>("missing"), nullptr);
-  const std::vector<std::string> expected = {"answer"};
-  EXPECT_EQ(reg.names(), expected);
-}
-
-TEST(ServiceRegistry, OfferIsFirstWins) {
-  ServiceRegistry reg;
-  int first = 1;
-  int second = 2;
-  reg.offer("svc", &first);
-  reg.offer("svc", &second);  // no-op, no assertion
-  EXPECT_EQ(reg.find<int>("svc"), &first);
-  EXPECT_EQ(reg.size(), 1u);
-}
-
-TEST(ServiceRegistry, DuplicateProvideFailsTheAssertion) {
-  ServiceRegistry reg;
-  int service = 1;
-  reg.provide("svc", &service);
-  int failures = 0;
-  check::FailureHandler previous = check::set_failure_handler(
-      [&](const char*, int, const char*, const std::string&) { ++failures; });
-  reg.provide("svc", &service);
-  check::set_failure_handler(std::move(previous));
-  EXPECT_GT(failures, 0);
-}
-
-TEST(ServiceRegistry, TypeMismatchFailsTheAssertion) {
-  ServiceRegistry reg;
-  int service = 1;
-  reg.provide("svc", &service);
-  int failures = 0;
-  check::FailureHandler previous = check::set_failure_handler(
-      [&](const char*, int, const char*, const std::string&) { ++failures; });
-  (void)reg.find<double>("svc");
-  check::set_failure_handler(std::move(previous));
-  EXPECT_GT(failures, 0);
-}
-
-// ---------------------------------------------------------------------
 // Controller wiring
 // ---------------------------------------------------------------------
 
@@ -257,11 +213,71 @@ TEST(ControllerPipeline, CoreChainUsesTheProfileLayout) {
   EXPECT_EQ(stats[5].name, kRoutingServiceName);
   EXPECT_EQ(stats[5].priority, layout.routing);
   EXPECT_TRUE(ctrl.pipeline().audit().empty());
+}
 
-  // The three core services are registered under their canonical names.
-  EXPECT_TRUE(ctrl.services().has(kLinkDiscoveryServiceName));
-  EXPECT_TRUE(ctrl.services().has(kHostTrackingServiceName));
-  EXPECT_TRUE(ctrl.services().has(kRoutingServiceName));
+/// One `<priority> <name> <subs>` line per listener in chain order;
+/// <subs> names each subscribed MessageType, in bit order, joined by |.
+std::string render_chain(
+    const std::vector<MessagePipeline::ListenerStats>& stats) {
+  std::string out;
+  for (const auto& s : stats) {
+    std::string subs;
+    for (int bit = 0; bit < 32; ++bit) {
+      const std::uint32_t type = 1u << bit;
+      if ((s.subscriptions & type) == 0) continue;
+      if (!subs.empty()) subs += '|';
+      subs += to_string(static_cast<MessageType>(type));
+    }
+    out += std::to_string(s.priority) + " " + s.name + " " + subs + "\n";
+  }
+  return out;
+}
+
+// The controller's wiring contract: each profile's live chain, with
+// TopoGuard and SPHINX installed so the defense band shows its base and
+// its step, equals tests/golden/pipeline_<profile>.txt byte for byte.
+// After a deliberate wiring change, paste the printed chain into the
+// golden.
+TEST(ControllerPipeline, ChainMatchesGoldenPerProfile) {
+  const std::filesystem::path golden_dir =
+      std::filesystem::path{TMG_SOURCE_ROOT} / "tests" / "golden";
+  std::set<std::string> expected_files;
+  for (const std::string& key : profile_cli_names()) {
+    SCOPED_TRACE("profile " + key);
+    sim::EventLoop loop;
+    ControllerConfig config;
+    config.profile = *profile_by_name(key);
+    Controller ctrl{loop, sim::Rng{1}, config};
+    ctrl.add_defense(std::make_unique<defense::TopoGuard>(ctrl));
+    ctrl.add_defense(std::make_unique<defense::Sphinx>(ctrl));
+    const auto stats = ctrl.pipeline().stats();
+
+    for (std::size_t i = 1; i < stats.size(); ++i) {
+      EXPECT_LT(stats[i - 1].priority, stats[i].priority)
+          << stats[i - 1].name << " and " << stats[i].name
+          << " do not have strictly increasing priorities";
+    }
+
+    const std::string file = "pipeline_" + key + ".txt";
+    expected_files.insert(file);
+    std::ifstream in(golden_dir / file);
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    const std::string rendered = render_chain(stats);
+    EXPECT_EQ(rendered, golden.str())
+        << "tests/golden/" << file << " does not match; the live chain is:\n"
+        << rendered;
+  }
+
+  // Exactly one golden per profile: none missing, none stale.
+  std::set<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(golden_dir)) {
+    const std::string file = entry.path().filename().string();
+    if (file.starts_with("pipeline_") && file.ends_with(".txt")) {
+      found.insert(file);
+    }
+  }
+  EXPECT_EQ(found, expected_files);
 }
 
 // ---------------------------------------------------------------------

@@ -34,24 +34,13 @@ void run_suppression_audit(const SourceTree& tree,
   }
 }
 
-AnalysisResult analyze(const Options& opts) {
-  AnalysisResult result;
+std::vector<Finding> analyze(const Options& opts) {
+  std::vector<Finding> findings;
   const SourceTree tree = load_source_tree(opts.root);
 
-  if (wants(opts, Pass::Determinism)) {
-    run_determinism_pass(tree, result.findings);
-  }
-  if (wants(opts, Pass::Lifetime)) {
-    run_lifetime_pass(tree, result.findings);
-  }
-  if (wants(opts, Pass::Layering)) {
-    run_layering_pass(tree, result.findings);
-  }
-  if (wants(opts, Pass::Pipeline)) {
-    result.extracted =
-        run_pipeline_pass(tree, opts.skip_spec_diff, result.findings);
-    result.pipeline_ran = true;
-  }
+  if (wants(opts, Pass::Determinism)) run_determinism_pass(tree, findings);
+  if (wants(opts, Pass::Lifetime)) run_lifetime_pass(tree, findings);
+  if (wants(opts, Pass::Layering)) run_layering_pass(tree, findings);
 
   // The audit needs every suppressable pass to have run, else a
   // directive for the skipped pass would be misreported as stale.
@@ -59,10 +48,10 @@ AnalysisResult analyze(const Options& opts) {
       opts.audit_override == 1 ||
       (opts.audit_override == -1 && wants(opts, Pass::Determinism) &&
        wants(opts, Pass::Lifetime));
-  if (audit) run_suppression_audit(tree, result.findings);
+  if (audit) run_suppression_audit(tree, findings);
 
-  sort_findings(result.findings);
-  return result;
+  sort_findings(findings);
+  return findings;
 }
 
 }  // namespace tmg::tmglint

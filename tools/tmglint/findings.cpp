@@ -26,9 +26,9 @@ std::string render_report(const std::vector<Finding>& findings) {
         << f.message << "\n";
   }
   out << "\nIf an occurrence is genuinely safe, annotate it with\n"
-         "// tmglint: allow(<rule>) <reason> — layering, include-cycle,\n"
-         "and pipeline-wiring findings are architectural and cannot be\n"
-         "suppressed (fix the code or the spec).\n";
+         "// tmglint: allow(<rule>) <reason> — layering and include-cycle\n"
+         "findings are architectural and cannot be suppressed (fix the\n"
+         "code).\n";
   return out.str();
 }
 

@@ -1,16 +1,15 @@
 // tmglint: lightweight declaration/statement matching over the token
 // stream. These helpers are the middle layer between the lexer and the
 // passes: balanced-delimiter scanning, argument splitting, callable
-// (function/lambda body) segmentation, and the declaration harvesters
-// the pipeline pass uses to resolve constants, members, and listener
-// classes across files.
+// (function/lambda body) segmentation, member-access chains, and the
+// unordered-container member harvester.
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "token.hpp"
@@ -66,36 +65,7 @@ enclosing_callable(
 [[nodiscard]] std::string receiver_anchor(const std::vector<Token>& t,
                                           std::size_t method);
 
-// --- declaration harvesting (pipeline pass) -----------------------------
-
-/// `inline constexpr const char* kFoo = "bar";` style string constants.
-[[nodiscard]] std::map<std::string, std::string> harvest_string_constants(
-    const std::vector<Token>& t);
-
-/// A class/struct declaration with a body, plus what the pipeline pass
-/// needs from it: base names, the literal its `name()` returns (or the
-/// constant it returns by name), and the MessageType identifiers its
-/// `subscriptions()` body mentions.
-struct ClassInfo {
-  std::string name;
-  int line = 0;
-  std::vector<std::string> bases;       // unqualified base names
-  std::string name_literal;             // `return "x";`
-  std::string name_constant;            // `return kX;`
-  bool name_dynamic = false;            // returns something else
-  bool has_name_method = false;
-  std::set<std::string> subscriptions;  // MessageType::X identifiers
-};
-
-/// Harvest class declarations and their name()/subscriptions() bodies,
-/// including out-of-class `T Class::name() const { ... }` definitions
-/// appearing in the same token stream.
-[[nodiscard]] std::vector<ClassInfo> harvest_classes(
-    const std::vector<Token>& t);
-
-/// `std::unique_ptr<Type> member_;` declarations: member name -> Type.
-[[nodiscard]] std::map<std::string, std::string> harvest_unique_ptr_members(
-    const std::vector<Token>& t);
+// --- declaration harvesting ---------------------------------------------
 
 /// Names of members declared as `unordered_map<...> m_;` or
 /// `unordered_set<...> s_;` (the unordered-iter rule's universe).

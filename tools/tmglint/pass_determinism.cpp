@@ -1,4 +1,4 @@
-// Determinism rules: the nine bans that keep every run bit-reproducible
+// Determinism rules: the eight bans that keep every run bit-reproducible
 // (DESIGN.md §6, §11b), matched on the token stream, so a banned
 // identifier inside a comment, string literal, or raw string can never
 // trigger — or mask — a finding. Scope: every src/ file except the
@@ -209,22 +209,6 @@ void rule_shared_rng(const SourceFile& f, std::vector<RawFinding>& out) {
   }
 }
 
-// rule registry-bypass: inside src/ctrl and src/defense, peer modules
-// must be resolved through the ServiceRegistry, not the Controller
-// accessors (DESIGN.md §9).
-void rule_registry_bypass(const SourceFile& f, std::vector<RawFinding>& out) {
-  if (!f.in_module("ctrl") && !f.in_module("defense")) return;
-  const auto& t = f.tokens;
-  for (std::size_t i = 0; i + 3 < t.size(); ++i) {
-    if (!is_ident(t[i], "ctrl_") || !is_punct(t[i + 1], ".")) continue;
-    if ((is_ident(t[i + 2], "host_tracker") || is_ident(t[i + 2], "routing") ||
-         is_ident(t[i + 2], "link_discovery")) &&
-        is_punct(t[i + 3], "(")) {
-      out.push_back({"registry-bypass", t[i].line});
-    }
-  }
-}
-
 // rule unordered-iter: range-for directly over an unordered_{map,set}
 // member (declared in this file or its header/impl sibling).
 void rule_unordered_iter(const SourceFile& f, const SourceFile* sibling,
@@ -312,7 +296,6 @@ void run_determinism_pass(const SourceTree& tree,
     rule_pointer_key(f, raw);
     rule_threading(f, raw);
     rule_shared_rng(f, raw);
-    rule_registry_bypass(f, raw);
     rule_unordered_iter(f, sibling, raw);
     rule_cache_coherence(f, sibling, raw);
 

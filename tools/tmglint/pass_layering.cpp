@@ -18,7 +18,7 @@
 // A file may include its own module and any strictly lower rank.
 // Same-rank peers (defense/ids/attack) may not include each other:
 // cross-module defense coordination goes through the pipeline and the
-// ServiceRegistry, not headers. On top of the rank rules the pass
+// Controller, not headers. On top of the rank rules the pass
 // rejects any cycle in the file-level include graph, so a future
 // same-rank exception can never quietly become circular.
 //

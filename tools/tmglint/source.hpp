@@ -43,7 +43,6 @@ struct SourceFile {
   std::vector<IncludeDirective> includes;
   Suppressions suppressions;
 
-  [[nodiscard]] bool in_module(const char* m) const { return module == m; }
   /// Whitespace-trimmed source line (1-based), for finding messages.
   [[nodiscard]] std::string excerpt(int line) const;
 };

@@ -13,8 +13,7 @@
 //
 // Output goes to stdout unless --out is given. Deterministic: the same
 // inputs in the same order yield a byte-identical profile. Exit 2 on a
-// malformed trace or unreadable file. tools/train_profile.py wraps
-// this binary (and can run the exporting bench first).
+// malformed trace or unreadable file.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
