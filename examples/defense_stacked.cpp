@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   examples::apply_modules(ctrl, args);
 
   std::printf("Pipeline chain (priority order):\n");
-  for (const auto& s : ctrl.pipeline_stats()) {
+  for (const auto& s : ctrl.pipeline().stats()) {
     std::printf("  %4d  %-16s %s\n", s.priority, s.name.c_str(),
                 s.enabled ? "enabled" : "disabled");
   }

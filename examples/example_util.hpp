@@ -24,8 +24,9 @@
 //                      span/instant trace (JSONL) to FILE.
 //   --profile=NAME     run under that controller pipeline profile
 //                      (floodlight / pox / opendaylight / onos —
-//                      layout, dispatch discipline, timers, and
-//                      migration policy all follow the profile).
+//                      Table III timers, dispatch discipline with its
+//                      verdict gate, migration policy, and
+//                      event-triggered probing all follow the profile).
 //   --jobs N           worker threads for examples that run independent
 //                      trials (0 = hardware default); output is the
 //                      same for every N.
@@ -118,7 +119,7 @@ inline void apply_profile_flag(scenario::TestbedOptions& opts,
 inline void apply_modules(ctrl::Controller& ctrl, const ExampleArgs& args) {
   if (args.list_modules) {
     std::printf("\n[--modules] pipeline chain (priority order):\n");
-    for (const auto& s : ctrl.pipeline_stats()) {
+    for (const auto& s : ctrl.pipeline().stats()) {
       std::printf("  %4d  %-16s %s\n", s.priority, s.name.c_str(),
                   s.enabled ? "enabled" : "disabled");
     }
@@ -156,7 +157,7 @@ inline void print_pipeline_stats(
 
 inline void print_pipeline_stats(const ctrl::Controller& ctrl,
                                  const ExampleArgs& args) {
-  print_pipeline_stats(ctrl.pipeline_stats(), args);
+  print_pipeline_stats(ctrl.pipeline().stats(), args);
 }
 
 /// Examples that delegate to the experiment drivers never own the

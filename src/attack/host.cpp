@@ -5,6 +5,15 @@
 
 namespace tmg::attack {
 
+namespace {
+/// Host-stack processing delay before an auto-response.
+constexpr sim::Duration kReplyDelay = sim::Duration::micros(100);
+/// How long a packet may wait on ARP resolution before being dropped.
+constexpr sim::Duration kResolveTimeout = sim::Duration::seconds(1);
+/// Delay from link-up to the authentication exchange.
+constexpr sim::Duration kAuthDelay = sim::Duration::millis(5);
+}  // namespace
+
 Host::Host(sim::EventLoop& loop, sim::Rng rng, HostConfig config)
     : loop_{loop}, rng_{std::move(rng)}, config_{std::move(config)} {}
 
@@ -22,7 +31,7 @@ void Host::attach_link(of::DataLink& link, of::Side side) {
 
 void Host::maybe_authenticate() {
   if (config_.auth_token == 0) return;
-  loop_.post_after(config_.auth_delay, [this] {
+  loop_.post_after(kAuthDelay, [this] {
     if (!up_ || !link_) return;
     send(net::make_auth_frame(config_.mac, config_.ip, config_.auth_token));
   });
@@ -98,17 +107,15 @@ void Host::send_raw(net::MacAddress dst_mac, net::Ipv4Address dst_ip,
 }
 
 void Host::reply_later(net::Packet pkt) {
-  loop_.post_after(config_.reply_delay,
-                       [this, pkt = std::move(pkt)]() mutable {
-                         send(std::move(pkt));
-                       });
+  loop_.post_after(kReplyDelay, [this, pkt = std::move(pkt)]() mutable {
+    send(std::move(pkt));
+  });
 }
 
 void Host::reply_later_resolved(net::Ipv4Address dst_ip, net::Packet pkt) {
-  loop_.post_after(config_.reply_delay,
-                       [this, dst_ip, pkt = std::move(pkt)]() mutable {
-                         send_resolved(dst_ip, std::move(pkt));
-                       });
+  loop_.post_after(kReplyDelay, [this, dst_ip, pkt = std::move(pkt)]() mutable {
+    send_resolved(dst_ip, std::move(pkt));
+  });
 }
 
 std::optional<net::MacAddress> Host::arp_lookup(net::Ipv4Address ip) const {
@@ -128,7 +135,7 @@ void Host::send_resolved(net::Ipv4Address dst_ip, net::Packet pkt) {
   if (!inserted) return;  // resolution already in flight
   send_arp_request(dst_ip);
   it->second.timeout =
-      loop_.schedule_after(config_.resolve_timeout, [this, dst_ip] {
+      loop_.schedule_after(kResolveTimeout, [this, dst_ip] {
         pending_arp_.erase(dst_ip);  // unresolved: drop the queue
       });
 }
@@ -165,7 +172,7 @@ void Host::auto_respond(const net::Packet& pkt) {
   // bindings), and answer requests for our IP.
   if (const auto* arp = pkt.arp()) {
     learn_arp(*arp);
-    if (config_.reply_arp && arp->op == net::ArpPayload::Op::Request &&
+    if (arp->op == net::ArpPayload::Op::Request &&
         arp->target_ip == config_.ip) {
       reply_later(net::make_arp_reply(config_.mac, config_.ip,
                                       arp->sender_mac, arp->sender_ip));
@@ -178,8 +185,7 @@ void Host::auto_respond(const net::Packet& pkt) {
   // reply toward the *claimed* source, which is what the TCP idle scan
   // depends on).
   if (const auto* icmp = pkt.icmp()) {
-    if (config_.reply_icmp &&
-        icmp->type == net::IcmpPayload::Type::EchoRequest && pkt.ip &&
+    if (icmp->type == net::IcmpPayload::Type::EchoRequest && pkt.ip &&
         pkt.ip->dst == config_.ip) {
       reply_later_resolved(
           pkt.ip->src,
@@ -194,20 +200,16 @@ void Host::auto_respond(const net::Packet& pkt) {
   if (const auto* tcp = pkt.tcp()) {
     if (!pkt.ip || pkt.ip->dst != config_.ip) return;
     if (tcp->flags.syn && !tcp->flags.ack) {
-      // Inbound connection attempt.
-      if (config_.open_tcp_ports.contains(tcp->dst_port)) {
-        reply_later_resolved(
-            pkt.ip->src,
-            net::make_tcp(config_.mac, config_.ip, pkt.src_mac, pkt.ip->src,
-                          tcp->dst_port, tcp->src_port,
-                          net::TcpFlags{.syn = true, .ack = true}));
-      } else if (config_.closed_ports_send_rst) {
-        reply_later_resolved(
-            pkt.ip->src,
-            net::make_tcp(config_.mac, config_.ip, pkt.src_mac, pkt.ip->src,
-                          tcp->dst_port, tcp->src_port,
-                          net::TcpFlags{.rst = true}));
-      }
+      // Inbound connection attempt: a listening port answers SYN-ACK,
+      // a closed one RST.
+      const net::TcpFlags flags =
+          config_.open_tcp_ports.contains(tcp->dst_port)
+              ? net::TcpFlags{.syn = true, .ack = true}
+              : net::TcpFlags{.rst = true};
+      reply_later_resolved(
+          pkt.ip->src,
+          net::make_tcp(config_.mac, config_.ip, pkt.src_mac, pkt.ip->src,
+                        tcp->dst_port, tcp->src_port, flags));
       return;
     }
     if (tcp->flags.syn && tcp->flags.ack) {

@@ -2,8 +2,8 @@
 //
 // Used for victims, bystanders, attackers, and idle-scan zombies. A host
 // owns one NIC attached to a data-link side, auto-responds to ARP/ICMP/
-// TCP according to its configuration, and exposes interface and identity
-// controls with realistic latencies (NicOpModel).
+// TCP, and exposes interface and identity controls with realistic
+// latencies (NicOpModel).
 #pragma once
 
 #include <cstdint>
@@ -20,28 +20,20 @@
 
 namespace tmg::attack {
 
+/// Every host answers ARP requests and ICMP echo requests for its IP.
 struct HostConfig {
   net::MacAddress mac;
   net::Ipv4Address ip;
-  bool reply_arp = true;
-  bool reply_icmp = true;
-  /// TCP ports with a listening service (SYN -> SYN-ACK).
+  /// TCP ports with a listening service (SYN -> SYN-ACK). Every other
+  /// port answers RST (a live host is detectable either way).
   std::set<std::uint16_t> open_tcp_ports;
-  /// Closed ports answer RST (a live host is detectable either way).
-  bool closed_ports_send_rst = true;
   /// Reply to unsolicited SYN-ACKs with RST and expose a globally
   /// incrementing IP-ID: the side channel a TCP idle scan exploits.
   bool idle_scan_zombie = false;
-  /// Host-stack processing delay before an auto-response.
-  sim::Duration reply_delay = sim::Duration::micros(100);
-  /// How long a packet may wait on ARP resolution before being dropped.
-  sim::Duration resolve_timeout = sim::Duration::seconds(1);
   /// Network-access credential (802.1x-style). Non-zero: the host
   /// authenticates whenever its interface comes up or it is re-cabled,
   /// which the SecureBinding defense consumes. Zero: no credential.
   std::uint64_t auth_token = 0;
-  /// Delay from link-up to the authentication exchange.
-  sim::Duration auth_delay = sim::Duration::millis(5);
 };
 
 class Host {
@@ -108,7 +100,7 @@ class Host {
 
   /// Send `pkt` to `dst_ip`, resolving the destination MAC via the ARP
   /// cache or an ARP exchange; the packet is queued while resolution is
-  /// in flight and dropped if it fails within resolve_timeout.
+  /// in flight and dropped if it fails within the resolve timeout (1 s).
   void send_resolved(net::Ipv4Address dst_ip, net::Packet pkt);
   [[nodiscard]] std::uint64_t rx_count() const { return rx_; }
   [[nodiscard]] std::uint64_t tx_count() const { return tx_; }

@@ -14,11 +14,10 @@ void ClassicLinkFabrication::start() {
   arm(b_, a_, config_.bidirectional);
 }
 
-void ClassicLinkFabrication::arm(Host& self, Host& peer, bool relay_lldp) {
-  self.set_packet_hook([this, &self, &peer,
-                        relay_lldp](const net::Packet& pkt) {
+void ClassicLinkFabrication::arm(Host& self, Host& peer, bool relays) {
+  self.set_packet_hook([this, &self, &peer, relays](const net::Packet& pkt) {
     if (pkt.is_lldp()) {
-      if (!relay_lldp) return true;  // swallow silently
+      if (!relays) return true;  // swallow silently
       oob_.transfer(pkt, [this, &peer](net::Packet relayed) {
         ++lldp_relayed_;
         peer.send(std::move(relayed));

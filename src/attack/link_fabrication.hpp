@@ -40,7 +40,7 @@ class ClassicLinkFabrication {
   }
 
  private:
-  void arm(Host& self, Host& peer, bool relay_lldp);
+  void arm(Host& self, Host& peer, bool relays);
 
   sim::EventLoop& loop_;
   Config config_;

@@ -9,6 +9,10 @@ namespace tmg::attack {
 
 namespace {
 
+/// Settle time after carrier restore before transmitting (covers the
+/// switch's Port-Up detection delay).
+constexpr sim::Duration kPostFlapSettle = sim::Duration::millis(2);
+
 constexpr const char* kCovertLldpLabel = "covert-lldp";
 constexpr const char* kCovertTransitLabel = "covert-transit";
 
@@ -83,7 +87,7 @@ void PortAmnesiaAttack::arm(Endpoint& self) {
 
 bool PortAmnesiaAttack::capture(Endpoint& self, const net::Packet& pkt) {
   // LLDP broadcast from our switch: the link-fabrication raw material.
-  if (pkt.is_lldp() && config_.relay_lldp) {
+  if (pkt.is_lldp()) {
     // In one-way mode only endpoint A relays; B just swallows its LLDP.
     if (!config_.bidirectional && &self == &b_) return true;
     if (config_.mode == Mode::OutOfBand) {
@@ -252,7 +256,7 @@ void PortAmnesiaAttack::flap_then(Endpoint& ep, std::function<void()> after) {
   ep.host->flap_interface(config_.flap_hold, [this, &ep, flap_span] {
     // Wait out the switch's Port-Up detection before transmitting.
     // tmglint: allow(callback-lifetime) ep aliases member a_/b_, lives as long as this
-    loop_.post_after(config_.post_flap_settle, [this, &ep, flap_span] {
+    loop_.post_after(kPostFlapSettle, [this, &ep, flap_span] {
       ep.flap_in_progress = false;
       ep.profile = Profile::Any;  // the amnesia: classification forgotten
       if (obs_ != nullptr) obs_->trace().end_span(flap_span, loop_.now());

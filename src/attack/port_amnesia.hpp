@@ -42,14 +42,9 @@ class PortAmnesiaAttack {
     /// Carrier-down hold; must exceed the switch's link-integrity
     /// detection window (16±8 ms) to guarantee a Port-Down.
     sim::Duration flap_hold = sim::Duration::millis(30);
-    /// Settle time after carrier restore before transmitting (covers
-    /// the switch's Port-Up detection delay).
-    sim::Duration post_flap_settle = sim::Duration::millis(2);
     /// Out-of-band: flap once ahead of the next LLDP round instead of
     /// during the propagation (CMM-evasive variant).
     bool preposition_flap = true;
-    /// Relay LLDP (the link-fabrication core).
-    bool relay_lldp = true;
     /// Relay LLDP in both directions (the paper's attack). One-way
     /// relaying still fabricates the (undirected) link and needs far
     /// fewer context switches — the minimal-flap CMM-evasion variant

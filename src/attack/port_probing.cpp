@@ -1,10 +1,17 @@
 #include "attack/port_probing.hpp"
 
+#include "attack/nic_model.hpp"
 #include "obs/observability.hpp"
 
 namespace tmg::attack {
 
 namespace {
+
+/// Victim port the TCP probes target.
+constexpr std::uint16_t kVictimTcpPort = 80;
+/// After claiming the identity, keep originating gratuitous traffic at
+/// this period so the binding stays fresh ("maintain persistence").
+constexpr sim::Duration kMaintainPeriod = sim::Duration::millis(500);
 
 LivenessProber::Config prober_config(const PortProbingConfig& cfg) {
   LivenessProber::Config pc;
@@ -83,7 +90,7 @@ void PortProbingAttack::run_probe() {
   ProbeTarget target;
   target.ip = config_.victim_ip;
   target.mac = *victim_mac_;
-  target.tcp_port = config_.victim_tcp_port;
+  target.tcp_port = kVictimTcpPort;
   prober_.probe(target,
                 [this](const ProbeOutcome& outcome) { on_probe(outcome); });
   schedule_probe();
@@ -126,9 +133,10 @@ void PortProbingAttack::hijack() {
                                            "ident-change", span_race_);
   }
   // "ifconfig can reset a NIC's MAC and IP rapidly enough that spoofing
-  // via packet header rewriting is unnecessary" (paper Sec. IV-B).
+  // via packet header rewriting is unnecessary" (paper Sec. IV-B). The
+  // latency follows the ifconfig identity-change model (paper Fig. 4).
   host_.change_identity_timed(
-      *victim_mac_, config_.victim_ip, config_.ident_model, [this] {
+      *victim_mac_, config_.victim_ip, NicOpModel::identity_change(), [this] {
         timeline_.interface_up_as_victim = loop_.now();
         if (obs_ != nullptr) {
           obs_->trace().end_span(span_ident_, loop_.now());
@@ -143,13 +151,13 @@ void PortProbingAttack::hijack() {
                                 span_race_);
         }
         if (on_claimed_) on_claimed_();
-        if (config_.maintain_period > sim::Duration::zero()) maintain();
+        maintain();
       });
 }
 
 void PortProbingAttack::maintain() {
   host_.send_arp_request(config_.victim_ip);
-  loop_.post_after(config_.maintain_period, [this] { maintain(); });
+  loop_.post_after(kMaintainPeriod, [this] { maintain(); });
 }
 
 void PortProbingAttack::mark_hijack_confirmed(sim::SimTime at) {

@@ -12,7 +12,6 @@
 #include <optional>
 
 #include "attack/host.hpp"
-#include "attack/nic_model.hpp"
 #include "attack/probes.hpp"
 #include "obs/trace_log.hpp"
 #include "sim/event_loop.hpp"
@@ -37,13 +36,6 @@ struct PortProbingConfig {
   bool nmap_overhead = false;
   /// Idle-scan zombie, if probe_type == TcpIdleScan.
   std::optional<ZombieRef> zombie;
-  std::uint16_t victim_tcp_port = 80;
-  /// ifconfig identity-change latency model (paper Fig. 4).
-  NicOpModel ident_model = NicOpModel::identity_change();
-  /// After claiming the identity, keep originating gratuitous traffic at
-  /// this period so the binding stays fresh ("maintain persistence").
-  /// Zero disables.
-  sim::Duration maintain_period = sim::Duration::millis(500);
 };
 
 class PortProbingAttack {

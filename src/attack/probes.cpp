@@ -4,6 +4,11 @@
 
 namespace tmg::attack {
 
+namespace {
+/// Idle scan only: wait for the spoofed SYN's effect on the zombie.
+constexpr sim::Duration kIdleSettle = sim::Duration::millis(60);
+}  // namespace
+
 const char* to_string(ProbeType t) {
   switch (t) {
     case ProbeType::IcmpPing: return "ICMP Ping";
@@ -98,7 +103,7 @@ LivenessProber::LivenessProber(sim::EventLoop& loop, sim::Rng rng,
                                    target_.mac, target_.ip, 40001,
                                    target_.tcp_port,
                                    net::TcpFlags{.syn = true}));
-          loop_.post_after(config_.idle_settle, [this] {
+          loop_.post_after(kIdleSettle, [this] {
             if (!done_ || idle_phase_ != 2) return;
             idle_phase_ = 3;
             probe_port_ = next_port_++;

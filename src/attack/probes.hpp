@@ -61,8 +61,6 @@ class LivenessProber {
     bool tool_overhead = false;
     /// Idle scan only: the zombie host to bounce through.
     std::optional<ZombieRef> zombie;
-    /// Idle scan only: wait for the spoofed SYN's effect on the zombie.
-    sim::Duration idle_settle = sim::Duration::millis(60);
   };
 
   LivenessProber(sim::EventLoop& loop, sim::Rng rng, Host& attacker,

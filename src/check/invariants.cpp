@@ -232,12 +232,11 @@ void InvariantChecker::check_pipeline(std::vector<std::string>& out) {
     report(out, "pipeline: " + issue);
   }
 
-  // The chain must match the active profile's slot table: every fixed
-  // listener at its layout slot (the verdict gate only when the layout
-  // keeps one), every defense adapter in the band progression with the
-  // profile's subscription mask.
+  // The chain must match the fixed priority bands (ctrl/controller.hpp):
+  // every fixed listener at its slot, the verdict gate exactly when the
+  // profile dispatches OrderedStop, every defense adapter in the band
+  // progression with the defense subscription mask.
   const ctrl::ControllerProfile& profile = ctrl_.config().profile;
-  const ctrl::PipelineLayout& layout = profile.layout;
   const auto stats = ctrl_.pipeline().stats();
   const auto slot_of = [&](const std::string& name) -> const auto* {
     for (const auto& s : stats) {
@@ -253,31 +252,26 @@ void InvariantChecker::check_pipeline(std::vector<std::string>& out) {
     } else if (s->priority != slot) {
       report(out, std::string{"pipeline: profile "} + profile.name +
                       ": listener '" + name + "' at priority " +
-                      std::to_string(s->priority) + ", layout says " +
+                      std::to_string(s->priority) + ", slot is " +
                       std::to_string(slot));
     }
   };
-  expect_slot("controller-core", layout.core);
-  expect_slot(ctrl::kLinkDiscoveryServiceName, layout.link_discovery);
-  expect_slot(ctrl::kHostTrackingServiceName, layout.host_tracking);
-  expect_slot(ctrl::kRoutingServiceName, layout.routing);
-  if (layout.verdict_gate >= 0) {
-    expect_slot("verdict-gate", layout.verdict_gate);
+  expect_slot("controller-core", ctrl::kCoreSlot);
+  expect_slot("anomaly-ids", ctrl::kAnomalyIdsSlot);
+  expect_slot(ctrl::kLinkDiscoveryServiceName, ctrl::kLinkDiscoverySlot);
+  expect_slot(ctrl::kHostTrackingServiceName, ctrl::kHostTrackingSlot);
+  expect_slot(ctrl::kRoutingServiceName, ctrl::kRoutingSlot);
+  if (profile.discipline == ctrl::DispatchDiscipline::OrderedStop) {
+    expect_slot("verdict-gate", ctrl::kVerdictGateSlot);
   } else if (slot_of("verdict-gate") != nullptr) {
     report(out, std::string{"pipeline: profile "} + profile.name +
-                    ": layout omits the verdict gate but one is installed");
-  }
-  if (layout.anomaly_ids >= 0) {
-    expect_slot("anomaly-ids", layout.anomaly_ids);
-  } else if (slot_of("anomaly-ids") != nullptr) {
-    report(out, std::string{"pipeline: profile "} + profile.name +
-                    ": layout omits the anomaly IDS but one is installed");
+                    ": verdict gate installed in a broadcast-observe chain");
   }
   const auto& modules = ctrl_.defense_modules();
   for (std::size_t i = 0; i < modules.size(); ++i) {
     const auto* s = slot_of(modules[i]->name());
-    const int slot = layout.defense_base +
-                     layout.defense_step * static_cast<int>(i);
+    const int slot =
+        ctrl::kDefenseBase + ctrl::kDefenseStep * static_cast<int>(i);
     if (s == nullptr) {
       report(out, std::string{"pipeline: profile "} + profile.name +
                       ": defense '" + modules[i]->name() +
@@ -290,10 +284,10 @@ void InvariantChecker::check_pipeline(std::vector<std::string>& out) {
                       std::to_string(s->priority) + ", band slot is " +
                       std::to_string(slot));
     }
-    if (s->subscriptions != profile.defense_subscriptions) {
+    if (s->subscriptions != ctrl::kDefenseSubscriptions) {
       report(out, std::string{"pipeline: profile "} + profile.name +
                       ": defense '" + modules[i]->name() +
-                      "' subscription mask diverges from the profile");
+                      "' subscription mask diverges from the defense mask");
     }
   }
 }

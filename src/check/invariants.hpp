@@ -29,11 +29,11 @@
 //      order).
 //   8. Pipeline coherence — the message pipeline's listener chain is
 //      priority-sorted with unique names and sane counters (delegated
-//      to MessagePipeline::audit), and the chain matches the active
-//      ControllerProfile's PipelineLayout (fixed listeners at their
-//      slots, the verdict gate only where the layout keeps one, defense
-//      adapters in the band progression with the profile's
-//      subscription mask).
+//      to MessagePipeline::audit), and the chain matches the fixed
+//      priority bands of ctrl/controller.hpp (fixed listeners at their
+//      slots, the verdict gate exactly when the active profile
+//      dispatches OrderedStop, defense adapters in the band progression
+//      with the defense subscription mask).
 //
 // Violations are raised on the controller's AlertBus as
 // AlertType::InvariantViolation (mirrored into an attached trace) —

@@ -17,28 +17,14 @@ std::vector<std::uint8_t> to_bytes(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
+/// Period of control-link echo RTT probes (LLI calibration).
+constexpr sim::Duration kEchoInterval = sim::Duration::seconds(2);
+
 void validate_config(const ControllerConfig& c) {
-  TMG_ASSERT(c.flow_idle_timeout.count_nanos() > 0,
-             "ControllerConfig: flow_idle_timeout must be positive");
-  TMG_ASSERT(c.host_probe_timeout.count_nanos() > 0,
-             "ControllerConfig: host_probe_timeout must be positive");
-  TMG_ASSERT(c.echo_interval.count_nanos() > 0,
-             "ControllerConfig: echo_interval must be positive");
-  TMG_ASSERT(c.link_sweep_interval.count_nanos() > 0,
-             "ControllerConfig: link_sweep_interval must be positive");
   TMG_ASSERT(c.profile.lldp_interval.count_nanos() > 0,
              "ControllerConfig: profile.lldp_interval must be positive");
   TMG_ASSERT(c.profile.link_timeout.count_nanos() > 0,
              "ControllerConfig: profile.link_timeout must be positive");
-  TMG_ASSERT(c.profile.migration_probe_timeout.count_nanos() > 0,
-             "ControllerConfig: profile.migration_probe_timeout must be "
-             "positive");
-  const PipelineLayout& l = c.profile.layout;
-  TMG_ASSERT(l.core >= 0, "PipelineLayout: core slot must exist");
-  TMG_ASSERT(l.link_discovery >= 0 && l.host_tracking >= 0 && l.routing >= 0,
-             "PipelineLayout: service slots must exist");
-  TMG_ASSERT(l.defense_base >= 0 && l.defense_step > 0,
-             "PipelineLayout: defense band must be a positive progression");
 }
 
 }  // namespace
@@ -128,7 +114,8 @@ class Controller::CoreListener final : public MessageListener {
 /// Priority 900: between the defense block and the services. Stops a
 /// Packet-In whose accumulated verdict is Block — every defense has
 /// seen the message by now (paper Sec. IV-B: alerting and blocking are
-/// independent), but no service commits state for it.
+/// independent), but no service commits state for it. Only OrderedStop
+/// chains have one.
 class Controller::VerdictGate final : public MessageListener {
  public:
   [[nodiscard]] std::string name() const override { return "verdict-gate"; }
@@ -184,17 +171,15 @@ void deliver(DefenseModule& module, const PipelineMessage& msg,
 /// Adapts a DefenseModule's typed hooks onto the listener interface.
 /// Always returns Continue: defenses influence the dispatch only
 /// through the accumulated context verdict (the gate stops the chain),
-/// so sibling defenses never shadow each other. The subscription mask
-/// is profile data (ControllerProfile::defense_subscriptions).
+/// so sibling defenses never shadow each other.
 class DefenseListenerAdapter final : public MessageListener {
  public:
-  DefenseListenerAdapter(DefenseModule& module, std::uint32_t subscriptions)
-      : module_{module}, subscriptions_{subscriptions} {}
+  explicit DefenseListenerAdapter(DefenseModule& module) : module_{module} {}
 
   [[nodiscard]] std::string name() const override { return module_.name(); }
 
   [[nodiscard]] std::uint32_t subscriptions() const override {
-    return subscriptions_;
+    return kDefenseSubscriptions;
   }
 
   Disposition on_message(const PipelineMessage& msg,
@@ -205,12 +190,11 @@ class DefenseListenerAdapter final : public MessageListener {
 
  private:
   DefenseModule& module_;
-  std::uint32_t subscriptions_;
 };
 
 /// Adapts the controller's (optional, borrowed) anomaly detector onto
-/// the chain. Registered unconditionally at layout.anomaly_ids so the
-/// chain shape is profile data, not detector presence; with no detector
+/// the chain. Registered unconditionally at kAnomalyIdsSlot so the
+/// chain shape does not depend on detector presence; with no detector
 /// attached every dispatch is a subscription-masked no-op. Verdicts
 /// accumulate exactly like the defense band's — whether the Block ever
 /// bites is the gate's (and the dispatch discipline's) business.
@@ -251,20 +235,16 @@ Controller::Controller(sim::EventLoop& loop, sim::Rng rng,
   hosts_ = std::make_unique<HostTrackingService>(*this);
   routing_ = std::make_unique<RoutingService>(*this);
 
-  // The chain is assembled from the profile's slot table; a negative
-  // slot omits that listener (OpenDaylight runs without a verdict gate).
-  const PipelineLayout& layout = config_.profile.layout;
-  pipeline_.add_owned(layout.core, std::make_unique<CoreListener>(*this));
-  if (layout.anomaly_ids >= 0) {
-    pipeline_.add_owned(layout.anomaly_ids,
-                        std::make_unique<AnomalyListenerAdapter>(*this));
+  pipeline_.add_owned(kCoreSlot, std::make_unique<CoreListener>(*this));
+  pipeline_.add_owned(kAnomalyIdsSlot,
+                      std::make_unique<AnomalyListenerAdapter>(*this));
+  // Broadcast-observe controllers (OpenDaylight) have no verdict gate.
+  if (config_.profile.discipline == DispatchDiscipline::OrderedStop) {
+    pipeline_.add_owned(kVerdictGateSlot, std::make_unique<VerdictGate>());
   }
-  if (layout.verdict_gate >= 0) {
-    pipeline_.add_owned(layout.verdict_gate, std::make_unique<VerdictGate>());
-  }
-  pipeline_.add(layout.link_discovery, *links_);
-  pipeline_.add(layout.host_tracking, *hosts_);
-  pipeline_.add(layout.routing, *routing_);
+  pipeline_.add(kLinkDiscoverySlot, *links_);
+  pipeline_.add(kHostTrackingSlot, *hosts_);
+  pipeline_.add(kRoutingSlot, *routing_);
 }
 
 Controller::~Controller() = default;
@@ -293,13 +273,9 @@ DefenseModule& Controller::add_defense(std::unique_ptr<DefenseModule> module) {
   TMG_ASSERT(module != nullptr, "add_defense: null module");
   modules_.push_back(std::move(module));
   DefenseModule& ref = *modules_.back();
-  const PipelineLayout& layout = config_.profile.layout;
   const int priority =
-      layout.defense_base +
-      layout.defense_step * static_cast<int>(modules_.size() - 1);
-  pipeline_.add_owned(priority,
-                      std::make_unique<DefenseListenerAdapter>(
-                          ref, config_.profile.defense_subscriptions));
+      kDefenseBase + kDefenseStep * static_cast<int>(modules_.size() - 1);
+  pipeline_.add_owned(priority, std::make_unique<DefenseListenerAdapter>(ref));
   return ref;
 }
 
@@ -428,15 +404,8 @@ void Controller::request_port_stats(of::Dpid dpid) {
 
 void Controller::probe_reachability(of::Location loc, net::MacAddress dst_mac,
                                     net::Ipv4Address dst_ip,
+                                    sim::Duration timeout,
                                     std::function<void(bool)> done) {
-  probe_reachability(loc, dst_mac, dst_ip, std::move(done),
-                     config_.host_probe_timeout);
-}
-
-void Controller::probe_reachability(of::Location loc, net::MacAddress dst_mac,
-                                    net::Ipv4Address dst_ip,
-                                    std::function<void(bool)> done,
-                                    sim::Duration timeout) {
   const std::uint16_t ident = next_probe_ident_++;
   net::Packet probe =
       net::make_icmp_echo(mac(), ip(), dst_mac, dst_ip, ident, 1);
@@ -565,7 +534,7 @@ void Controller::echo_tick() {
     conn.pending_echo.emplace(token, loop_.now());
     conn.channel->to_switch(of::EchoRequest{token});
   }
-  loop_.post_after(config_.echo_interval, [this] { echo_tick(); });
+  loop_.post_after(kEchoInterval, [this] { echo_tick(); });
 }
 
 }  // namespace tmg::ctrl

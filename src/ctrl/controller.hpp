@@ -37,11 +37,31 @@ class LinkDiscoveryService;
 class HostTrackingService;
 class RoutingService;
 
-// Pipeline priorities live in the profile's PipelineLayout (DESIGN.md
-// §13 has the full table): lower runs first, and defense module N
-// installs at layout.defense_base + N * layout.defense_step,
-// preserving installation order. The constructor assembles the chain
-// from config.profile instead of hard-coded slots.
+// The fixed priority bands of the listener chain (DESIGN.md §9a): lower
+// runs first. The constructor assembles the chain from these, and
+// invariant 8 (check/invariants) checks the live chain against them.
+inline constexpr int kCoreSlot = 0;
+/// Defense module N installs at kDefenseBase + N * kDefenseStep,
+/// preserving installation order.
+inline constexpr int kDefenseBase = 100;
+inline constexpr int kDefenseStep = 10;
+/// Trace-profile anomaly IDS: after the defense band (it scores the
+/// same pre-commit event stream the defenses see) and before the
+/// verdict gate (so a veto-enabled detector can still block).
+inline constexpr int kAnomalyIdsSlot = 800;
+/// Built only under DispatchDiscipline::OrderedStop.
+inline constexpr int kVerdictGateSlot = 900;
+inline constexpr int kLinkDiscoverySlot = 1000;
+inline constexpr int kHostTrackingSlot = 1100;
+inline constexpr int kRoutingSlot = 1200;
+
+/// Subscription mask handed to every installed defense adapter:
+/// everything except EchoReply/FlowRemoved, which the core consumes.
+inline constexpr std::uint32_t kDefenseSubscriptions =
+    MessageType::PacketIn | MessageType::PortStatus | MessageType::FlowStats |
+    MessageType::PortStats | MessageType::LldpObservation |
+    MessageType::HostEvent | MessageType::LinkRemoved |
+    MessageType::FlowModOut;
 
 /// Control-plane events, recorded as "ctrl/<KIND>" trace instants by
 /// Controller::trace_event. The to_string spellings are the trace
@@ -71,22 +91,14 @@ struct ControllerConfig {
   bool authenticate_lldp = false;
   /// TOPOGUARD+: embed an encrypted departure timestamp in LLDP.
   bool lldp_timestamps = false;
-  /// Idle timeout given to installed flow rules.
-  sim::Duration flow_idle_timeout = sim::Duration::seconds(5);
-  /// How long a controller-originated reachability probe waits.
-  sim::Duration host_probe_timeout = sim::Duration::millis(200);
-  /// Period of control-link echo RTT probes (LLI calibration).
-  sim::Duration echo_interval = sim::Duration::seconds(2);
-  /// Period of the link-timeout sweep.
-  sim::Duration link_sweep_interval = sim::Duration::seconds(1);
   /// Seed label for the controller's keys.
   std::string key_seed = "topomirage-controller-key";
 };
 
 class Controller {
  public:
-  /// Validates `config` (every timeout/interval must be positive; see
-  /// ControllerConfig) — a non-positive knob is a TMG_ASSERT failure.
+  /// Validates `config`: the profile's lldp_interval and link_timeout
+  /// must be positive — a non-positive one is a TMG_ASSERT failure.
   Controller(sim::EventLoop& loop, sim::Rng rng, ControllerConfig config);
   ~Controller();
   Controller(const Controller&) = delete;
@@ -124,7 +136,7 @@ class Controller {
 
   /// Attach the trace-profile anomaly detector (borrowed; nullptr
   /// detaches, the default). The "anomaly-ids" chain slot
-  /// (layout.anomaly_ids) is always registered; without a detector it
+  /// (kAnomalyIdsSlot) is always registered; without a detector it
   /// forwards nothing, so an undetected run is bit-identical to the
   /// pre-IDS controller. Unlike add_defense the detector sits *after*
   /// the defense band — it scores the same pre-commit stream but never
@@ -141,12 +153,6 @@ class Controller {
   // --- Pipeline ---
   [[nodiscard]] MessagePipeline& pipeline() { return pipeline_; }
   [[nodiscard]] const MessagePipeline& pipeline() const { return pipeline_; }
-  /// Per-listener dispatch/stop/wall-time counters, in chain order
-  /// (surfaced by the --pipeline-stats flag in examples and benches).
-  [[nodiscard]] std::vector<MessagePipeline::ListenerStats> pipeline_stats()
-      const {
-    return pipeline_.stats();
-  }
 
   /// Average of the latest three control-link RTTs; nullopt until the
   /// first echo completes.
@@ -166,19 +172,12 @@ class Controller {
   void request_port_stats(of::Dpid dpid);
 
   /// Send an ICMP echo out (dpid, port) and report whether a reply came
-  /// back within config().host_probe_timeout. Probe replies are consumed
-  /// by the controller-core listener before defenses or services see
-  /// them (they are controller-internal traffic).
+  /// back within `timeout`. Probe replies are consumed by the
+  /// controller-core listener before defenses or services see them
+  /// (they are controller-internal traffic).
   void probe_reachability(of::Location loc, net::MacAddress dst_mac,
-                          net::Ipv4Address dst_ip,
+                          net::Ipv4Address dst_ip, sim::Duration timeout,
                           std::function<void(bool reachable)> done);
-
-  /// Same, with an explicit timeout (the host tracker's probe-before-
-  /// move policy waits config().profile.migration_probe_timeout).
-  void probe_reachability(of::Location loc, net::MacAddress dst_mac,
-                          net::Ipv4Address dst_ip,
-                          std::function<void(bool reachable)> done,
-                          sim::Duration timeout);
 
   // --- Tracing ---
 

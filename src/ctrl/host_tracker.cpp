@@ -5,6 +5,12 @@
 
 namespace tmg::ctrl {
 
+namespace {
+/// How long a probe-before-move reachability probe waits before the old
+/// attachment point is declared vacated (ProbeBeforeMove only).
+constexpr sim::Duration kMigrationProbeTimeout = sim::Duration::millis(300);
+}  // namespace
+
 HostTrackingService::HostTrackingService(Controller& ctrl) : ctrl_{ctrl} {}
 
 std::string HostTrackingService::name() const {
@@ -80,9 +86,8 @@ void HostTrackingService::handle_packet_in(const of::PacketIn& pi,
     pending_moves_.emplace(pkt.src_mac, PendingMove{rec.loc, loc, move_ip});
     const net::MacAddress mac = pkt.src_mac;
     ctrl_.probe_reachability(
-        rec.loc, pkt.src_mac, rec.ip,
-        [this, mac](bool reachable) { finish_move(mac, reachable); },
-        ctrl_.config().profile.migration_probe_timeout);
+        rec.loc, pkt.src_mac, rec.ip, kMigrationProbeTimeout,
+        [this, mac](bool reachable) { finish_move(mac, reachable); });
     return;
   }
 

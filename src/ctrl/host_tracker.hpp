@@ -29,7 +29,7 @@ class HostTrackingService final : public MessageListener {
  public:
   explicit HostTrackingService(Controller& ctrl);
 
-  // --- MessageListener (registered at profile layout.host_tracking) ---
+  // --- MessageListener (registered at kHostTrackingSlot) ---
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::uint32_t subscriptions() const override;
   Disposition on_message(const PipelineMessage& msg,

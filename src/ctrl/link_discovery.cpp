@@ -5,6 +5,11 @@
 
 namespace tmg::ctrl {
 
+namespace {
+/// Period of the link-timeout sweep.
+constexpr sim::Duration kLinkSweepInterval = sim::Duration::seconds(1);
+}  // namespace
+
 LinkDiscoveryService::LinkDiscoveryService(Controller& ctrl) : ctrl_{ctrl} {}
 
 void LinkDiscoveryService::start() {
@@ -222,8 +227,7 @@ void LinkDiscoveryService::sweep() {
       ++it;
     }
   }
-  ctrl_.loop().post_after(ctrl_.config().link_sweep_interval,
-                              [this] { sweep(); });
+  ctrl_.loop().post_after(kLinkSweepInterval, [this] { sweep(); });
 }
 
 LinkDiscoveryService::LldpAccounting LinkDiscoveryService::lldp_accounting()

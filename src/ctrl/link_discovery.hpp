@@ -42,7 +42,7 @@ class LinkDiscoveryService final : public MessageListener {
   /// Start periodic LLDP rounds and the link-timeout sweep.
   void start();
 
-  // --- MessageListener (registered at profile layout.link_discovery) ---
+  // --- MessageListener (registered at kLinkDiscoverySlot) ---
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::uint32_t subscriptions() const override;
   /// LLDP Packet-Ins are consumed here (Stop); Port-Down status drops

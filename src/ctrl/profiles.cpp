@@ -1,11 +1,27 @@
 #include "ctrl/profiles.hpp"
 
+#include <cctype>
+#include <utility>
+
 namespace tmg::ctrl {
 
 using sim::Duration;
 
+namespace {
+
+/// A profile's CLI key: its name, lower-cased.
+std::string cli_key(const std::string& name) {
+  std::string key = name;
+  for (char& ch : key) {
+    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
+  }
+  return key;
+}
+
+}  // namespace
+
 // Each profile is built by explicit member assignment (not aggregate
-// init) so the non-default pipeline knobs read as data.
+// init) so each profile's non-default settings read as data.
 
 ControllerProfile floodlight_profile() {
   ControllerProfile p;
@@ -31,7 +47,6 @@ ControllerProfile opendaylight_profile() {
   // MD-SAL notification bus: every subscriber sees every message and
   // defense verdicts never suppress a service commit.
   p.discipline = DispatchDiscipline::BroadcastObserve;
-  p.layout.verdict_gate = -1;
   return p;
 }
 
@@ -43,7 +58,6 @@ ControllerProfile onos_profile() {
   // HostLocationProvider verifies the old attachment point before
   // rebinding a host (paper Sec. VII countermeasure discussion).
   p.migration = MigrationPolicy::ProbeBeforeMove;
-  p.migration_probe_timeout = Duration::millis(300);
   // Event-triggered discovery: LLDP is re-emitted on a port as soon as
   // it reports Up (sOFTDP-style), not only on the periodic round.
   p.probe_on_port_up = true;
@@ -56,14 +70,17 @@ std::vector<ControllerProfile> all_profiles() {
 }
 
 std::vector<std::string> profile_cli_names() {
-  return {"floodlight", "pox", "opendaylight", "onos"};
+  std::vector<std::string> names;
+  for (const ControllerProfile& p : all_profiles()) {
+    names.push_back(cli_key(p.name));
+  }
+  return names;
 }
 
 std::optional<ControllerProfile> profile_by_name(const std::string& name) {
-  if (name == "floodlight") return floodlight_profile();
-  if (name == "pox") return pox_profile();
-  if (name == "opendaylight") return opendaylight_profile();
-  if (name == "onos") return onos_profile();
+  for (ControllerProfile& p : all_profiles()) {
+    if (cli_key(p.name) == name) return std::move(p);
+  }
   return std::nullopt;
 }
 

@@ -1,54 +1,33 @@
 // Per-controller pipeline profiles (paper Table III + Sec. VII).
 //
-// A ControllerProfile is the complete data description of how one
-// controller family processes topology-relevant messages: the listener
-// slots and priority bands its MessagePipeline is assembled from, the
-// dispatch discipline (ordered-with-stop vs broadcast-observe), the
-// discovery/timeout timers from Table III, the host-migration policy
-// (immediate rebind vs ONOS's probe-before-move), and discovery
-// strategy knobs (event-triggered port probing, sOFTDP-style). The
-// Controller constructor reads the profile instead of hard-coding any
-// of this, so swapping profiles swaps the whole processing model while
-// keeping the default Floodlight chain byte-identical.
+// A ControllerProfile holds what differs between the controller
+// families: the discovery/timeout timers from Table III, the dispatch
+// discipline (ordered-with-stop, which keeps the verdict gate, vs
+// broadcast-observe, which has none), the host-migration policy
+// (immediate rebind vs ONOS's probe-before-move), and event-triggered
+// port probing (sOFTDP-style). The listener slots themselves are fixed
+// (controller.hpp), so swapping profiles swaps the processing model
+// while keeping the default Floodlight chain byte-identical.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "ctrl/message_pipeline.hpp"
 #include "sim/time.hpp"
 
 namespace tmg::ctrl {
 
-/// Pipeline slot table (DESIGN.md §13). Lower runs first; defense
-/// module N installs at defense_base + N * defense_step, preserving
-/// installation order. A negative slot compiles the listener out of the
-/// chain entirely (OpenDaylight has no verdict gate: defenses observe
-/// and alert but never suppress a service commit).
-struct PipelineLayout {
-  int core = 0;
-  int defense_base = 100;
-  int defense_step = 10;
-  /// Trace-profile anomaly IDS: after the defense band (it scores the
-  /// same pre-commit event stream the defenses see) and before the
-  /// verdict gate (so a veto-enabled detector can still block).
-  int anomaly_ids = 800;
-  int verdict_gate = 900;
-  int link_discovery = 1000;
-  int host_tracking = 1100;
-  int routing = 1200;
-};
-
 /// How the chain treats listener verdicts (DESIGN.md §13).
 enum class DispatchDiscipline {
   /// Floodlight IOFMessageListener model: the chain runs in priority
-  /// order and a Stop (or a Block verdict at the gate) ends dispatch.
+  /// order and a Stop (or a Block verdict at the verdict gate, which
+  /// only this discipline builds) ends dispatch.
   OrderedStop,
   /// OpenDaylight MD-SAL notification model: every subscriber observes
-  /// every message; defense verdicts are advisory (alert-only) and the
-  /// derived-event dispatch result is always Allow.
+  /// every message; there is no verdict gate, defense verdicts are
+  /// advisory (alert-only) and the derived-event dispatch result is
+  /// always Allow.
   BroadcastObserve,
 };
 
@@ -71,22 +50,8 @@ struct ControllerProfile {
   /// A link is dropped from the topology if not re-verified within this.
   sim::Duration link_timeout;
 
-  // --- Pipeline shape ---
-  PipelineLayout layout;
   DispatchDiscipline discipline = DispatchDiscipline::OrderedStop;
-  /// Subscription mask handed to every installed defense adapter.
-  /// Everything except EchoReply/FlowRemoved, which the core consumes.
-  std::uint32_t defense_subscriptions =
-      MessageType::PacketIn | MessageType::PortStatus |
-      MessageType::FlowStats | MessageType::PortStats |
-      MessageType::LldpObservation | MessageType::HostEvent |
-      MessageType::LinkRemoved | MessageType::FlowModOut;
-
-  // --- Host-migration policy ---
   MigrationPolicy migration = MigrationPolicy::Immediate;
-  /// How long a probe-before-move reachability probe waits before the
-  /// old attachment point is declared vacated (ProbeBeforeMove only).
-  sim::Duration migration_probe_timeout = sim::Duration::millis(300);
 
   // --- Discovery strategy ---
   /// Re-probe a port with LLDP as soon as it reports Up, instead of

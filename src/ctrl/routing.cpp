@@ -10,7 +10,9 @@ namespace tmg::ctrl {
 
 namespace {
 constexpr std::size_t kDedupCapacity = 65536;
-}
+/// Idle timeout given to installed flow rules.
+constexpr sim::Duration kFlowIdleTimeout = sim::Duration::seconds(5);
+}  // namespace
 
 RoutingService::RoutingService(Controller& ctrl)
     : ctrl_{ctrl},
@@ -75,7 +77,7 @@ bool RoutingService::route(const of::PacketIn& pi, const of::Location& dst) {
     fm.cookie = next_cookie_++;
     fm.match = match;
     fm.action = action;
-    fm.idle_timeout = ctrl_.config().flow_idle_timeout;
+    fm.idle_timeout = kFlowIdleTimeout;
     return fm;
   };
 

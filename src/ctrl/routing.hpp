@@ -23,7 +23,7 @@ class RoutingService final : public MessageListener {
  public:
   explicit RoutingService(Controller& ctrl);
 
-  // --- MessageListener (registered at profile layout.routing, last) ---
+  // --- MessageListener (registered at kRoutingSlot, last) ---
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::uint32_t subscriptions() const override;
   Disposition on_message(const PipelineMessage& msg,

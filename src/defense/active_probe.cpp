@@ -12,6 +12,8 @@ using ctrl::Verdict;
 namespace {
 
 constexpr const char* kProbeLabel = "link-verify";
+/// Gap between successive probes.
+constexpr sim::Duration kProbeGap = sim::Duration::millis(50);
 
 const net::MacAddress kProbeDstMac{{0x02, 0xc0, 0xff, 0xee, 0x00, 0x02}};
 
@@ -98,8 +100,7 @@ void ActiveLinkVerifier::send_probe(const topo::Link& link) {
   });
   // Next probe.
   if (v.sent < config_.probes) {
-    ctrl_.loop().post_after(config_.probe_gap,
-                                [this, link] { send_probe(link); });
+    ctrl_.loop().post_after(kProbeGap, [this, link] { send_probe(link); });
   }
 }
 

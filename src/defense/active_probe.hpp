@@ -26,8 +26,6 @@ namespace tmg::defense {
 struct ActiveProbeConfig {
   /// Challenge probes per link verification.
   int probes = 3;
-  /// Gap between successive probes.
-  sim::Duration probe_gap = sim::Duration::millis(50);
   /// The *minimum* of the K probe RTTs must be at or below this. Using
   /// the minimum is the verifier's edge over passive measurement:
   /// queueing micro-bursts are transient (one clean sample suffices),

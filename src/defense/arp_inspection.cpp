@@ -10,6 +10,11 @@ using ctrl::Alert;
 using ctrl::AlertType;
 using ctrl::Verdict;
 
+namespace {
+/// Priority of the ARP punt rules (above reactive routing's rules).
+constexpr std::uint16_t kPuntPriority = 500;
+}  // namespace
+
 DynamicArpInspection::DynamicArpInspection(ctrl::Controller& ctrl,
                                            ArpInspectionConfig config)
     : ctrl_{ctrl}, config_{config} {}
@@ -22,7 +27,7 @@ void DynamicArpInspection::deploy() {
     punt.command = of::FlowMod::Command::Add;
     punt.match.ethertype = net::EtherType::Arp;
     punt.action = of::FlowAction::to_controller();
-    punt.priority = config_.punt_priority;
+    punt.priority = kPuntPriority;
     punt.notify_on_removal = false;
     ctrl_.send_flow_mod(dpid, punt);
   }

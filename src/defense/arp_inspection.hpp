@@ -18,8 +18,6 @@
 namespace tmg::defense {
 
 struct ArpInspectionConfig {
-  /// Priority of the ARP punt rules (above reactive routing's rules).
-  std::uint16_t punt_priority = 500;
   /// Drop violating ARP packets (DAI always drops in real deployments).
   bool block = true;
 };

@@ -8,10 +8,15 @@ using ctrl::Alert;
 using ctrl::AlertType;
 using ctrl::Verdict;
 
+namespace {
+/// IQR fence multiplier (paper: 3).
+constexpr double kIqrK = 3.0;
+}  // namespace
+
 Lli::Lli(ctrl::Controller& ctrl, LliConfig config)
     : ctrl_{ctrl},
       config_{config},
-      window_{config.window_capacity, config.iqr_k, config.min_samples} {}
+      window_{config.window_capacity, kIqrK, config.min_samples} {}
 
 Verdict Lli::on_lldp_observation(const ctrl::LldpObservation& obs) {
   const sim::SimTime now = ctrl_.loop().now();

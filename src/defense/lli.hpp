@@ -19,8 +19,6 @@ namespace tmg::defense {
 struct LliConfig {
   /// Fixed-size data store of verified link latencies (paper Sec. VI-D).
   std::size_t window_capacity = 100;
-  /// IQR fence multiplier (paper: 3).
-  double iqr_k = 3.0;
   /// Samples required before the threshold is enforced.
   std::size_t min_samples = 10;
   /// An LLDP without a decryptable timestamp cannot be latency-verified.

@@ -8,6 +8,14 @@ using ctrl::Alert;
 using ctrl::AlertType;
 using ctrl::Verdict;
 
+namespace {
+/// Absolute slack for in-flight packets (bytes).
+constexpr std::uint64_t kByteSlack = 16384;
+/// Two sightings of one MAC at different locations within this window
+/// are a binding conflict.
+constexpr sim::Duration kConflictWindow = sim::Duration::seconds(1);
+}  // namespace
+
 Sphinx::Sphinx(ctrl::Controller& ctrl, SphinxConfig config)
     : ctrl_{ctrl}, config_{config} {}
 
@@ -43,7 +51,7 @@ void Sphinx::check_link_symmetry() {
     const std::uint64_t hi = std::max(tx, rx);
     return hi > static_cast<std::uint64_t>(static_cast<double>(lo) *
                                            config_.tau) +
-                    config_.byte_slack;
+                    kByteSlack;
   };
   for (const auto& link : ctrl_.topology().links()) {
     const of::PortStatsEntry* a = lookup(link.a);
@@ -99,8 +107,7 @@ Verdict Sphinx::on_packet_in(const of::PacketIn& pi) {
     b.last_seen = now;
     return Verdict::Allow;
   }
-  const bool old_loc_recently_live =
-      now - b.last_seen < config_.conflict_window;
+  const bool old_loc_recently_live = now - b.last_seen < kConflictWindow;
   if (old_loc_recently_live) {
     ++conflicts_;
     ctrl_.alerts().raise(
@@ -163,7 +170,7 @@ void Sphinx::check_counters(const net::MacAddress& dst, const FlowGraph& fg) {
     hi = std::max(hi, it->second);
   }
   if (hi > static_cast<std::uint64_t>(static_cast<double>(lo) * config_.tau) +
-               config_.byte_slack) {
+               kByteSlack) {
     ctrl_.alerts().raise(Alert{
         ctrl_.loop().now(), name(), AlertType::SphinxFlowInconsistency,
         "flow to " + dst.to_string() + " byte counters diverge along path (" +

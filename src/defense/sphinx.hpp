@@ -28,11 +28,6 @@ struct SphinxConfig {
   sim::Duration stats_poll = sim::Duration::seconds(1);
   /// Similarity factor: counters diverge if max > tau * min + slack.
   double tau = 1.5;
-  /// Absolute slack for in-flight packets (bytes).
-  std::uint64_t byte_slack = 16384;
-  /// Two sightings of one MAC at different locations within this window
-  /// are a binding conflict.
-  sim::Duration conflict_window = sim::Duration::seconds(1);
   /// SPHINX raises alerts but does not alter network state (paper
   /// Sec. IV-B).
   bool block = false;

@@ -6,6 +6,12 @@ using ctrl::Alert;
 using ctrl::AlertType;
 using ctrl::Verdict;
 
+namespace {
+/// How long the postcondition's reachability probe waits for the host
+/// to answer at its previous location.
+constexpr sim::Duration kPostconditionProbeTimeout = sim::Duration::millis(200);
+}  // namespace
+
 const char* to_string(TopoGuard::PortType t) {
   switch (t) {
     case TopoGuard::PortType::Any: return "ANY";
@@ -109,7 +115,8 @@ Verdict TopoGuard::on_host_event(const ctrl::HostEvent& ev) {
   const of::Location old_loc = *ev.old_loc;
   const auto mac = ev.mac;
   ctrl_.probe_reachability(
-      old_loc, mac, ev.ip, [this, old_loc, mac](bool reachable) {
+      old_loc, mac, ev.ip, kPostconditionProbeTimeout,
+      [this, old_loc, mac](bool reachable) {
         if (!reachable) return;
         ctrl_.alerts().raise(Alert{
             ctrl_.loop().now(), name(), AlertType::HostMigrationPostcondition,

@@ -12,6 +12,15 @@ namespace {
 /// featurization even if that ever changes.
 constexpr std::uint16_t kReservedPortFloor = 0xfffb;
 
+/// Rate breach: events in one sim-second bucket exceed
+/// trained_peak * kRateMultiplier + kRateMargin. The margin absorbs
+/// small-sample training peaks on quiet ports.
+constexpr double kRateMultiplier = 2.0;
+constexpr std::uint64_t kRateMargin = 8;
+/// Duration outlier: a span runs past
+/// max(trained_max * kDurationMultiplier, trained_p99).
+constexpr double kDurationMultiplier = 2.0;
+
 const char* instant_name(int kind) {
   switch (kind) {
     case 0: return "ANOMALY_PORT";
@@ -148,11 +157,9 @@ ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
   bool flagged = false;
   const PortProfile* base = baseline(port);
   if (base == nullptr) {
-    if (config_.alert_unseen_port) {
-      flagged |= deviate(Deviation::UnseenPort, port, [] {
-        return std::string{"event at port with no trained baseline"};
-      });
-    }
+    flagged |= deviate(Deviation::UnseenPort, port, [] {
+      return std::string{"event at port with no trained baseline"};
+    });
   } else {
     const Symbol s1 = st.s1;
     const Symbol s2 = st.s2;
@@ -179,8 +186,8 @@ ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
   st.in_bucket += 1;
   if (base != nullptr) {
     const double limit =
-        static_cast<double>(base->peak_rate_per_s) * config_.rate_multiplier +
-        static_cast<double>(config_.rate_margin);
+        static_cast<double>(base->peak_rate_per_s) * kRateMultiplier +
+        static_cast<double>(kRateMargin);
     if (static_cast<double>(st.in_bucket) > limit) {
       const std::uint64_t seen = st.in_bucket;
       const std::uint64_t peak = base->peak_rate_per_s;
@@ -248,7 +255,7 @@ ctrl::Verdict ProfileAnomalyService::on_lldp_observation(
   }
   const DurationEnvelope& env = it->second;
   const double limit =
-      std::max(env.max_ns * config_.duration_multiplier, env.p99_ns);
+      std::max(env.max_ns * kDurationMultiplier, env.p99_ns);
   if (static_cast<double>(ns) > limit) {
     const PortKey port = port_key(obs.dst);
     const bool alert_grade = deviate(Deviation::DurationOutlier, port, [ns] {

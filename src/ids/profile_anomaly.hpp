@@ -35,16 +35,6 @@ struct AnomalyConfig {
   /// Return Block from verdict-bearing hooks on alert-grade deviations
   /// (only bites under OrderedStop profiles with a verdict gate).
   bool veto = false;
-  /// Rate breach: events in one sim-second bucket exceed
-  /// trained_peak * rate_multiplier + rate_margin. The margin absorbs
-  /// small-sample training peaks on quiet ports.
-  double rate_multiplier = 2.0;
-  std::uint64_t rate_margin = 8;
-  /// Duration outlier: a span runs past
-  /// max(trained_max * duration_multiplier, trained_p99).
-  double duration_multiplier = 2.0;
-  /// Treat events at ports absent from the profile as deviations.
-  bool alert_unseen_port = true;
 };
 
 /// Deviation + bookkeeping totals (mirrored into ids.anomaly.* when

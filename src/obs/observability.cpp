@@ -18,9 +18,7 @@ void Observability::LoopObserver::on_event_executed(sim::SimTime /*now*/,
 }
 
 Observability::Observability(ObsConfig config)
-    : config_{config},
-      trace_{config.max_trace_records},
-      loop_observer_{metrics_} {}
+    : config_{config}, loop_observer_{metrics_} {}
 
 Observability::~Observability() = default;
 

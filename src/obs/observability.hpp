@@ -21,10 +21,9 @@
 
 namespace tmg::obs {
 
+/// The trace keeps TraceLog's default record cap; cumulative counters
+/// are exact regardless.
 struct ObsConfig {
-  /// Trace record cap (see TraceLog); cumulative counters are exact
-  /// regardless.
-  std::size_t max_trace_records = TraceLog::kDefaultMaxRecords;
   /// Open a span tree around every MessagePipeline dispatch (per-listener
   /// child spans). Turn off for long runs that only need metrics.
   bool trace_dispatch = true;

@@ -7,20 +7,32 @@
 
 namespace tmg::of {
 
-Switch::Switch(sim::EventLoop& loop, sim::Rng rng, Config config,
-               ControlChannel& channel)
-    : loop_{loop}, rng_{std::move(rng)}, config_{config}, channel_{channel} {
-  channel_.attach_switch([this](const CtrlToSwitch& msg) { handle_ctrl(msg); });
-  loop_.post_after(config_.expiry_sweep, [this] { sweep_expired(); });
-}
-
 namespace {
+
+/// Link-integrity pulse window: carrier loss shorter than a delay
+/// sampled uniformly from [kDetectMin, kDetectMax] goes unnoticed.
+constexpr sim::Duration kDetectMin = sim::Duration::millis(8);
+constexpr sim::Duration kDetectMax = sim::Duration::millis(24);
+static_assert(kDetectMin <= kDetectMax);
+/// Delay from carrier restoration to operational Port-Up.
+constexpr sim::Duration kUpDetect = sim::Duration::millis(1);
+/// Period of the flow-expiry sweep.
+constexpr sim::Duration kExpirySweep = sim::Duration::seconds(1);
+/// Dataplane forwarding latency within the switch.
+constexpr sim::Duration kForwardDelay = sim::Duration::micros(10);
 
 constexpr auto kByPortNo = [](const auto& port, PortNo no) {
   return port.no < no;
 };
 
 }  // namespace
+
+Switch::Switch(sim::EventLoop& loop, sim::Rng rng, Dpid dpid,
+               ControlChannel& channel)
+    : loop_{loop}, rng_{std::move(rng)}, dpid_{dpid}, channel_{channel} {
+  channel_.attach_switch([this](const CtrlToSwitch& msg) { handle_ctrl(msg); });
+  loop_.post_after(kExpirySweep, [this] { sweep_expired(); });
+}
 
 const Switch::Port* Switch::find_port(PortNo no) const {
   const auto it = std::lower_bound(ports_.begin(), ports_.end(), no, kByPortNo);
@@ -132,7 +144,7 @@ void Switch::handle_flow_mod(const FlowMod& fm) {
   }
   for (const auto& removed : table_.remove_matching(fm.match)) {
     if (removed.notify_on_removal) {
-      channel_.to_controller(FlowRemoved{config_.dpid, removed.cookie,
+      channel_.to_controller(FlowRemoved{dpid_, removed.cookie,
                                          FlowRemoved::Reason::Delete,
                                          removed.packet_count,
                                          removed.byte_count});
@@ -202,10 +214,9 @@ void Switch::forward_shared(std::shared_ptr<const net::Packet> pkt, Port& p) {
   p.stats.tx_bytes += pkt->wire_size();
   DataLink* link = p.link;
   const Side side = p.side;
-  loop_.post_after(config_.forward_delay,
-                       [link, side, pkt = std::move(pkt)]() mutable {
-                         link->send(side, std::move(pkt));
-                       });
+  loop_.post_after(kForwardDelay, [link, side, pkt = std::move(pkt)]() mutable {
+    link->send(side, std::move(pkt));
+  });
 }
 
 void Switch::flood(const net::Packet& pkt, PortNo except_port) {
@@ -219,7 +230,7 @@ void Switch::flood(const net::Packet& pkt, PortNo except_port) {
 
 void Switch::send_packet_in(PortNo in_port, const net::Packet& pkt,
                             PacketIn::Reason reason) {
-  channel_.to_controller(PacketIn{config_.dpid, in_port, reason, pkt});
+  channel_.to_controller(PacketIn{dpid_, in_port, reason, pkt});
 }
 
 void Switch::on_peer_carrier(PortNo port, bool up) {
@@ -233,10 +244,8 @@ void Switch::on_peer_carrier(PortNo port, bool up) {
   if (!up && p.oper_up) {
     // Carrier lost: only a sustained loss (>= link-integrity window)
     // becomes an operational Port-Down.
-    const auto lo = config_.detect_min.count_nanos();
-    const auto hi = config_.detect_max.count_nanos();
-    const auto delay =
-        sim::Duration::nanos(rng_.uniform_int(lo, hi > lo ? hi : lo));
+    const auto delay = sim::Duration::nanos(rng_.uniform_int(
+        kDetectMin.count_nanos(), kDetectMax.count_nanos()));
     loop_.post_after(delay, [this, port, epoch] {
       Port* pp_found = find_port(port);
       if (pp_found == nullptr) return;
@@ -246,11 +255,11 @@ void Switch::on_peer_carrier(PortNo port, bool up) {
       if (!pp.peer_carrier_up && pp.oper_up) {
         pp.oper_up = false;
         channel_.to_controller(
-            PortStatus{config_.dpid, port, PortStatus::Reason::Down});
+            PortStatus{dpid_, port, PortStatus::Reason::Down});
       }
     });
   } else if (up && !p.oper_up) {
-    loop_.post_after(config_.up_detect, [this, port, epoch] {
+    loop_.post_after(kUpDetect, [this, port, epoch] {
       Port* pp_found = find_port(port);
       if (pp_found == nullptr) return;
       Port& pp = *pp_found;
@@ -258,7 +267,7 @@ void Switch::on_peer_carrier(PortNo port, bool up) {
       if (pp.peer_carrier_up && !pp.oper_up) {
         pp.oper_up = true;
         channel_.to_controller(
-            PortStatus{config_.dpid, port, PortStatus::Reason::Up});
+            PortStatus{dpid_, port, PortStatus::Reason::Up});
       }
     });
   }
@@ -268,11 +277,11 @@ void Switch::sweep_expired() {
   for (const auto& expired : table_.expire(loop_.now())) {
     if (expired.entry.notify_on_removal) {
       channel_.to_controller(
-          FlowRemoved{config_.dpid, expired.entry.cookie, expired.reason,
+          FlowRemoved{dpid_, expired.entry.cookie, expired.reason,
                       expired.entry.packet_count, expired.entry.byte_count});
     }
   }
-  loop_.post_after(config_.expiry_sweep, [this] { sweep_expired(); });
+  loop_.post_after(kExpirySweep, [this] { sweep_expired(); });
 }
 
 }  // namespace tmg::of

@@ -3,7 +3,7 @@
 // Forwards dataplane packets per its flow table, punts table misses and
 // all LLDP to the controller as Packet-In, honors Packet-Out / Flow-Mod,
 // and reports port state transitions. Carrier loss is detected through
-// the IEEE 802.3 link-integrity pulse window (16±8 ms by default): a
+// the IEEE 802.3 link-integrity pulse window (16±8 ms): a
 // flap shorter than the sampled detection delay produces *no* Port-Down,
 // which is the physical fact the in-band port-amnesia attack must respect
 // (paper Sec. V-A).
@@ -31,21 +31,7 @@ struct PortStats {
 
 class Switch {
  public:
-  struct Config {
-    Dpid dpid = 0;
-    /// Link-integrity pulse window: carrier loss shorter than a delay
-    /// sampled uniformly from [detect_min, detect_max] goes unnoticed.
-    sim::Duration detect_min = sim::Duration::millis(8);
-    sim::Duration detect_max = sim::Duration::millis(24);
-    /// Delay from carrier restoration to operational Port-Up.
-    sim::Duration up_detect = sim::Duration::millis(1);
-    /// Period of the flow-expiry sweep.
-    sim::Duration expiry_sweep = sim::Duration::seconds(1);
-    /// Dataplane forwarding latency within the switch.
-    sim::Duration forward_delay = sim::Duration::micros(10);
-  };
-
-  Switch(sim::EventLoop& loop, sim::Rng rng, Config config,
+  Switch(sim::EventLoop& loop, sim::Rng rng, Dpid dpid,
          ControlChannel& channel);
 
   Switch(const Switch&) = delete;
@@ -55,7 +41,7 @@ class Switch {
   /// switch-local and must be unique (std::logic_error otherwise).
   void attach_link(PortNo port, DataLink& link, Side side);
 
-  [[nodiscard]] Dpid dpid() const { return config_.dpid; }
+  [[nodiscard]] Dpid dpid() const { return dpid_; }
   [[nodiscard]] bool port_oper_up(PortNo port) const;
   /// Counters of an attached port (std::out_of_range otherwise).
   [[nodiscard]] const PortStats& port_stats(PortNo port) const;
@@ -97,7 +83,7 @@ class Switch {
 
   sim::EventLoop& loop_;
   sim::Rng rng_;
-  Config config_;
+  Dpid dpid_;
   ControlChannel& channel_;
   std::vector<Port> ports_;  // sorted by port number
   FlowTable table_;

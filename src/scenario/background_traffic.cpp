@@ -8,6 +8,16 @@ namespace tmg::scenario {
 
 using sim::Duration;
 
+namespace {
+/// Packets per flow and their on-wire spacing; first packet is the
+/// table miss, the rest exercise the installed rules.
+constexpr int kPacketsPerFlow = 4;
+constexpr Duration kPacketGap = Duration::micros(200);
+constexpr std::size_t kFlowBytes = 512;
+/// How long a mobile host stays unplugged between its two ports.
+constexpr Duration kMobilityDowntime = Duration::millis(200);
+}  // namespace
+
 BackgroundTraffic::BackgroundTraffic(Testbed& tb, sim::Rng rng,
                                      BackgroundTrafficConfig config)
     : tb_{tb}, loop_{tb.loop()}, rng_{rng}, config_{config} {}
@@ -61,10 +71,10 @@ void BackgroundTraffic::schedule_flow() {
     ++stats_.flows_started;
     const net::MacAddress dst_mac = to->mac();
     const net::Ipv4Address dst_ip = to->ip();
-    for (int p = 0; p < config_.packets_per_flow; ++p) {
-      loop_.post_after(config_.packet_gap * p, [this, from, dst_mac, dst_ip] {
+    for (int p = 0; p < kPacketsPerFlow; ++p) {
+      loop_.post_after(kPacketGap * p, [this, from, dst_mac, dst_ip] {
         if (!running_) return;
-        from->send_raw(dst_mac, dst_ip, "bg-flow", config_.flow_bytes);
+        from->send_raw(dst_mac, dst_ip, "bg-flow", kFlowBytes);
         ++stats_.packets_offered;
       });
     }
@@ -105,14 +115,14 @@ void BackgroundTraffic::schedule_mobility() {
     const std::size_t spare_idx = static_cast<std::size_t>(rng_.uniform_int(
         0, static_cast<std::int64_t>(spare_links_.size()) - 1));
     of::DataLink* target = spare_links_[spare_idx];
-    migrate_host(tb_, *chosen->host, *target, config_.mobility_downtime);
+    migrate_host(tb_, *chosen->host, *target, kMobilityDowntime);
     // The vacated port becomes the new spare.
     spare_links_[spare_idx] = chosen->link;
     chosen->link = target;
     ++stats_.migrations;
     // On rejoin the host announces itself so the HTS observes the move.
     attack::Host* h = chosen->host;
-    loop_.post_after(config_.mobility_downtime + Duration::millis(10),
+    loop_.post_after(kMobilityDowntime + Duration::millis(10),
                      [this, h] {
                        if (!running_ || !h->attached()) return;
                        h->send_arp_request(h->ip());

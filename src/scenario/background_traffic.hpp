@@ -29,11 +29,6 @@ namespace tmg::scenario {
 struct BackgroundTrafficConfig {
   /// Mean inter-arrival of new flows (exponential). Zero disables flows.
   sim::Duration mean_flow_interarrival = sim::Duration::millis(20);
-  /// Packets per flow and their on-wire spacing; first packet is the
-  /// table miss, the rest exercise the installed rules.
-  int packets_per_flow = 4;
-  sim::Duration packet_gap = sim::Duration::micros(200);
-  std::size_t flow_bytes = 512;
 
   /// Gratuitous-ARP announcement cadence (one random host per tick,
   /// jittered ±25%). Zero disables churn. Broadcasts are the expensive
@@ -44,7 +39,6 @@ struct BackgroundTrafficConfig {
   /// Host mobility cadence (one migration per tick, jittered ±25%).
   /// Zero — or an empty spare-link pool — disables mobility.
   sim::Duration mobility_period = sim::Duration::seconds(10);
-  sim::Duration mobility_downtime = sim::Duration::millis(200);
 };
 
 /// Drives the configured workload over a population of testbed hosts.

@@ -177,13 +177,13 @@ struct HijackConfig {
   bool check_invariants = true;
   /// Per-worker arena to run in (see LinkAttackConfig).
   TrialArena* arena = nullptr;
-  /// Controller pipeline profile: Table III timers plus the listener
-  /// layout, dispatch discipline, host-migration policy, and discovery
-  /// strategy of one controller family (profiles.hpp). Unset keeps the
-  /// testbed default (Floodlight); bench_montecarlo sweeps
-  /// all_profiles() to map how each controller's cadence *and*
-  /// processing model shift the race windows (ONOS's probe-before-move
-  /// delays or rejects the rebind entirely).
+  /// Controller pipeline profile: Table III timers plus the dispatch
+  /// discipline (with or without the verdict gate), host-migration
+  /// policy, and discovery strategy of one controller family
+  /// (profiles.hpp). Unset keeps the testbed default (Floodlight);
+  /// bench_montecarlo sweeps all_profiles() to map how each
+  /// controller's cadence *and* processing model shift the race windows
+  /// (ONOS's probe-before-move delays or rejects the rebind entirely).
   std::optional<ctrl::ControllerProfile> profile;
   /// Run the scenario without probing or hijacking (clean baseline for
   /// anomaly training / false-alert scoring; victim stays up).

@@ -8,6 +8,17 @@
 
 namespace tmg::scenario {
 
+namespace {
+/// Utilization fraction above which a server is saturated.
+constexpr double kSaturationThreshold = 0.85;
+/// Balancer evaluation period.
+constexpr sim::Duration kTickPeriod = sim::Duration::seconds(1);
+/// Live-migration downtime window: log-normal, seconds-scale
+/// (Xen/VMware measurements cited in paper Sec. IV-B2).
+constexpr double kDowntimeMuS = 0.7;  // exp(mu) ~ 2.0 s median
+constexpr double kDowntimeSigma = 0.35;
+}  // namespace
+
 Hypervisor::Hypervisor(sim::EventLoop& loop, sim::Rng rng,
                        HypervisorConfig config)
     : loop_{loop}, rng_{std::move(rng)}, config_{config} {}
@@ -79,7 +90,7 @@ void Hypervisor::tick() {
   const sim::SimTime now = loop_.now();
   if (!migrating_) {
     for (auto& [id, server] : servers_) {
-      if (server_utilization(id) < config_.saturation_threshold) {
+      if (server_utilization(id) < kSaturationThreshold) {
         saturated_since_.erase(id);
         continue;
       }
@@ -113,7 +124,7 @@ void Hypervisor::tick() {
       }
     }
   }
-  loop_.post_after(config_.tick, [this] { tick(); });
+  loop_.post_after(kTickPeriod, [this] { tick(); });
 }
 
 void Hypervisor::migrate(Vm& vm, ServerId to) {
@@ -125,7 +136,7 @@ void Hypervisor::migrate(Vm& vm, ServerId to) {
   assert(dst_slot < dst.slots.size());
 
   const double downtime_s =
-      std::exp(rng_.normal(config_.downtime_mu_s, config_.downtime_sigma));
+      std::exp(rng_.normal(kDowntimeMuS, kDowntimeSigma));
   const sim::Duration downtime = sim::Duration::from_seconds_f(downtime_s);
   if (listener_) listener_(vm.name, vm.server, to, downtime);
 

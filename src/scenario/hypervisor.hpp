@@ -30,17 +30,9 @@ namespace tmg::scenario {
 using ServerId = std::uint32_t;
 
 struct HypervisorConfig {
-  /// Utilization fraction above which a server is saturated.
-  double saturation_threshold = 0.85;
   /// Saturation must persist this long before the balancer acts
   /// (hysteresis against transient spikes).
   sim::Duration sustain = sim::Duration::seconds(5);
-  /// Balancer evaluation period.
-  sim::Duration tick = sim::Duration::seconds(1);
-  /// Live-migration downtime window: log-normal, seconds-scale
-  /// (Xen/VMware measurements cited in paper Sec. IV-B2).
-  double downtime_mu_s = 0.7;     // exp(mu) ~ 2.0 s median
-  double downtime_sigma = 0.35;
 };
 
 class Hypervisor {

@@ -7,6 +7,30 @@
 
 namespace tmg::scenario {
 
+namespace {
+
+/// Dataplane link latency model (paper Fig. 9: 5 ms links with
+/// occasional micro-bursts to ~12 ms, Fig. 10).
+std::unique_ptr<sim::LatencyModel> dataplane_model() {
+  return sim::make_microburst(sim::Duration::millis(5),
+                              sim::Duration::micros(300), 0.03,
+                              sim::Duration::from_millis_f(2.5));
+}
+
+/// Host access links are short patch cables.
+std::unique_ptr<sim::LatencyModel> access_model() {
+  return sim::make_normal(sim::Duration::micros(200),
+                          sim::Duration::micros(20));
+}
+
+/// Control channel (switch <-> controller).
+std::unique_ptr<sim::LatencyModel> control_model() {
+  return sim::make_normal(sim::Duration::millis(1),
+                          sim::Duration::micros(100));
+}
+
+}  // namespace
+
 Testbed::Testbed(TestbedOptions options)
     : options_{std::move(options)},
       owned_loop_{options_.loop == nullptr
@@ -57,20 +81,6 @@ check::InvariantChecker& Testbed::enable_invariant_checker(
   return *checker_;
 }
 
-std::unique_ptr<sim::LatencyModel> Testbed::dataplane_model() {
-  return sim::make_microburst(options_.dataplane_latency,
-                              options_.dataplane_jitter,
-                              options_.microburst_p, options_.microburst_mean);
-}
-
-std::unique_ptr<sim::LatencyModel> Testbed::access_model() {
-  return sim::make_normal(options_.access_latency, options_.access_jitter);
-}
-
-std::unique_ptr<sim::LatencyModel> Testbed::control_model() {
-  return sim::make_normal(options_.control_latency, options_.control_jitter);
-}
-
 of::Switch& Testbed::add_switch(of::Dpid dpid) {
   if (started_) throw std::logic_error("testbed already started");
   auto [it, inserted] = switches_.try_emplace(dpid);
@@ -78,10 +88,8 @@ of::Switch& Testbed::add_switch(of::Dpid dpid) {
   SwitchEntry& entry = it->second;
   entry.channel = std::make_unique<of::ControlChannel>(loop_, rng_.fork(),
                                                        control_model());
-  of::Switch::Config cfg = options_.switch_template;
-  cfg.dpid = dpid;
   entry.sw =
-      std::make_unique<of::Switch>(loop_, rng_.fork(), cfg, *entry.channel);
+      std::make_unique<of::Switch>(loop_, rng_.fork(), dpid, *entry.channel);
   return *entry.sw;
 }
 

@@ -22,20 +22,6 @@ namespace tmg::scenario {
 struct TestbedOptions {
   std::uint64_t seed = 42;
   ctrl::ControllerConfig controller;
-  /// Dataplane link latency model (paper Fig. 9: 5 ms links with
-  /// occasional micro-bursts to ~12 ms, Fig. 10).
-  sim::Duration dataplane_latency = sim::Duration::millis(5);
-  sim::Duration dataplane_jitter = sim::Duration::micros(300);
-  double microburst_p = 0.03;
-  sim::Duration microburst_mean = sim::Duration::from_millis_f(2.5);
-  /// Host access links are short patch cables.
-  sim::Duration access_latency = sim::Duration::micros(200);
-  sim::Duration access_jitter = sim::Duration::micros(20);
-  /// Control channel (switch <-> controller).
-  sim::Duration control_latency = sim::Duration::millis(1);
-  sim::Duration control_jitter = sim::Duration::micros(100);
-  /// Template for switch behavior (dpid is overridden per switch).
-  of::Switch::Config switch_template;
   /// Attach the runtime invariant checker (src/check) to the controller.
   /// Integration tests turn this on; benches leave it off to keep the
   /// measured hot path untouched.
@@ -119,10 +105,6 @@ class Testbed {
   }
 
  private:
-  std::unique_ptr<sim::LatencyModel> dataplane_model();
-  std::unique_ptr<sim::LatencyModel> access_model();
-  std::unique_ptr<sim::LatencyModel> control_model();
-
   struct SwitchEntry {
     std::unique_ptr<of::ControlChannel> channel;
     std::unique_ptr<of::Switch> sw;

@@ -120,6 +120,13 @@ GeneratedTopology generate_leaf_spine(const GeneratorConfig& cfg) {
   return out;
 }
 
+/// Host access ports per ISP switch.
+constexpr int kHostsPerIspSwitch = 4;
+/// Waxman shortcut parameters on a unit square: alpha scales overall
+/// shortcut density, beta the distance decay.
+constexpr double kWaxmanAlpha = 0.4;
+constexpr double kWaxmanBeta = 0.2;
+
 // ISP-like: a preferential-attachment spanning tree (every new switch
 // wires to an existing one picked with probability proportional to
 // degree+1 — the Barabási–Albert rich-get-richer kernel) guarantees one
@@ -127,12 +134,10 @@ GeneratedTopology generate_leaf_spine(const GeneratorConfig& cfg) {
 // P(i,j) = alpha * exp(-dist / (beta * sqrt(2))) layered on top give
 // the distance-local mesh structure of real backbone maps. All draws
 // come from one seeded sim::Rng in a fixed order, so the wiring is a
-// pure function of (switches, alpha, beta, seed).
+// pure function of (switches, seed).
 GeneratedTopology generate_isp(const GeneratorConfig& cfg) {
   const int n = cfg.isp_switches;
   TMG_ASSERT(n >= 2, "isp topology needs at least 2 switches");
-  TMG_ASSERT(cfg.hosts_per_isp_switch >= 0,
-             "hosts_per_isp_switch must be non-negative");
 
   GeneratedTopology out;
   out.config = cfg;
@@ -193,7 +198,7 @@ GeneratedTopology generate_isp(const GeneratorConfig& cfg) {
                         ys[static_cast<std::size_t>(j)];
       const double dist = std::sqrt(dx * dx + dy * dy);
       const double p =
-          cfg.waxman_alpha * std::exp(-dist / (cfg.waxman_beta * max_dist));
+          kWaxmanAlpha * std::exp(-dist / (kWaxmanBeta * max_dist));
       // The draw happens for every pair regardless of whether the edge
       // already exists, so the stream position — and thus every later
       // edge — depends only on the pair index, not on tree shape.
@@ -201,11 +206,11 @@ GeneratedTopology generate_isp(const GeneratorConfig& cfg) {
       if (add && !adjacent(i, j)) wire(i, j);
     }
   }
-  // Hosts: hosts_per_isp_switch access ports per switch, switch-major,
+  // Hosts: kHostsPerIspSwitch access ports per switch, switch-major,
   // numbered after that switch's final fabric port.
-  out.hosts.reserve(static_cast<std::size_t>(n) * cfg.hosts_per_isp_switch);
+  out.hosts.reserve(static_cast<std::size_t>(n) * kHostsPerIspSwitch);
   for (int i = 0; i < n; ++i) {
-    for (int h = 0; h < cfg.hosts_per_isp_switch; ++h) {
+    for (int h = 0; h < kHostsPerIspSwitch; ++h) {
       out.hosts.push_back(HostAttachment{
           static_cast<Dpid>(1 + i),
           static_cast<PortNo>(next_port[static_cast<std::size_t>(i)] + h)});

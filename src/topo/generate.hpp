@@ -47,12 +47,8 @@ struct GeneratorConfig {
   int spines = 2;
   int hosts_per_leaf = 8;
 
-  /// ISP dimensions. alpha scales overall shortcut density, beta the
-  /// distance decay (classic Waxman parameters on a unit square).
+  /// ISP dimensions (four host ports per switch).
   int isp_switches = 64;
-  int hosts_per_isp_switch = 4;
-  double waxman_alpha = 0.4;
-  double waxman_beta = 0.2;
   /// Seed for the ISP family's random structure (ignored by the two
   /// deterministic Clos families).
   std::uint64_t seed = 0;

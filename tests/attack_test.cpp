@@ -262,7 +262,7 @@ TEST(Host, SendResolvedDropsWhenTargetGone) {
       lab.victim->ip(),
       net::make_icmp_echo(lab.attacker->mac(), lab.attacker->ip(),
                           net::MacAddress{}, lab.victim->ip(), 43, 1));
-  lab.run(2_s);  // resolve_timeout elapses, queue dropped silently
+  lab.run(2_s);  // the 1 s resolve timeout elapses, queue dropped silently
   lab.victim->set_interface(true);
   lab.run(200_ms);
   for (const auto& p : lab.victim_rx->packets()) {

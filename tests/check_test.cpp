@@ -7,8 +7,11 @@
 // alerts. Plus the TMG_ASSERT / failure-handler plumbing itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/assert.hpp"
@@ -194,6 +197,53 @@ TEST(InvariantChecker, ProfileFlipAcrossResetIsLegal) {
   profile = defense::TopoGuard::PortType::Switch;  // ...then the flip
   EXPECT_TRUE(checker.run_checks().empty());
   EXPECT_EQ(checker.violation_count(), 0u);
+}
+
+/// A listener that only names itself and subscribes to `mask`.
+class StubListener final : public ctrl::MessageListener {
+ public:
+  StubListener(std::string name, std::uint32_t mask)
+      : name_{std::move(name)}, mask_{mask} {}
+  [[nodiscard]] std::string name() const override { return name_; }
+  [[nodiscard]] std::uint32_t subscriptions() const override { return mask_; }
+  ctrl::Disposition on_message(const ctrl::PipelineMessage&,
+                               ctrl::DispatchContext&) override {
+    return ctrl::Disposition::Continue;
+  }
+
+ private:
+  std::string name_;
+  std::uint32_t mask_;
+};
+
+TEST(InvariantChecker, PipelineOffTheBandsRaisesAlert) {
+  // Invariant 8: a broadcast-observe chain (OpenDaylight) carries no
+  // verdict gate, and every listener subscribes to something.
+  sim::EventLoop loop;
+  ctrl::ControllerConfig config;
+  config.profile = ctrl::opendaylight_profile();
+  ctrl::Controller ctrl{loop, sim::Rng{1}, config};
+  InvariantChecker checker{ctrl, InvariantOptions{0, false}};
+  ASSERT_TRUE(checker.run_checks().empty()) << "clean before corruption";
+
+  ctrl.pipeline().add_owned(
+      ctrl::kVerdictGateSlot,
+      std::make_unique<StubListener>(
+          "verdict-gate", ctrl::mask_of(ctrl::MessageType::PacketIn)));
+  ctrl.pipeline().add_owned(ctrl::kRoutingSlot + 100,
+                            std::make_unique<StubListener>("deaf", 0));
+
+  const std::vector<std::string> violations = checker.run_checks();
+  const auto reported = [&violations](const std::string& text) {
+    return std::any_of(violations.begin(), violations.end(),
+                       [&text](const std::string& v) {
+                         return v.find(text) != std::string::npos;
+                       });
+  };
+  EXPECT_EQ(violations.size(), 2u);
+  EXPECT_TRUE(reported("verdict gate installed in a broadcast-observe chain"));
+  EXPECT_TRUE(reported("deaf subscribes to nothing"));
+  EXPECT_EQ(ctrl.alerts().count(AlertType::InvariantViolation), 2u);
 }
 
 TEST(InvariantChecker, AssertOnViolationRoutesThroughFailureHandler) {

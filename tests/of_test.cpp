@@ -374,20 +374,14 @@ TEST(ControlChannel, FifoUnderJitter) {
 struct SwitchFixture {
   EventLoop loop;
   ControlChannel channel{loop, Rng{7}, sim::make_fixed(1_ms)};
-  Switch sw;
+  Switch sw{loop, Rng{11}, 0xA, channel};
   DataLink l1{loop, Rng{8}, sim::make_fixed(100_us)};
   DataLink l2{loop, Rng{9}, sim::make_fixed(100_us)};
   DataLink l3{loop, Rng{10}, sim::make_fixed(100_us)};
   std::vector<SwitchToCtrl> ctrl_inbox;
   std::vector<net::Packet> host1, host2, host3;
 
-  static Switch::Config config() {
-    Switch::Config c;
-    c.dpid = 0xA;
-    return c;
-  }
-
-  SwitchFixture() : sw{loop, Rng{11}, config(), channel} {
+  SwitchFixture() {
     channel.attach_controller(
         [this](const SwitchToCtrl& m) { ctrl_inbox.push_back(m); });
     sw.attach_link(1, l1, Side::A);
@@ -576,7 +570,7 @@ TEST(Switch, IdleExpiryEmitsFlowRemoved) {
 TEST(Switch, SustainedCarrierLossEmitsPortDown) {
   SwitchFixture f;
   f.l1.set_carrier(Side::B, false);
-  f.run(Duration::millis(30));  // > detect_max (24 ms)
+  f.run(Duration::millis(30));  // > the 24 ms detection-window maximum
   const auto events = f.collect<PortStatus>();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].reason, PortStatus::Reason::Down);
@@ -649,9 +643,7 @@ TEST(Switch, PortsListed) {
 TEST(Switch, SparsePortNumbers) {
   EventLoop loop;
   ControlChannel channel{loop, Rng{7}, sim::make_fixed(1_ms)};
-  Switch::Config cfg;
-  cfg.dpid = 0xB;
-  Switch sw{loop, Rng{11}, cfg, channel};
+  Switch sw{loop, Rng{11}, 0xB, channel};
   std::vector<SwitchToCtrl> inbox;
   channel.attach_controller(
       [&inbox](const SwitchToCtrl& m) { inbox.push_back(m); });

@@ -1,5 +1,5 @@
-// Per-controller pipeline profiles: name resolution, layout plumbing,
-// and the behavioral splits the profiles encode — ONOS's
+// Per-controller pipeline profiles: name resolution, the discipline's
+// verdict gate, and the behavioral splits the profiles encode — ONOS's
 // probe-before-move host migration, OpenDaylight's gate-less
 // broadcast-observe dispatch — plus per-profile determinism of the
 // experiment drivers (same outcome for any --jobs value and across
@@ -83,30 +83,14 @@ TEST(ProfileNames, ExampleParseProfileValue) {
   EXPECT_FALSE(flag.apply("").empty());
 }
 
-// ---------------- Layout plumbing ----------------
-
-TEST(ProfileLayout, FloodlightLayoutIsTheLegacyChain) {
-  // The refactor's byte-identity anchor: the default profile's slot
-  // table must equal the constants the pre-profile controller
-  // hard-coded (0/100+10N/900/1000/1100/1200).
-  const PipelineLayout l = floodlight_profile().layout;
-  EXPECT_EQ(l.core, 0);
-  EXPECT_EQ(l.defense_base, 100);
-  EXPECT_EQ(l.defense_step, 10);
-  EXPECT_EQ(l.verdict_gate, 900);
-  EXPECT_EQ(l.link_discovery, 1000);
-  EXPECT_EQ(l.host_tracking, 1100);
-  EXPECT_EQ(l.routing, 1200);
-}
+// ---------------- Dispatch discipline ----------------
 
 TEST(ProfileLayout, OpendaylightCompilesTheGateOut) {
-  EXPECT_LT(opendaylight_profile().layout.verdict_gate, 0);
   EXPECT_EQ(opendaylight_profile().discipline,
             DispatchDiscipline::BroadcastObserve);
   // Everyone else keeps the ordered-stop chain with the gate present.
   for (const auto& p :
        {floodlight_profile(), pox_profile(), onos_profile()}) {
-    EXPECT_GE(p.layout.verdict_gate, 0) << p.name;
     EXPECT_EQ(p.discipline, DispatchDiscipline::OrderedStop) << p.name;
   }
 }
@@ -118,7 +102,7 @@ TEST(ProfileLayout, ControllerChainFollowsTheProfile) {
     Testbed tb{opts};
     tb.add_switch(0x1);
     bool saw_gate = false;
-    for (const auto& s : tb.controller().pipeline_stats()) {
+    for (const auto& s : tb.controller().pipeline().stats()) {
       if (s.name == "verdict-gate") saw_gate = true;
     }
     EXPECT_EQ(saw_gate, key != "opendaylight") << key;
