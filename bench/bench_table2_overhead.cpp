@@ -10,6 +10,8 @@
 // processing — is the reproduced result.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "ctrl/host_tracker.hpp"
 #include "ctrl/link_discovery.hpp"
 #include "defense/topoguard_plus.hpp"
@@ -56,8 +58,8 @@ struct Env {
     pi.dpid = 0x2;
     pi.in_port = 10;
     pi.reason = of::PacketIn::Reason::Action;
-    pi.packet = net::make_lldp_frame(net::MacAddress::lldp_multicast(),
-                                     std::move(lldp));
+    pi.packet = std::make_shared<const net::Packet>(net::make_lldp_frame(
+        net::MacAddress::lldp_multicast(), std::move(lldp)));
     return pi;
   }
 };

@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   std::vector<of::DataLink*> server_b = {&tb.add_access_link(0x2, 1),
                                          &tb.add_access_link(0x2, 2)};
 
-  scenario::Hypervisor hv{tb.loop(), tb.fork_rng(),
-                          scenario::HypervisorConfig{}};
+  scenario::Hypervisor hv{tb.loop(), tb.fork_rng()};
   hv.add_server(1, 1.0, server_a);
   hv.add_server(2, 1.0, server_b);
 

@@ -21,7 +21,7 @@ void Host::attach_link(of::DataLink& link, of::Side side) {
   link_ = &link;
   side_ = side;
   link.attach(side, of::DataLink::Peer{
-                        [this](const net::Packet& pkt) { on_rx(pkt); },
+                        [this](const net::PacketPtr& pkt) { on_rx(*pkt); },
                         // Hosts do not act on the switch's carrier.
                         [](bool) {},
                     });

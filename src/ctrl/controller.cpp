@@ -1,5 +1,6 @@
 #include "ctrl/controller.hpp"
 
+#include <memory>
 #include <stdexcept>
 
 #include "check/assert.hpp"
@@ -87,7 +88,7 @@ class Controller::CoreListener final : public MessageListener {
  private:
   Disposition on_packet_in(const of::PacketIn& pi) {
     if (c_.obs_ != nullptr) {
-      c_.trace_event(EventKind::PacketIn, pi.packet.describe(),
+      c_.trace_event(EventKind::PacketIn, pi.packet->describe(),
                      of::Location{pi.dpid, pi.in_port});
     }
     // Controller-internal probe replies never reach services or defenses.
@@ -97,7 +98,7 @@ class Controller::CoreListener final : public MessageListener {
     }
     // Answer ARP for the controller's own (virtual) identity, so probed
     // hosts can resolve the source of reachability pings.
-    if (const auto* arp = pi.packet.arp();
+    if (const auto* arp = pi.packet->arp();
         arp != nullptr && arp->op == net::ArpPayload::Op::Request &&
         arp->target_ip == c_.ip()) {
       c_.send_packet_out(pi.dpid, pi.in_port,
@@ -309,11 +310,18 @@ net::Ipv4Address Controller::ip() const {
 }
 
 void Controller::send_packet_out(of::Dpid dpid, of::PortNo out_port,
-                                 net::Packet pkt, of::PortNo in_port) {
+                                 net::PacketPtr pkt, of::PortNo in_port) {
   const auto it = switches_.find(dpid);
   if (it == switches_.end()) return;
   it->second.channel->to_switch(
       of::PacketOut{out_port, in_port, std::move(pkt)});
+}
+
+void Controller::send_packet_out(of::Dpid dpid, of::PortNo out_port,
+                                 net::Packet pkt, of::PortNo in_port) {
+  send_packet_out(dpid, out_port,
+                  std::make_shared<const net::Packet>(std::move(pkt)),
+                  in_port);
 }
 
 void Controller::send_flow_mod(of::Dpid dpid, of::FlowMod fm) {
@@ -430,9 +438,9 @@ void Controller::probe_reachability(of::Location loc, net::MacAddress dst_mac,
 }
 
 bool Controller::consume_probe_reply(const of::PacketIn& pi) {
-  const auto* icmp = pi.packet.icmp();
+  const auto* icmp = pi.packet->icmp();
   if (!icmp || icmp->type != net::IcmpPayload::Type::EchoReply) return false;
-  if (pi.packet.dst_mac != mac()) return false;
+  if (pi.packet->dst_mac != mac()) return false;
   auto it = pending_probes_.find(icmp->ident);
   if (it == pending_probes_.end()) return true;  // stale reply: still ours
   auto cb = std::move(it->second.done);
@@ -486,7 +494,7 @@ void Controller::dispatch(of::Dpid dpid, std::uint32_t index,
       if (c.obs_ != nullptr) {
         c.obs_->flow_stats().record(
             pi.dpid, stats::FlowStats::port_key(pi.dpid, pi.in_port),
-            pi.packet.wire_size());
+            pi.packet->wire_size());
       }
       c.pipeline_.dispatch(PipelineMessage::from(index, pi));
     }

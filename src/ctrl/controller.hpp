@@ -165,6 +165,12 @@ class Controller {
   [[nodiscard]] const crypto::XteaKey& ts_key() const { return ts_key_; }
 
   // --- Transport (services and defenses send through these) ---
+  /// Packet-Out of a packet already in flight, such as a Packet-In's own
+  /// pointer: the switch receives this very object, not a copy.
+  void send_packet_out(of::Dpid dpid, of::PortNo out_port, net::PacketPtr pkt,
+                       of::PortNo in_port = of::kPortNone);
+  /// Packet-Out of a packet the controller builds itself (ARP replies,
+  /// probes, LLDP): wrapped once, then shared like any other.
   void send_packet_out(of::Dpid dpid, of::PortNo out_port, net::Packet pkt,
                        of::PortNo in_port = of::kPortNone);
   void send_flow_mod(of::Dpid dpid, of::FlowMod fm);

@@ -35,7 +35,7 @@ net::Ipv4Address HostTrackingService::source_ip_of(const net::Packet& pkt) {
 
 void HostTrackingService::handle_packet_in(const of::PacketIn& pi,
                                            std::uint32_t switch_index) {
-  const net::Packet& pkt = pi.packet;
+  const net::Packet& pkt = *pi.packet;
   if (pkt.is_lldp()) return;
   if (pkt.src_mac.is_multicast()) return;
   // Traffic on switch-internal ports is transit, not first-hop: it never

@@ -28,7 +28,7 @@ std::uint32_t LinkDiscoveryService::subscriptions() const {
 Disposition LinkDiscoveryService::on_message(const PipelineMessage& msg,
                                              DispatchContext&) {
   if (msg.type == MessageType::PacketIn) {
-    if (!msg.packet_in->packet.is_lldp()) return Disposition::Continue;
+    if (!msg.packet_in->packet->is_lldp()) return Disposition::Continue;
     handle_lldp_packet_in(*msg.packet_in);
     return Disposition::Stop;  // LLDP never reaches host tracking/routing
   }
@@ -118,7 +118,7 @@ std::optional<sim::Duration> LinkDiscoveryService::estimate_link_latency(
 }
 
 void LinkDiscoveryService::handle_lldp_packet_in(const of::PacketIn& pi) {
-  const net::LldpPacket* lldp = pi.packet.lldp();
+  const net::LldpPacket* lldp = pi.packet->lldp();
   if (!lldp) return;
   ++receptions_;
   const sim::SimTime now = ctrl_.loop().now();

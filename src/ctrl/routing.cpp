@@ -34,7 +34,7 @@ Disposition RoutingService::on_message(const PipelineMessage& msg,
 
 void RoutingService::handle_packet_in(const of::PacketIn& pi,
                                       std::uint32_t switch_index) {
-  const net::Packet& pkt = pi.packet;
+  const net::Packet& pkt = *pi.packet;
 
   // Bridge-filtered group addresses (EAPOL, STP, ...) are link-local:
   // consumed at the controller, never forwarded.
@@ -56,9 +56,9 @@ void RoutingService::handle_packet_in(const of::PacketIn& pi,
     // statelessly along the already-computed direction.
     const auto path = path_cache_.path(pi.dpid, dst->loc.dpid);
     if (path && !path->empty()) {
-      ctrl_.send_packet_out(pi.dpid, path->front().from.port, pkt);
+      ctrl_.send_packet_out(pi.dpid, path->front().from.port, pi.packet);
     } else if (pi.dpid == dst->loc.dpid) {
-      ctrl_.send_packet_out(pi.dpid, dst->loc.port, pkt);
+      ctrl_.send_packet_out(pi.dpid, dst->loc.port, pi.packet);
     }
     return;
   }
@@ -67,7 +67,7 @@ void RoutingService::handle_packet_in(const of::PacketIn& pi,
 }
 
 bool RoutingService::route(const of::PacketIn& pi, const of::Location& dst) {
-  const net::Packet& pkt = pi.packet;
+  const net::Packet& pkt = *pi.packet;
   of::FlowMatch match;
   match.dst_mac = pkt.dst_mac;
 
@@ -83,7 +83,7 @@ bool RoutingService::route(const of::PacketIn& pi, const of::Location& dst) {
 
   if (pi.dpid == dst.dpid) {
     ctrl_.send_flow_mod(pi.dpid, make_mod(of::FlowAction::output(dst.port)));
-    ctrl_.send_packet_out(pi.dpid, dst.port, pkt);
+    ctrl_.send_packet_out(pi.dpid, dst.port, pi.packet);
     routed_.push(pkt.trace_id);
     ++paths_;
     return true;
@@ -99,7 +99,7 @@ bool RoutingService::route(const of::PacketIn& pi, const of::Location& dst) {
     ctrl_.send_flow_mod(it->from.dpid,
                         make_mod(of::FlowAction::output(it->from.port)));
   }
-  ctrl_.send_packet_out(pi.dpid, path->front().from.port, pkt);
+  ctrl_.send_packet_out(pi.dpid, path->front().from.port, pi.packet);
   routed_.push(pkt.trace_id);
   ++paths_;
   return true;
@@ -112,7 +112,7 @@ void RoutingService::flood(const of::PacketIn& pi,
                "RoutingService::flood: Packet-In without a switch index");
     widen_flood_slots((ctrl_.topology().switch_count() + 63) / 64);
   }
-  const std::uint64_t id = pi.packet.trace_id;
+  const std::uint64_t id = pi.packet->trace_id;
   std::size_t slot = flooded_.find(id);
   if (slot == DedupRing::npos) {
     slot = flooded_.push(id);

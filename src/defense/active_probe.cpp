@@ -105,7 +105,7 @@ void ActiveLinkVerifier::send_probe(const topo::Link& link) {
 }
 
 Verdict ActiveLinkVerifier::on_packet_in(const of::PacketIn& pi) {
-  const auto* raw = pi.packet.raw();
+  const auto* raw = pi.packet->raw();
   if (!raw || raw->label != kProbeLabel) return Verdict::Allow;
 
   // Probe frames are controller-internal: always consumed.

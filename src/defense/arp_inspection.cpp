@@ -34,7 +34,7 @@ void DynamicArpInspection::deploy() {
 }
 
 Verdict DynamicArpInspection::on_packet_in(const of::PacketIn& pi) {
-  const auto* arp = pi.packet.arp();
+  const auto* arp = pi.packet->arp();
   if (!arp) return Verdict::Allow;
   ++inspected_;
 

@@ -21,7 +21,7 @@ const Enrollment* SecureBinding::authenticated_device(
 }
 
 Verdict SecureBinding::on_packet_in(const of::PacketIn& pi) {
-  const auto maybe_token = net::auth_token_of(pi.packet);
+  const auto maybe_token = net::auth_token_of(*pi.packet);
   if (!maybe_token) return Verdict::Allow;
   const std::uint64_t token = *maybe_token;
 

@@ -72,7 +72,7 @@ void Sphinx::check_link_symmetry() {
 }
 
 Verdict Sphinx::on_packet_in(const of::PacketIn& pi) {
-  const net::Packet& pkt = pi.packet;
+  const net::Packet& pkt = *pi.packet;
   if (pkt.is_lldp() || pkt.src_mac.is_multicast()) return Verdict::Allow;
   const of::Location loc{pi.dpid, pi.in_port};
   const sim::SimTime now = ctrl_.loop().now();

@@ -38,12 +38,12 @@ std::optional<sim::SimTime> TopoGuard::last_reset(of::Location loc) const {
 Verdict TopoGuard::on_packet_in(const of::PacketIn& pi) {
   // Controller-originated frames (reachability pings, active link
   // probes) are not host traffic and never drive classification.
-  if (pi.packet.src_mac == ctrl_.mac()) return Verdict::Allow;
+  if (pi.packet->src_mac == ctrl_.mac()) return Verdict::Allow;
 
   const of::Location loc{pi.dpid, pi.in_port};
   const PortType type = port_type(loc);
 
-  if (pi.packet.is_lldp()) {
+  if (pi.packet->is_lldp()) {
     if (type == PortType::Host) {
       ctrl_.alerts().raise(Alert{
           ctrl_.loop().now(), name(), AlertType::LldpFromHostPort,

@@ -208,9 +208,9 @@ ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
 ctrl::Verdict ProfileAnomalyService::on_packet_in(const of::PacketIn& pi) {
   if (pi.in_port >= kReservedPortFloor) return ctrl::Verdict::Allow;
   const PortKey port = port_key(of::Location{pi.dpid, pi.in_port});
-  const Symbol sym = classify(pi.packet);
+  const Symbol sym = classify(*pi.packet);
   ctrl::Verdict v = score(port, sym);
-  if (const auto* lldp = pi.packet.lldp(); lldp != nullptr) {
+  if (const auto* lldp = pi.packet->lldp(); lldp != nullptr) {
     const PortKey src =
         stats::FlowStats::port_key(lldp->chassis_id(), lldp->port_id());
     if (trainer_ != nullptr) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -120,6 +121,11 @@ struct Packet {
   /// One-line rendering for traces and alert details.
   [[nodiscard]] std::string describe() const;
 };
+
+/// A packet in flight: one immutable object shared by every event,
+/// switch and control message that carries it between its sender and
+/// its last receiver. A receiver that needs a changed packet copies it.
+using PacketPtr = std::shared_ptr<const Packet>;
 
 /// Monotone trace-id source. Thread-local: each worker thread (and so
 /// each trial, which runs entirely on one thread) gets its own stream.

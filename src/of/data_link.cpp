@@ -19,7 +19,7 @@ void DataLink::send(Side from, net::Packet pkt) {
   send(from, std::make_shared<const net::Packet>(std::move(pkt)));
 }
 
-void DataLink::send(Side from, std::shared_ptr<const net::Packet> pkt) {
+void DataLink::send(Side from, net::PacketPtr pkt) {
   const Side to = other(from);
   if (!carrier_[idx(from)] || !carrier_[idx(to)]) return;  // no carrier: lost
   if (drop_ && drop_(*pkt)) return;  // injected in-transit loss
@@ -32,7 +32,7 @@ void DataLink::send(Side from, std::shared_ptr<const net::Packet> pkt) {
     if (!peer.on_packet) return;
     ++delivered_[idx(to)];
     if (tap_) tap_(*pkt, to);
-    peer.on_packet(*pkt);
+    peer.on_packet(pkt);
   });
 }
 

@@ -24,8 +24,9 @@ constexpr Side other(Side s) { return s == Side::A ? Side::B : Side::A; }
 class DataLink {
  public:
   struct Peer {
-    /// Invoked when a packet arrives at this side.
-    std::function<void(const net::Packet&)> on_packet;
+    /// Invoked when a packet arrives at this side, with the pointer the
+    /// sender handed in: a switch passes it on without copying the frame.
+    std::function<void(const net::PacketPtr&)> on_packet;
     /// Invoked when the *remote* side's carrier changes (raw signal; any
     /// debouncing/detection delay is up to the receiver).
     std::function<void(bool carrier_up)> on_peer_carrier;
@@ -46,7 +47,7 @@ class DataLink {
   /// in-flight event (the switch flood path transmits one packet out
   /// many ports). The callback captures only the shared_ptr, so it fits
   /// the event loop's inline storage.
-  void send(Side from, std::shared_ptr<const net::Packet> pkt);
+  void send(Side from, net::PacketPtr pkt);
 
   /// Raise/lower this side's carrier. The opposite peer is informed
   /// immediately (signal propagation is negligible at these scales).

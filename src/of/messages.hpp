@@ -59,11 +59,14 @@ struct FlowAction {
 
 // ---- Switch -> Controller ----
 
+/// The packet is the one the link delivered, shared and immutable: the
+/// switch hands its pointer on instead of copying the frame, which keeps
+/// the message small enough to ride inline in its delivery event.
 struct PacketIn {
   Dpid dpid = 0;
   PortNo in_port = 0;
   enum class Reason { TableMiss, Action } reason = Reason::TableMiss;
-  net::Packet packet;
+  net::PacketPtr packet;
 };
 
 struct PortStatus {
@@ -123,12 +126,15 @@ using SwitchToCtrl = std::variant<PacketIn, PortStatus, EchoReply,
 
 // ---- Controller -> Switch ----
 
+/// The packet is shared and immutable. A controller re-emitting a
+/// Packet-In passes that message's own pointer, and the switch forwards,
+/// floods or bounces this very object.
 struct PacketOut {
   PortNo out_port = kPortFlood;  // kPortFlood, kPortController, or a port
   /// For flood actions: the port the packet originally arrived on
   /// (excluded from the flood). kPortNone floods every port.
   PortNo in_port = kPortNone;
-  net::Packet packet;
+  net::PacketPtr packet;
 };
 
 struct FlowMod {

@@ -59,7 +59,7 @@ void Switch::attach_link(PortNo port, DataLink& link, Side side) {
   ports_.insert(it, p);
   link.attach(side,
               DataLink::Peer{
-                  [this, port](const net::Packet& pkt) { on_rx(port, pkt); },
+                  [this, port](const net::PacketPtr& pkt) { on_rx(port, pkt); },
                   [this, port](bool up) { on_peer_carrier(port, up); },
               });
 }
@@ -94,6 +94,7 @@ void Switch::handle_ctrl(const CtrlToSwitch& msg) {
       FlowStatsReply reply;
       reply.dpid = sw.dpid();
       reply.xid = req.xid;
+      reply.entries.reserve(sw.table_.entries().size());
       for (const auto& e : sw.table_.entries()) {
         reply.entries.push_back(
             FlowStatsEntry{e.cookie, e.match, e.packet_count, e.byte_count});
@@ -104,6 +105,7 @@ void Switch::handle_ctrl(const CtrlToSwitch& msg) {
       PortStatsReply reply;
       reply.dpid = sw.dpid();
       reply.xid = req.xid;
+      reply.entries.reserve(sw.ports_.size());
       for (const Port& port : sw.ports_) {
         reply.entries.push_back(PortStatsEntry{
             port.no, port.stats.rx_packets, port.stats.tx_packets,
@@ -116,6 +118,7 @@ void Switch::handle_ctrl(const CtrlToSwitch& msg) {
 }
 
 void Switch::handle_packet_out(const PacketOut& po) {
+  assert(po.packet);
   if (po.out_port == kPortController) {
     // Bounce straight back as Packet-In: the TOPOGUARD+ control-link RTT
     // probe (paper Sec. VI-D, "Control Link Latency").
@@ -152,7 +155,7 @@ void Switch::handle_flow_mod(const FlowMod& fm) {
   }
 }
 
-void Switch::on_rx(PortNo port, const net::Packet& pkt) {
+void Switch::on_rx(PortNo port, const net::PacketPtr& pkt) {
   Port* found = find_port(port);
   if (found == nullptr) return;
   Port& p = *found;
@@ -160,7 +163,7 @@ void Switch::on_rx(PortNo port, const net::Packet& pkt) {
   // the brief up-detect window after carrier restoration).
   if (!p.oper_up) return;
   ++p.stats.rx_packets;
-  p.stats.rx_bytes += pkt.wire_size();
+  p.stats.rx_bytes += pkt->wire_size();
 
   // LLDP goes to the controller (Floodlight pre-installs this punt rule
   // as part of link discovery) — unless a flow entry explicitly pinned
@@ -169,8 +172,8 @@ void Switch::on_rx(PortNo port, const net::Packet& pkt) {
   // operator (or an attacker with Flow-Mod reach) can shadow. Benign
   // forwarding rules never pin 0x88cc, so absent such a rule this is
   // byte-identical to the unconditional punt.
-  if (pkt.is_lldp()) {
-    if (FlowEntry* entry = table_.lookup_lldp_override(pkt, port,
+  if (pkt->is_lldp()) {
+    if (FlowEntry* entry = table_.lookup_lldp_override(*pkt, port,
                                                        loop_.now())) {
       apply_action(pkt, port, entry->action);
       return;
@@ -179,14 +182,14 @@ void Switch::on_rx(PortNo port, const net::Packet& pkt) {
     return;
   }
 
-  if (FlowEntry* entry = table_.lookup(pkt, port, loop_.now())) {
+  if (FlowEntry* entry = table_.lookup(*pkt, port, loop_.now())) {
     apply_action(pkt, port, entry->action);
     return;
   }
   send_packet_in(port, pkt, PacketIn::Reason::TableMiss);
 }
 
-void Switch::apply_action(const net::Packet& pkt, PortNo in_port,
+void Switch::apply_action(const net::PacketPtr& pkt, PortNo in_port,
                           const FlowAction& action) {
   switch (action.kind) {
     case FlowAction::Kind::Output:
@@ -203,13 +206,13 @@ void Switch::apply_action(const net::Packet& pkt, PortNo in_port,
   }
 }
 
-void Switch::forward(const net::Packet& pkt, PortNo out_port) {
+void Switch::forward(const net::PacketPtr& pkt, PortNo out_port) {
   Port* p = find_port(out_port);
   if (p == nullptr || !p->oper_up) return;
-  forward_shared(std::make_shared<const net::Packet>(pkt), *p);
+  forward_shared(pkt, *p);
 }
 
-void Switch::forward_shared(std::shared_ptr<const net::Packet> pkt, Port& p) {
+void Switch::forward_shared(net::PacketPtr pkt, Port& p) {
   ++p.stats.tx_packets;
   p.stats.tx_bytes += pkt->wire_size();
   DataLink* link = p.link;
@@ -219,16 +222,14 @@ void Switch::forward_shared(std::shared_ptr<const net::Packet> pkt, Port& p) {
   });
 }
 
-void Switch::flood(const net::Packet& pkt, PortNo except_port) {
-  // One shared copy feeds every egress port.
-  const auto shared = std::make_shared<const net::Packet>(pkt);
+void Switch::flood(const net::PacketPtr& pkt, PortNo except_port) {
   for (Port& p : ports_) {
     if (p.no == except_port || !p.oper_up) continue;
-    forward_shared(shared, p);
+    forward_shared(pkt, p);
   }
 }
 
-void Switch::send_packet_in(PortNo in_port, const net::Packet& pkt,
+void Switch::send_packet_in(PortNo in_port, const net::PacketPtr& pkt,
                             PacketIn::Reason reason) {
   channel_.to_controller(PacketIn{dpid_, in_port, reason, pkt});
 }

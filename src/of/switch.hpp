@@ -66,18 +66,19 @@ class Switch {
   void handle_ctrl(const CtrlToSwitch& msg);
   void handle_packet_out(const PacketOut& po);
   void handle_flow_mod(const FlowMod& fm);
-  void on_rx(PortNo port, const net::Packet& pkt);
+  // The packet paths pass on the pointer the link or the Packet-Out
+  // delivered: a switch traversal never copies the frame.
+  void on_rx(PortNo port, const net::PacketPtr& pkt);
   void on_peer_carrier(PortNo port, bool up);
-  void forward(const net::Packet& pkt, PortNo out_port);
-  /// Copy-free forwarding core: the packet is shared between the
-  /// forward-delay event, the wire event, and (on floods) every egress
-  /// port — one Packet copy total per switch traversal. `out` must be
-  /// operationally up.
-  void forward_shared(std::shared_ptr<const net::Packet> pkt, Port& out);
-  void flood(const net::Packet& pkt, PortNo except_port);
-  void apply_action(const net::Packet& pkt, PortNo in_port,
+  void forward(const net::PacketPtr& pkt, PortNo out_port);
+  /// Forwarding core: the packet is shared between the forward-delay
+  /// event, the wire event, and (on floods) every egress port. `out`
+  /// must be operationally up.
+  void forward_shared(net::PacketPtr pkt, Port& out);
+  void flood(const net::PacketPtr& pkt, PortNo except_port);
+  void apply_action(const net::PacketPtr& pkt, PortNo in_port,
                     const FlowAction& action);
-  void send_packet_in(PortNo in_port, const net::Packet& pkt,
+  void send_packet_in(PortNo in_port, const net::PacketPtr& pkt,
                       PacketIn::Reason reason);
   void sweep_expired();
 

@@ -11,6 +11,9 @@ namespace tmg::scenario {
 namespace {
 /// Utilization fraction above which a server is saturated.
 constexpr double kSaturationThreshold = 0.85;
+/// Saturation must persist this long before the balancer acts
+/// (hysteresis against transient spikes).
+constexpr sim::Duration kSustain = sim::Duration::seconds(5);
 /// Balancer evaluation period.
 constexpr sim::Duration kTickPeriod = sim::Duration::seconds(1);
 /// Live-migration downtime window: log-normal, seconds-scale
@@ -19,9 +22,8 @@ constexpr double kDowntimeMuS = 0.7;  // exp(mu) ~ 2.0 s median
 constexpr double kDowntimeSigma = 0.35;
 }  // namespace
 
-Hypervisor::Hypervisor(sim::EventLoop& loop, sim::Rng rng,
-                       HypervisorConfig config)
-    : loop_{loop}, rng_{std::move(rng)}, config_{config} {}
+Hypervisor::Hypervisor(sim::EventLoop& loop, sim::Rng rng)
+    : loop_{loop}, rng_{std::move(rng)} {}
 
 void Hypervisor::add_server(ServerId id, double capacity,
                             std::vector<of::DataLink*> slots) {
@@ -95,7 +97,7 @@ void Hypervisor::tick() {
         continue;
       }
       auto [it, fresh] = saturated_since_.try_emplace(id, now);
-      if (now - it->second < config_.sustain) continue;
+      if (now - it->second < kSustain) continue;
 
       // Persistent saturation: evict the most expensive migratable VM
       // to the least-utilized server with a free slot.

@@ -29,15 +29,9 @@ namespace tmg::scenario {
 
 using ServerId = std::uint32_t;
 
-struct HypervisorConfig {
-  /// Saturation must persist this long before the balancer acts
-  /// (hysteresis against transient spikes).
-  sim::Duration sustain = sim::Duration::seconds(5);
-};
-
 class Hypervisor {
  public:
-  Hypervisor(sim::EventLoop& loop, sim::Rng rng, HypervisorConfig config);
+  Hypervisor(sim::EventLoop& loop, sim::Rng rng);
 
   /// Declare a physical server with the given resource capacity and the
   /// access links (one per VM slot) it offers.
@@ -97,7 +91,6 @@ class Hypervisor {
 
   sim::EventLoop& loop_;
   sim::Rng rng_;
-  HypervisorConfig config_;
   std::map<ServerId, Server> servers_;
   std::map<std::string, Vm> vms_;
   std::map<ServerId, sim::SimTime> saturated_since_;

@@ -44,7 +44,6 @@ class Testbed {
 
   [[nodiscard]] sim::EventLoop& loop() { return loop_; }
   [[nodiscard]] ctrl::Controller& controller() { return *controller_; }
-  [[nodiscard]] const TestbedOptions& options() const { return options_; }
   sim::Rng fork_rng() { return rng_.fork(); }
 
   /// Attach the observability layer (borrowed; nullptr detaches): wires

@@ -29,8 +29,9 @@
 namespace tmg::sim {
 
 /// Callback type for scheduled events. 64 bytes of inline capture space
-/// covers every scheduling site in the simulator (the packet paths pass
-/// shared_ptr payloads precisely to stay under it).
+/// covers the packet deliveries, the timers and every control message
+/// but a Flow-Mod (the packet paths pass shared_ptr payloads precisely
+/// to stay under it). Larger captures take one heap cell each.
 using EventFn = InlineFn<64>;
 
 /// Handle to a scheduled event; allows cancellation. Default-constructed

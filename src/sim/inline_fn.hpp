@@ -62,6 +62,16 @@ class InlineFn {
     return ops_ != nullptr && ops_->inline_stored;
   }
 
+  /// True when a callable of type F would be stored in the inline buffer
+  /// rather than a heap cell. Hot scheduling sites static_assert it, so
+  /// a capture that outgrows the buffer fails the build instead of
+  /// costing one allocation per event.
+  template <typename F>
+  static constexpr bool stores_inline =
+      sizeof(std::decay_t<F>) <= InlineBytes &&
+      alignof(std::decay_t<F>) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<std::decay_t<F>>;
+
  private:
   struct Ops {
     void (*invoke)(void*);
@@ -70,14 +80,9 @@ class InlineFn {
     bool inline_stored;
   };
 
-  template <typename D>
-  static constexpr bool fits_inline_v =
-      sizeof(D) <= InlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
-
   template <typename D, typename F>
   void emplace(F&& fn) {
-    if constexpr (fits_inline_v<D>) {
+    if constexpr (stores_inline<D>) {
       ::new (static_cast<void*>(&storage_)) D(std::forward<F>(fn));
       static constexpr Ops ops{
           [](void* s) { (*std::launder(reinterpret_cast<D*>(s)))(); },

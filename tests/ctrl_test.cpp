@@ -584,10 +584,10 @@ TEST(Controller, ProbeRepliesInvisibleToModules) {
   ASSERT_TRUE(done);
   // The probe's echo reply was consumed before the defense pipeline.
   for (std::size_t i = before; i < net.rec->packet_ins.size(); ++i) {
-    const auto* icmp = net.rec->packet_ins[i].packet.icmp();
+    const auto* icmp = net.rec->packet_ins[i].packet->icmp();
     EXPECT_FALSE(icmp &&
                  icmp->type == net::IcmpPayload::Type::EchoReply &&
-                 net.rec->packet_ins[i].packet.dst_mac ==
+                 net.rec->packet_ins[i].packet->dst_mac ==
                      net.tb.controller().mac());
   }
 }

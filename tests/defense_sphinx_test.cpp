@@ -2,6 +2,8 @@
 // graphs from trusted Flow-Mods, counter-consistency, waypoint checks.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "ctrl/host_tracker.hpp"
 #include "defense/topoguard_plus.hpp"
 #include "scenario/testbed.hpp"
@@ -218,8 +220,8 @@ TEST(SphinxWaypoints, OffPathTransitPacketAlerts) {
   of::PacketIn pi;
   pi.dpid = 0x2;
   pi.in_port = 10;
-  pi.packet = net::make_raw(net.h1->mac(), net.h1->ip(), dst, net.h2->ip(),
-                            "transit", 64);
+  pi.packet = std::make_shared<const net::Packet>(net::make_raw(
+      net.h1->mac(), net.h1->ip(), dst, net.h2->ip(), "transit", 64));
   (void)net.sphinx->on_packet_in(pi);
   EXPECT_TRUE(
       net.tb.controller().alerts().any(AlertType::SphinxWaypointChange));
@@ -233,8 +235,8 @@ TEST(SphinxWaypoints, OnPathPacketSilent) {
   of::PacketIn pi;
   pi.dpid = 0x2;
   pi.in_port = 10;
-  pi.packet = net::make_raw(net.h1->mac(), net.h1->ip(), dst, net.h2->ip(),
-                            "transit", 64);
+  pi.packet = std::make_shared<const net::Packet>(net::make_raw(
+      net.h1->mac(), net.h1->ip(), dst, net.h2->ip(), "transit", 64));
   (void)net.sphinx->on_packet_in(pi);
   EXPECT_FALSE(
       net.tb.controller().alerts().any(AlertType::SphinxWaypointChange));

@@ -31,8 +31,7 @@ struct Cloud {
   std::vector<of::DataLink*> server_a_slots;
   std::vector<of::DataLink*> server_b_slots;
 
-  explicit Cloud(HypervisorConfig cfg = {})
-      : hv{tb.loop(), tb.fork_rng(), cfg} {
+  Cloud() : hv{tb.loop(), tb.fork_rng()} {
     tb.add_switch(0x1);
     tb.add_switch(0x2);
     tb.connect_switches(0x1, 10, 0x2, 10);

@@ -200,7 +200,7 @@ TEST(Ids, MonitorTapsLink) {
   ids.install_default_rules();
   of::DataLink link{loop, sim::Rng{1}, sim::make_fixed(1_ms)};
   link.attach(of::Side::A, {{}, {}});
-  link.attach(of::Side::B, {[](const net::Packet&) {}, {}});
+  link.attach(of::Side::B, {[](const net::PacketPtr&) {}, {}});
   ids.monitor(link);
   link.send(of::Side::A,
             net::make_arp_request(net::MacAddress::host(1),

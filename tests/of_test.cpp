@@ -3,6 +3,7 @@
 // Port-Down semantics, which Port Amnesia depends on).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -26,6 +27,10 @@ net::Packet ping(std::uint32_t src, std::uint32_t dst) {
                              net::Ipv4Address::host(src),
                              net::MacAddress::host(dst),
                              net::Ipv4Address::host(dst), 1, 1);
+}
+
+net::PacketPtr shared(net::Packet pkt) {
+  return std::make_shared<const net::Packet>(std::move(pkt));
 }
 
 // ---------------- FlowMatch ----------------
@@ -214,14 +219,16 @@ struct LinkFixture {
   EventLoop loop;
   Rng rng{1};
   DataLink link{loop, Rng{2}, sim::make_fixed(Duration::millis(5))};
-  std::vector<net::Packet> at_a;
-  std::vector<net::Packet> at_b;
+  std::vector<net::PacketPtr> at_a;
+  std::vector<net::PacketPtr> at_b;
 
   LinkFixture() {
-    link.attach(Side::A, {[this](const net::Packet& p) { at_a.push_back(p); },
-                          [](bool) {}});
-    link.attach(Side::B, {[this](const net::Packet& p) { at_b.push_back(p); },
-                          [](bool) {}});
+    link.attach(Side::A,
+                {[this](const net::PacketPtr& p) { at_a.push_back(p); },
+                 [](bool) {}});
+    link.attach(Side::B,
+                {[this](const net::PacketPtr& p) { at_b.push_back(p); },
+                 [](bool) {}});
   }
 };
 
@@ -252,7 +259,7 @@ TEST(DataLink, CarrierChangeNotifiesPeer) {
   EventLoop loop;
   DataLink link{loop, Rng{3}, sim::make_fixed(1_ms)};
   std::vector<bool> seen_at_a;
-  link.attach(Side::A, {[](const net::Packet&) {},
+  link.attach(Side::A, {[](const net::PacketPtr&) {},
                         [&](bool up) { seen_at_a.push_back(up); }});
   link.attach(Side::B, {{}, {}});
   link.set_carrier(Side::B, false);
@@ -268,8 +275,8 @@ TEST(DataLink, JitterDoesNotReorder) {
                 std::make_unique<sim::NormalLatency>(5_ms, 3_ms)};
   std::vector<std::uint64_t> order;
   link.attach(Side::A, {{}, {}});
-  link.attach(Side::B, {[&](const net::Packet& p) {
-                          order.push_back(p.trace_id);
+  link.attach(Side::B, {[&](const net::PacketPtr& p) {
+                          order.push_back(p->trace_id);
                         },
                         {}});
   std::vector<std::uint64_t> sent;
@@ -291,7 +298,7 @@ TEST(DataLink, DropFilterInjectsLoss) {
                                             net::LldpPacket{0x1, 1}));
   f.loop.run();
   ASSERT_EQ(f.at_b.size(), 1u);  // only the ping survived
-  EXPECT_FALSE(f.at_b[0].is_lldp());
+  EXPECT_FALSE(f.at_b[0]->is_lldp());
 }
 
 TEST(DataLink, TapSeesDeliveredPackets) {
@@ -379,7 +386,7 @@ struct SwitchFixture {
   DataLink l2{loop, Rng{9}, sim::make_fixed(100_us)};
   DataLink l3{loop, Rng{10}, sim::make_fixed(100_us)};
   std::vector<SwitchToCtrl> ctrl_inbox;
-  std::vector<net::Packet> host1, host2, host3;
+  std::vector<net::PacketPtr> host1, host2, host3;
 
   SwitchFixture() {
     channel.attach_controller(
@@ -387,12 +394,15 @@ struct SwitchFixture {
     sw.attach_link(1, l1, Side::A);
     sw.attach_link(2, l2, Side::A);
     sw.attach_link(3, l3, Side::A);
-    l1.attach(Side::B, {[this](const net::Packet& p) { host1.push_back(p); },
-                        [](bool) {}});
-    l2.attach(Side::B, {[this](const net::Packet& p) { host2.push_back(p); },
-                        [](bool) {}});
-    l3.attach(Side::B, {[this](const net::Packet& p) { host3.push_back(p); },
-                        [](bool) {}});
+    l1.attach(Side::B,
+              {[this](const net::PacketPtr& p) { host1.push_back(p); },
+               [](bool) {}});
+    l2.attach(Side::B,
+              {[this](const net::PacketPtr& p) { host2.push_back(p); },
+               [](bool) {}});
+    l3.attach(Side::B,
+              {[this](const net::PacketPtr& p) { host3.push_back(p); },
+               [](bool) {}});
   }
 
   void run(Duration d = Duration::millis(100)) {
@@ -472,20 +482,20 @@ TEST(Switch, LldpAlwaysPuntsToController) {
   f.run();
   const auto pis = f.collect<PacketIn>();
   ASSERT_EQ(pis.size(), 1u);
-  EXPECT_TRUE(pis[0].packet.is_lldp());
+  EXPECT_TRUE(pis[0].packet->is_lldp());
   EXPECT_TRUE(f.host2.empty());
 }
 
 TEST(Switch, PacketOutToPort) {
   SwitchFixture f;
-  f.channel.to_switch(PacketOut{2, kPortNone, ping(9, 2)});
+  f.channel.to_switch(PacketOut{2, kPortNone, shared(ping(9, 2))});
   f.run();
   EXPECT_EQ(f.host2.size(), 1u);
 }
 
 TEST(Switch, PacketOutFloodReachesAllPorts) {
   SwitchFixture f;
-  f.channel.to_switch(PacketOut{kPortFlood, kPortNone, ping(9, 2)});
+  f.channel.to_switch(PacketOut{kPortFlood, kPortNone, shared(ping(9, 2))});
   f.run();
   EXPECT_EQ(f.host1.size(), 1u);
   EXPECT_EQ(f.host2.size(), 1u);
@@ -494,11 +504,43 @@ TEST(Switch, PacketOutFloodReachesAllPorts) {
 
 TEST(Switch, PacketOutToControllerBouncesBack) {
   SwitchFixture f;
-  f.channel.to_switch(PacketOut{kPortController, kPortNone, ping(9, 2)});
+  f.channel.to_switch(
+      PacketOut{kPortController, kPortNone, shared(ping(9, 2))});
   f.run();
   const auto pis = f.collect<PacketIn>();
   ASSERT_EQ(pis.size(), 1u);
   EXPECT_EQ(pis[0].in_port, kPortController);
+}
+
+// A packet in flight is one shared object: a Packet-Out hands every
+// egress port the pointer the controller sent, not a copy.
+TEST(Switch, PacketOutForwardsThePacketItCarries) {
+  SwitchFixture f;
+  const net::PacketPtr p = shared(ping(9, 2));
+  f.channel.to_switch(PacketOut{2, kPortNone, p});
+  f.run();
+  ASSERT_EQ(f.host2.size(), 1u);
+  EXPECT_EQ(f.host2[0].get(), p.get());
+
+  f.channel.to_switch(PacketOut{kPortFlood, kPortNone, p});
+  f.run();
+  ASSERT_EQ(f.host1.size(), 1u);
+  ASSERT_EQ(f.host2.size(), 2u);
+  ASSERT_EQ(f.host3.size(), 1u);
+  EXPECT_EQ(f.host1[0].get(), p.get());
+  EXPECT_EQ(f.host2[1].get(), p.get());
+  EXPECT_EQ(f.host3[0].get(), p.get());
+}
+
+// The Packet-In of a table miss carries the packet the link delivered.
+TEST(Switch, PacketInCarriesTheDeliveredPacket) {
+  SwitchFixture f;
+  const net::PacketPtr p = shared(ping(1, 2));
+  f.l1.send(Side::B, p);
+  f.run();
+  const auto pis = f.collect<PacketIn>();
+  ASSERT_EQ(pis.size(), 1u);
+  EXPECT_EQ(pis[0].packet.get(), p.get());
 }
 
 TEST(Switch, EchoRequestAnswered) {
@@ -624,7 +666,7 @@ TEST(Switch, DownPortExcludedFromFlood) {
   SwitchFixture f;
   f.l2.set_carrier(Side::B, false);
   f.run(Duration::millis(30));
-  f.channel.to_switch(PacketOut{kPortFlood, kPortNone, ping(9, 2)});
+  f.channel.to_switch(PacketOut{kPortFlood, kPortNone, shared(ping(9, 2))});
   f.run();
   EXPECT_EQ(f.host1.size(), 1u);
   EXPECT_EQ(f.host3.size(), 1u);
@@ -653,7 +695,9 @@ TEST(Switch, SparsePortNumbers) {
   std::vector<PortNo> delivered;  // far-side port of each delivery
   const auto tap = [&delivered](PortNo port) {
     return DataLink::Peer{
-        [&delivered, port](const net::Packet&) { delivered.push_back(port); },
+        [&delivered, port](const net::PacketPtr&) {
+          delivered.push_back(port);
+        },
         [](bool) {}};
   };
   sw.attach_link(300, l300, Side::A);

@@ -444,8 +444,10 @@ TEST(EventLoop, CancelledTimerRescheduledAcrossCompactionFiresOnce) {
 
 TEST(InlineFn, SmallCallablesStoredInline) {
   int hits = 0;
-  InlineFn<64> fn{[&hits] { ++hits; }};
+  auto small = [&hits] { ++hits; };
+  InlineFn<64> fn{small};
   EXPECT_TRUE(fn.is_inline());
+  EXPECT_EQ(InlineFn<64>::stores_inline<decltype(small)>, fn.is_inline());
   EXPECT_TRUE(static_cast<bool>(fn));
   fn();
   fn();
@@ -457,10 +459,12 @@ TEST(InlineFn, LargeCallablesFallBackToHeap) {
   payload[0] = 7;
   payload[15] = 9;
   int sum = 0;
-  InlineFn<64> fn{[payload, &sum] {
+  auto large = [payload, &sum] {
     sum += static_cast<int>(payload[0] + payload[15]);
-  }};
+  };
+  InlineFn<64> fn{large};
   EXPECT_FALSE(fn.is_inline());
+  EXPECT_EQ(InlineFn<64>::stores_inline<decltype(large)>, fn.is_inline());
   fn();
   EXPECT_EQ(sum, 16);
 }
