@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
     // Observed re-run of the first cell's hijack trial (seed 42), kept
     // out of the sweep above. Its metrics land under "obs" in
     // the JSON result; --obs-out and --trace-out export the snapshot /
-    // trace for tools/train_profile.
+    // trace.
     obs::Observability obs;
     scenario::FleetHijackConfig cfg;
     cfg.topology = cells.front().gen;

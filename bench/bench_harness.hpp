@@ -16,8 +16,8 @@
 //                   standalone JSON file (implies --obs)
 //   --trace-out PATH
 //                   also write the observed trial's trace log to PATH as
-//                   JSONL (implies --obs). tools/train_profile consumes
-//                   these exports to learn behavior profiles.
+//                   JSONL (implies --obs); tools/check_trace_schema.py
+//                   validates it and tools/render_timeline.py renders it.
 //   --legacy-runner schedule one pool task per trial (the pre-chunking
 //                   TrialRunner path) instead of contiguous chunks.
 //                   Results are identical; tools/run_bench.py diffs

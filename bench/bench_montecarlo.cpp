@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
     // Observed re-run of one representative trial (first profile,
     // undefended, seed 42), kept out of the sweep above. Its
     // metrics land under "obs" in the JSON result; --obs-out and
-    // --trace-out export the snapshot / trace for tools/train_profile.
+    // --trace-out export the snapshot / trace.
     obs::Observability obs;
     scenario::HijackConfig cfg;
     cfg.suite = scenario::DefenseSuite::None;

@@ -46,7 +46,7 @@ void report(const char* act, const LinkAttackOutcome& out) {
 int main(int argc, char** argv) {
   g_args = examples::parse_example_args(argc, argv);
   g_check = g_args.check;
-  examples::warn_modules_unavailable(g_args);
+  examples::reject_modules_flag(g_args);
   std::printf("== Port Amnesia: link fabrication that survives TopoGuard ==\n\n");
   std::printf(
       "Two compromised hosts on switches 0x2 and 0x4 relay the\n"

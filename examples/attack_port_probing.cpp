@@ -53,7 +53,7 @@ void report(const char* title, const HijackOutcome& out) {
 int main(int argc, char** argv) {
   g_args = examples::parse_example_args(argc, argv);
   g_check = g_args.check;
-  examples::warn_modules_unavailable(g_args);
+  examples::reject_modules_flag(g_args);
   std::printf("== Port Probing: hijacking a host in transit ==\n\n");
   std::printf(
       "Victim 10.0.0.1 (aa:aa:aa:aa:aa:aa) begins a planned migration\n"

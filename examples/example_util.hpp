@@ -1,10 +1,12 @@
 // Shared helpers for the example programs.
 //
-// Every example parses its command line through parse_example_args, so
-// all of them accept the same flag set. A valued flag also takes the
-// `--flag VALUE` spelling; any other argument, a malformed value or an
-// unknown --profile exits 2 and lists the valid flags
-// (scenario/cli.hpp):
+// Every example parses its command line through parse_example_args. A
+// valued flag also takes the `--flag VALUE` spelling; any other
+// argument, a malformed value or an unknown --profile exits 2 and lists
+// the valid flags (scenario/cli.hpp). An example that cannot act on a
+// flag of the set rejects it with exit 2 too (reject_flag): those that
+// delegate to the experiment drivers take no --modules, and
+// ids_scan_lab takes no --profile.
 //
 //   --check            attach the runtime invariant checker (src/check)
 //                      and print a verification footer. A violation
@@ -15,7 +17,8 @@
 //                      (priority order) and exit codes aside, continue.
 //   --modules=+X,-Y    enable (+) / disable (-) pipeline listeners by
 //                      name before the simulation starts. Any other
-//                      token is a usage error.
+//                      token, or a name not in the chain, is a usage
+//                      error.
 //   --pipeline-stats   print per-listener dispatch counters at the end.
 //   --obs-out=DIR      attach the observability layer and write
 //                      metrics.json / metrics.csv / trace.jsonl /
@@ -34,6 +37,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -115,7 +119,8 @@ inline void apply_profile_flag(scenario::TestbedOptions& opts,
 }
 
 /// Apply `--modules=` to a controller whose defenses are installed:
-/// print the chain for "list", then flip the requested listeners.
+/// print the chain for "list", then flip the requested listeners. A
+/// name not in the chain exits 2, listing the chain's names.
 inline void apply_modules(ctrl::Controller& ctrl, const ExampleArgs& args) {
   if (args.list_modules) {
     std::printf("\n[--modules] pipeline chain (priority order):\n");
@@ -124,18 +129,18 @@ inline void apply_modules(ctrl::Controller& ctrl, const ExampleArgs& args) {
                   s.enabled ? "enabled" : "disabled");
     }
   }
-  for (const std::string& name : args.enable_modules) {
-    if (!ctrl.pipeline().set_enabled(name, true)) {
-      std::fprintf(stderr, "warning: --modules: no listener named '%s'\n",
-                   name.c_str());
-    }
-  }
-  for (const std::string& name : args.disable_modules) {
-    if (!ctrl.pipeline().set_enabled(name, false)) {
-      std::fprintf(stderr, "warning: --modules: no listener named '%s'\n",
-                   name.c_str());
-    }
-  }
+  const auto set = [&ctrl](const std::string& name, bool enabled) {
+    if (ctrl.pipeline().set_enabled(name, enabled)) return;
+    std::string chain;
+    for (const auto& s : ctrl.pipeline().stats()) chain += " " + s.name;
+    std::fprintf(stderr,
+                 "error: --modules: no listener named '%s'\n"
+                 "listeners:%s\n",
+                 name.c_str(), chain.c_str());
+    std::exit(2);
+  };
+  for (const std::string& name : args.enable_modules) set(name, true);
+  for (const std::string& name : args.disable_modules) set(name, false);
 }
 
 /// Footer for `--pipeline-stats`: per-listener dispatch counters. Wall
@@ -160,15 +165,20 @@ inline void print_pipeline_stats(const ctrl::Controller& ctrl,
   print_pipeline_stats(ctrl.pipeline().stats(), args);
 }
 
+/// Exit 2 naming `flag` when an example was given a flag of the shared
+/// set that it cannot act on: ignoring it would run the defaults.
+inline void reject_flag(bool given, const char* flag, const char* why) {
+  if (!given) return;
+  std::fprintf(stderr, "error: %s is not supported here: %s\n", flag, why);
+  std::exit(2);
+}
+
 /// Examples that delegate to the experiment drivers never own the
 /// controller, so `--modules=` has nothing to act on there.
-inline void warn_modules_unavailable(const ExampleArgs& args) {
-  if (args.list_modules || !args.enable_modules.empty() ||
-      !args.disable_modules.empty()) {
-    std::fprintf(stderr,
-                 "warning: --modules is ignored here: the experiment "
-                 "driver owns the controller\n");
-  }
+inline void reject_modules_flag(const ExampleArgs& args) {
+  reject_flag(args.list_modules || !args.enable_modules.empty() ||
+                  !args.disable_modules.empty(),
+              "--modules", "the experiment driver owns the controller");
 }
 
 /// Verification footer for a testbed the example built itself. Runs the

@@ -16,7 +16,10 @@ using attack::ProbeType;
 int main(int argc, char** argv) {
   const examples::ExampleArgs args = examples::parse_example_args(argc, argv);
   const bool check = args.check;
-  examples::warn_modules_unavailable(args);
+  examples::reject_modules_flag(args);
+  examples::reject_flag(args.profile.has_value(), "--profile",
+                        "the probe-timing and scan drivers take no "
+                        "controller profile");
   // --jobs N fans the independent measurements below across N worker
   // threads; output is identical for every N (see DESIGN.md §7).
   scenario::TrialRunner runner{{args.jobs}};

@@ -14,7 +14,12 @@ namespace tmg::ctrl {
 
 namespace {
 
-std::vector<std::uint8_t> to_bytes(const std::string& s) {
+/// Seed label for the controller's keys.
+constexpr const char* kKeySeed = "topomirage-controller-key";
+
+/// Key-derivation input for one key: "<kKeySeed>/<purpose>".
+std::vector<std::uint8_t> key_material(const char* purpose) {
+  const std::string s = std::string{kKeySeed} + "/" + purpose;
   return {s.begin(), s.end()};
 }
 
@@ -229,8 +234,8 @@ Controller::Controller(sim::EventLoop& loop, sim::Rng rng,
     : loop_{loop},
       rng_{std::move(rng)},
       config_{std::move(config)},
-      lldp_key_{crypto::Key::derive(to_bytes(config_.key_seed + "/lldp"))},
-      ts_key_{crypto::XteaKey::derive(to_bytes(config_.key_seed + "/ts"))} {
+      lldp_key_{crypto::Key::derive(key_material("lldp"))},
+      ts_key_{crypto::XteaKey::derive(key_material("ts"))} {
   validate_config(config_);
   links_ = std::make_unique<LinkDiscoveryService>(*this);
   hosts_ = std::make_unique<HostTrackingService>(*this);

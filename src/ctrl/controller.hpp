@@ -64,9 +64,9 @@ inline constexpr std::uint32_t kDefenseSubscriptions =
     MessageType::FlowModOut;
 
 /// Control-plane events, recorded as "ctrl/<KIND>" trace instants by
-/// Controller::trace_event. The to_string spellings are the trace
-/// featurization contract (DESIGN.md §14): the anomaly IDS and the
-/// offline trainer read these names back out of exported traces.
+/// Controller::trace_event. The to_string spellings are part of the
+/// trace schema (DESIGN.md §10b): exported traces and their readers
+/// name events by them.
 enum class EventKind {
   PacketIn,
   PacketOut,
@@ -91,8 +91,6 @@ struct ControllerConfig {
   bool authenticate_lldp = false;
   /// TOPOGUARD+: embed an encrypted departure timestamp in LLDP.
   bool lldp_timestamps = false;
-  /// Seed label for the controller's keys.
-  std::string key_seed = "topomirage-controller-key";
 };
 
 class Controller {

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "sim/rng.hpp"
+
 namespace tmg::ctrl {
 
 namespace {
@@ -23,11 +25,8 @@ DedupRing::DedupRing(std::size_t capacity)
 }
 
 std::uint64_t DedupRing::mix(std::uint64_t x) {
-  // SplitMix64 finalizer: full-avalanche over sequential trace ids.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  // SplitMix64: full-avalanche over sequential trace ids.
+  return sim::splitmix64(x);
 }
 
 std::size_t DedupRing::find(std::uint64_t id) const {

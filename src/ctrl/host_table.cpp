@@ -2,15 +2,14 @@
 
 #include <algorithm>
 
+#include "sim/rng.hpp"
+
 namespace tmg::ctrl {
 
 HostTable::HostTable() : slots_(kInitialSlots), used_(kInitialSlots, 0) {}
 
 std::uint64_t HostTable::mix(net::MacAddress mac) {
-  std::uint64_t z = mac.to_u64() + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return sim::splitmix64(mac.to_u64());
 }
 
 std::size_t HostTable::probe(net::MacAddress mac) const {

@@ -1,35 +1,29 @@
 // Learned control-plane behavior profiles (DESIGN.md §14).
 //
 // A BehaviorProfile is the trained baseline the anomaly IDS scores
-// against: per-(switch,port) message-symbol transition tables (bigram
-// and trigram counts over the pre-commit pipeline event stream), the
-// set of LLDP source ports ever seen arriving at each port, per-port
-// rate envelopes, and per-span-kind duration quantiles. Profiles are
-// deterministic — training the same trials in the same order yields a
-// byte-identical JSON serialization — and controller-profile specific
+// against: per-(switch,port) message-symbol transition sets (the
+// bigrams and trigrams seen in the pre-commit pipeline event stream),
+// the set of LLDP source ports ever seen arriving at each port, each
+// port's busiest sim-second, and per-span-kind duration envelopes.
+// It holds what ProfileAnomalyService scores against, plus the
+// training totals bench_anomaly reports.
+// Profiles are deterministic — training the same trials in the same
+// order yields an equal profile — and controller-profile specific
 // (ONOS's event-triggered probing is normal for ONOS, anomalous for
 // Floodlight).
 //
-// The same ProfileTrainer backs both training paths:
-//   - in-process: ProfileAnomalyService in Train mode forwards its live
-//     featurization straight into a trainer, so online and trained
-//     feature streams are identical by construction;
-//   - offline: add_trace_jsonl() replays a TraceLog JSONL export
-//     (tools/train_profile), reproducing the online featurization from
-//     the "ctrl" instants — the featurization contract in DESIGN.md §14
-//     pins the two paths to each other, and tests/anomaly_ids_test.cpp
-//     asserts they produce the same profile.
+// The one featurizer is ProfileAnomalyService: in Train mode it feeds
+// its live featurization into a ProfileTrainer, whose finalize() hands
+// the in-memory profile straight to a Detect-mode service.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 
 #include "of/messages.hpp"
 #include "sim/time.hpp"
-#include "stats/flow_stats.hpp"
 #include "stats/streaming_quantile.hpp"
 
 namespace tmg::ids {
@@ -38,8 +32,7 @@ namespace tmg::ids {
 /// virtual sequence anchor (a port's first event forms the bigram
 /// Start -> first). Packet-Ins the controller core consumes before the
 /// anomaly slot (probe replies, controller-identity ARP, bounced LLI
-/// probes) are NOT part of the alphabet — the online listener never
-/// sees them, and the offline trainer filters them from traces.
+/// probes) are NOT part of the alphabet: the listener never sees them.
 enum class Symbol : std::uint8_t {
   Start = 0,
   PktArp,      // ARP Packet-In
@@ -55,7 +48,6 @@ enum class Symbol : std::uint8_t {
 inline constexpr std::size_t kSymbolCount = 10;
 
 const char* to_string(Symbol s);
-std::optional<Symbol> symbol_from_string(const std::string& name);
 
 /// (dpid << 16) | port — the stats::FlowStats cell packing.
 using PortKey = std::uint64_t;
@@ -63,10 +55,8 @@ using PortKey = std::uint64_t;
 [[nodiscard]] of::Location port_key_location(PortKey key);
 /// "0x<dpid hex>:<port>", matching of::Location::to_string().
 [[nodiscard]] std::string port_key_to_string(PortKey key);
-[[nodiscard]] std::optional<PortKey> port_key_from_string(
-    const std::string& text);
 
-/// Transition-table keys: bigram prev->cur, trigram p2->p1->cur.
+/// Transition-set keys: bigram prev->cur, trigram p2->p1->cur.
 [[nodiscard]] constexpr std::uint32_t bigram_key(Symbol prev, Symbol cur) {
   return static_cast<std::uint32_t>(prev) * kSymbolCount +
          static_cast<std::uint32_t>(cur);
@@ -78,40 +68,33 @@ using PortKey = std::uint64_t;
 
 /// Baseline for one (switch, port).
 struct PortProfile {
-  std::map<std::uint32_t, std::uint64_t> bigrams;
-  std::map<std::uint32_t, std::uint64_t> trigrams;
+  std::set<std::uint32_t> bigrams;
+  std::set<std::uint32_t> trigrams;
   /// LLDP source (chassis, port) keys ever seen arriving here.
   std::set<PortKey> lldp_srcs;
-  std::uint64_t events = 0;
   /// Busiest one-second sim-time bucket across all training trials.
   std::uint64_t peak_rate_per_s = 0;
-  double mean_rate_per_s = 0.0;
+
+  bool operator==(const PortProfile&) const = default;
 };
 
-/// Trained quantile snapshot for one span kind (e.g. "lldp.rtt").
+/// Trained envelope for one span kind (e.g. "lldp.rtt").
 struct DurationEnvelope {
   std::uint64_t count = 0;
-  double p50_ns = 0.0;
-  double p90_ns = 0.0;
   double p99_ns = 0.0;
   double max_ns = 0.0;
+
+  bool operator==(const DurationEnvelope&) const = default;
 };
 
 struct BehaviorProfile {
   std::map<PortKey, PortProfile> ports;
   std::map<std::string, DurationEnvelope> durations;
+  /// Training totals: trials begun and events observed.
   std::uint64_t trials = 0;
   std::uint64_t events = 0;
 
-  [[nodiscard]] bool has_bigram(PortKey port, Symbol prev, Symbol cur) const;
-
-  /// Byte-stable interchange format ("tmg-behavior-profile-v1"): maps
-  /// sorted by key, symbols spelled out, %.9g doubles. Round-trips
-  /// through from_json exactly (tools/check_trace_schema.py --profile
-  /// validates the same shape).
-  [[nodiscard]] std::string to_json() const;
-  static std::optional<BehaviorProfile> from_json(const std::string& text,
-                                                  std::string* error);
+  bool operator==(const BehaviorProfile&) const = default;
 };
 
 /// Accumulates clean-run feature streams into a BehaviorProfile.
@@ -120,29 +103,15 @@ struct BehaviorProfile {
 /// — a trainer is fed serially).
 class ProfileTrainer {
  public:
-  ProfileTrainer();
-
   /// Start a new clean trial: sequence anchors and rate buckets reset,
-  /// accumulated tables persist.
+  /// accumulated sets persist.
   void begin_trial();
-  /// Close the current trial, crediting its sim-time span to the mean
-  /// rate denominators. add_trace_jsonl() brackets itself.
+  /// Close the current trial's rate bucket.
   void end_trial();
 
   void observe(PortKey port, Symbol s, sim::SimTime at);
   void observe_lldp_src(PortKey dst_port, PortKey src_port);
   void observe_duration(const std::string& kind, std::uint64_t ns);
-
-  /// Replay one clean trial from a TraceLog JSONL export. Applies the
-  /// featurization contract (DESIGN.md §14): "ctrl" instants become
-  /// symbols, controller-consumed Packet-Ins are filtered, LinkRemoved
-  /// is attributed to both endpoints, matched "lldp/rtt" spans feed the
-  /// duration envelope. Returns false (with `error`) on malformed
-  /// input; unknown records are skipped, not errors.
-  bool add_trace_jsonl(const std::string& jsonl, std::string* error);
-
-  [[nodiscard]] std::uint64_t trials() const { return trials_; }
-  [[nodiscard]] std::uint64_t events() const { return events_; }
 
   [[nodiscard]] BehaviorProfile finalize() const;
 
@@ -156,8 +125,6 @@ class ProfileTrainer {
     PortProfile acc;
   };
   struct DurationAcc {
-    stats::StreamingQuantile p50{0.5};
-    stats::StreamingQuantile p90{0.9};
     stats::StreamingQuantile p99{0.99};
     double max_ns = 0.0;
     std::uint64_t count = 0;
@@ -165,26 +132,8 @@ class ProfileTrainer {
 
   std::map<PortKey, PortState> ports_;
   std::map<std::string, DurationAcc> durations_;
-  stats::FlowStats rates_;  // per-port event totals (mean-rate numerator)
   std::uint64_t trials_ = 0;
   std::uint64_t events_ = 0;
-  sim::SimTime trial_max_;       // latest timestamp seen this trial
-  double total_seconds_ = 0.0;   // closed trials' summed spans
 };
-
-/// Featurization of one "ctrl" trace instant, shared by the offline
-/// trainer and the schema tests. Returns nullopt for instants outside
-/// the alphabet or filtered by the controller-consumption rules.
-/// LinkRemoved yields two ports (both endpoints); everything else one.
-struct FeaturizedInstant {
-  Symbol symbol = Symbol::Start;
-  PortKey ports[2] = {0, 0};
-  std::size_t port_count = 0;
-  /// For LLDP Packet-Ins: the advertised (chassis, port) source.
-  std::optional<PortKey> lldp_src;
-};
-std::optional<FeaturizedInstant> featurize_ctrl_instant(
-    const std::string& name, const std::string& detail,
-    const std::string& loc);
 
 }  // namespace tmg::ids

@@ -2,14 +2,16 @@
 
 #include <algorithm>
 
+#include "stats/flow_stats.hpp"
+
 namespace tmg::ids {
 
 namespace {
 
 /// Reserved OpenFlow port range (kPortFlood and up). Packet-Ins from
-/// these never reach the anomaly slot (the core consumes bounced
-/// probes); the guard keeps the online stream aligned with the offline
-/// featurization even if that ever changes.
+/// these never reach the anomaly slot today (the core consumes bounced
+/// probes); the guard keeps a reserved port out of the per-port tables
+/// should that ever change.
 constexpr std::uint16_t kReservedPortFloor = 0xfffb;
 
 /// Rate breach: events in one sim-second bucket exceed
@@ -239,8 +241,8 @@ void ProfileAnomalyService::on_port_status(const of::PortStatus& ps) {
 ctrl::Verdict ProfileAnomalyService::on_lldp_observation(
     const ctrl::LldpObservation& obs) {
   // Sequence symbols come from the LLDP Packet-In itself; the completed
-  // observation contributes only the round-trip duration, mirroring the
-  // "lldp/rtt" spans the offline trainer reads.
+  // observation contributes only the round-trip duration, the
+  // "lldp.rtt" envelope.
   const auto rtt = obs.received_at - obs.emitted_at;
   if (rtt.count_nanos() <= 0) return ctrl::Verdict::Allow;
   const auto ns = static_cast<std::uint64_t>(rtt.count_nanos());

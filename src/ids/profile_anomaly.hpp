@@ -1,12 +1,13 @@
 // Trace-profile anomaly IDS (DESIGN.md §14).
 //
 // ProfileAnomalyService is the learned complement to the hand-written
-// defenses: instead of encoding TopoGuard-style invariants, it replays
-// the BehaviorProfile featurization against the live pipeline dispatch
-// stream and scores deviations — an unseen per-port message transition,
-// a rate-envelope breach, an LLDP source the port never saw in
-// training, a span duration beyond the trained quantiles. It hangs off
-// the controller's always-present "anomaly-ids" chain slot
+// defenses: instead of encoding TopoGuard-style invariants, it
+// featurizes the live pipeline dispatch stream — the IDS's only
+// featurizer, feeding a ProfileTrainer in Train mode — and in Detect
+// mode scores deviations from a BehaviorProfile: an unseen per-port
+// message transition, a rate-envelope breach, an LLDP source the port
+// never saw in training, a span duration beyond the trained envelope.
+// It hangs off the controller's always-present "anomaly-ids" chain slot
 // (Controller::set_anomaly_detector), after the defense band and before
 // the verdict gate: observe-only under BroadcastObserve profiles,
 // veto-capable (AnomalyConfig::veto) under OrderedStop ones.

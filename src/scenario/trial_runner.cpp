@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "net/packet.hpp"
+#include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace tmg::scenario {
@@ -17,13 +18,10 @@ TrialRunner::TrialRunner(TrialRunnerOptions options)
 
 std::uint64_t TrialRunner::trial_seed(std::uint64_t base_seed,
                                       std::size_t trial_index) {
-  // SplitMix64 finalizer over base ^ index: consecutive indices map to
+  // SplitMix64 over base ^ index: consecutive indices map to
   // decorrelated seeds, and the result depends only on (base, index).
-  std::uint64_t z = base_seed ^ static_cast<std::uint64_t>(trial_index);
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return sim::splitmix64(base_seed ^
+                         static_cast<std::uint64_t>(trial_index));
 }
 
 std::size_t TrialRunner::worker_slot() {

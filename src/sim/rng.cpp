@@ -8,14 +8,6 @@ namespace tmg::sim {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -23,8 +15,10 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t sm = seed;
-  for (auto& s : s_) s = splitmix64(sm);
+  for (auto& s : s_) {
+    s = splitmix64(seed);
+    seed += kSplitMix64Gamma;
+  }
   // xoshiro256** must not be seeded with all zeros; splitmix64 of any
   // seed cannot produce four zero words, but guard regardless.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;

@@ -13,6 +13,19 @@
 
 namespace tmg::sim {
 
+/// SplitMix64's state increment (the 64-bit golden ratio).
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// The SplitMix64 output for state `x`: one gamma step, then the
+/// full-avalanche finalizer. A pure function, so it doubles as an
+/// integer hash (open-addressed tables, per-trial seeds).
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** seeded via SplitMix64. Deterministic across platforms.
 class Rng {
  public:

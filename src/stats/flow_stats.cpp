@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "sim/rng.hpp"
+
 namespace tmg::stats {
 
 FlowStats::FlowStats() {
@@ -10,12 +12,7 @@ FlowStats::FlowStats() {
   ports_.slots.assign(kInitialSlots, kEmptySlot);
 }
 
-std::uint64_t FlowStats::mix(Key key) {
-  std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+std::uint64_t FlowStats::mix(Key key) { return sim::splitmix64(key); }
 
 const FlowStats::Cell* FlowStats::find(const Table& t, Key key) {
   std::size_t i = static_cast<std::size_t>(mix(key)) & t.mask();

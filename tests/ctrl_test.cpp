@@ -576,19 +576,28 @@ TEST(Controller, ProbeRepliesInvisibleToModules) {
   net.h1->send_arp_request(net.h2->ip());
   net.tb.run_for(100_ms);
   const auto before = net.rec->packet_ins.size();
+  ASSERT_FALSE(net.h1->arp_lookup(net.tb.controller().ip()).has_value());
   bool done = false;
   net.tb.controller().probe_reachability(of::Location{0x1, 1}, net.h1->mac(),
                                          net.h1->ip(), 200_ms,
                                          [&](bool) { done = true; });
   net.tb.run_for(300_ms);
   ASSERT_TRUE(done);
-  // The probe's echo reply was consumed before the defense pipeline.
+  // To reply, h1 resolved the controller's identity IP during the
+  // probe; the core answered that ARP itself.
+  EXPECT_EQ(net.h1->arp_lookup(net.tb.controller().ip()),
+            net.tb.controller().mac());
+  // The probe's echo reply and h1's ARP request for the controller
+  // were both consumed before the defense pipeline.
   for (std::size_t i = before; i < net.rec->packet_ins.size(); ++i) {
-    const auto* icmp = net.rec->packet_ins[i].packet->icmp();
+    const net::Packet& pkt = *net.rec->packet_ins[i].packet;
+    const auto* icmp = pkt.icmp();
     EXPECT_FALSE(icmp &&
                  icmp->type == net::IcmpPayload::Type::EchoReply &&
-                 net.rec->packet_ins[i].packet->dst_mac ==
-                     net.tb.controller().mac());
+                 pkt.dst_mac == net.tb.controller().mac());
+    const auto* arp = pkt.arp();
+    EXPECT_FALSE(arp && arp->op == net::ArpPayload::Op::Request &&
+                 arp->target_ip == net.tb.controller().ip());
   }
 }
 

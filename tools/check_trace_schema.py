@@ -3,7 +3,6 @@
 
 Usage:
     tools/check_trace_schema.py TRACE.jsonl [...]
-    tools/check_trace_schema.py --profile PROFILE.json [...]
 
 Checks every line of each file:
   - parses as a single JSON object;
@@ -18,15 +17,10 @@ Checks every line of each file:
   - "ids"-category instants (the anomaly IDS deviation stream) use one
     of the six ANOMALY_* names and carry a well-formed "loc" argument.
 
-With --profile, each file is instead validated as a
-tmg-behavior-profile-v1 document (the tools/train_profile output and
-ids::BehaviorProfile::to_json shape): port entries keyed by
-"0x<dpid>:<port>" locations, bigram/trigram tables over the ten-symbol
-alphabet, non-negative rate envelopes, and ordered duration quantiles.
-
 Exit status: 0 when every file is clean, 1 otherwise. Used by the CI
-obs-smoke leg on the defense_stacked --trace-out export and the
-anomaly-smoke leg on the trained profile.
+obs-smoke leg on the defense_stacked and attack_port_probing
+--trace-out exports and the anomaly-smoke leg on the bench_anomaly
+deviation stream.
 """
 
 from __future__ import annotations
@@ -46,11 +40,6 @@ ANOMALY_NAMES = {
     "ANOMALY_LLDP_SRC",
     "ANOMALY_RATE",
     "ANOMALY_DURATION",
-}
-
-SYMBOLS = {
-    "Start", "PktArp", "PktIp", "PktLldp", "PktOther",
-    "PortUp", "PortDown", "HostNew", "HostMoved", "LinkRemoved",
 }
 
 LOC_RE = re.compile(r"^0x[0-9a-f]+:\d+$")
@@ -164,133 +153,14 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
-def check_profile(path: Path) -> list[str]:
-    """Validate one tmg-behavior-profile-v1 document."""
-    errors: list[str] = []
-
-    def err(msg: str) -> None:
-        errors.append(f"{path}: {msg}")
-
-    def check_uint(obj: dict, key: str, where: str) -> None:
-        v = obj.get(key)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            err(f"{where}: \"{key}\" must be a non-negative integer, "
-                f"got {v!r}")
-
-    def check_num(obj: dict, key: str, where: str) -> None:
-        v = obj.get(key)
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
-            err(f"{where}: \"{key}\" must be a non-negative number, "
-                f"got {v!r}")
-
-    def check_ngram_table(table: object, arity: int, where: str) -> None:
-        if not isinstance(table, dict):
-            err(f"{where}: not an object")
-            return
-        for key, count in table.items():
-            syms = key.split(">")
-            if len(syms) != arity or not all(s in SYMBOLS for s in syms):
-                err(f"{where}: key {key!r} is not {arity} \">\"-joined "
-                    "alphabet symbols")
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 1:
-                err(f"{where}: count for {key!r} must be a positive "
-                    f"integer, got {count!r}")
-
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        return [f"{path}: unreadable: {exc}"]
-    except json.JSONDecodeError as exc:
-        return [f"{path}: invalid JSON: {exc}"]
-    if not isinstance(doc, dict):
-        return [f"{path}: document is not a JSON object"]
-
-    if doc.get("format") != "tmg-behavior-profile-v1":
-        err(f'"format" must be "tmg-behavior-profile-v1", '
-            f"got {doc.get('format')!r}")
-    check_uint(doc, "trials", "profile")
-    check_uint(doc, "events", "profile")
-
-    ports = doc.get("ports")
-    if not isinstance(ports, list):
-        err('"ports" must be an array')
-        ports = []
-    seen_ports: set[str] = set()
-    for i, entry in enumerate(ports):
-        where = f"ports[{i}]"
-        if not isinstance(entry, dict):
-            err(f"{where}: not an object")
-            continue
-        loc = entry.get("port")
-        if not isinstance(loc, str) or not LOC_RE.match(loc):
-            err(f"{where}: \"port\" {loc!r} is not a "
-                '"0x<dpid>:<port>" location')
-        elif loc in seen_ports:
-            err(f"{where}: duplicate port {loc!r}")
-        else:
-            seen_ports.add(loc)
-        check_uint(entry, "events", where)
-        check_uint(entry, "peak_rate_per_s", where)
-        check_num(entry, "mean_rate_per_s", where)
-        check_ngram_table(entry.get("bigrams"), 2, f"{where}.bigrams")
-        check_ngram_table(entry.get("trigrams"), 3, f"{where}.trigrams")
-        srcs = entry.get("lldp_srcs")
-        if not isinstance(srcs, list):
-            err(f"{where}: \"lldp_srcs\" must be an array")
-        else:
-            for src in srcs:
-                if not isinstance(src, str) or not LOC_RE.match(src):
-                    err(f"{where}: lldp_src {src!r} is not a "
-                        '"0x<dpid>:<port>" location')
-
-    durations = doc.get("durations")
-    if not isinstance(durations, list):
-        err('"durations" must be an array')
-        durations = []
-    for i, entry in enumerate(durations):
-        where = f"durations[{i}]"
-        if not isinstance(entry, dict):
-            err(f"{where}: not an object")
-            continue
-        if not isinstance(entry.get("kind"), str) or not entry["kind"]:
-            err(f"{where}: \"kind\" must be a non-empty string")
-        check_uint(entry, "count", where)
-        for key in ("p50_ns", "p90_ns", "p99_ns", "max_ns"):
-            check_num(entry, key, where)
-        if all(isinstance(entry.get(k), (int, float))
-               for k in ("p50_ns", "p90_ns", "p99_ns", "max_ns")):
-            p50, p90 = entry["p50_ns"], entry["p90_ns"]
-            p99, mx = entry["p99_ns"], entry["max_ns"]
-            if not (p50 <= p90 <= p99 <= mx):
-                err(f"{where}: quantiles not ordered "
-                    f"(p50 {p50} <= p90 {p90} <= p99 {p99} <= max {mx})")
-
-    return errors
-
-
 def main() -> int:
     argv = sys.argv[1:]
-    profile_mode = False
-    if argv and argv[0] == "--profile":
-        profile_mode = True
-        argv = argv[1:]
     if not argv:
         print(__doc__, file=sys.stderr)
         return 2
     all_errors: list[str] = []
     for arg in argv:
         path = Path(arg)
-        if profile_mode:
-            errs = check_profile(path)
-            if errs:
-                all_errors.extend(errs)
-            else:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-                print(f"{path}: OK (profile: {doc['trials']} trials, "
-                      f"{len(doc['ports'])} ports, "
-                      f"{len(doc['durations'])} duration kinds)")
-            continue
         errs = check_file(path)
         if errs:
             all_errors.extend(errs)
