@@ -44,9 +44,9 @@ void report(const char* act, const LinkAttackOutcome& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_args = examples::parse_example_args(argc, argv);
+  // The experiment driver owns the controller: no --modules.
+  g_args = examples::parse_example_args(argc, argv, {.profile = true});
   g_check = g_args.check;
-  examples::reject_modules_flag(g_args);
   std::printf("== Port Amnesia: link fabrication that survives TopoGuard ==\n\n");
   std::printf(
       "Two compromised hosts on switches 0x2 and 0x4 relay the\n"

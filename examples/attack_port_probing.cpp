@@ -51,9 +51,10 @@ void report(const char* title, const HijackOutcome& out) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_args = examples::parse_example_args(argc, argv);
+  // The experiment driver owns the controller: no --modules.
+  g_args = examples::parse_example_args(argc, argv,
+                                        {.profile = true, .jobs = true});
   g_check = g_args.check;
-  examples::reject_modules_flag(g_args);
   std::printf("== Port Probing: hijacking a host in transit ==\n\n");
   std::printf(
       "Victim 10.0.0.1 (aa:aa:aa:aa:aa:aa) begins a planned migration\n"

@@ -21,7 +21,8 @@ using namespace tmg;
 using namespace tmg::sim::literals;
 
 int main(int argc, char** argv) {
-  examples::ExampleArgs args = examples::parse_example_args(argc, argv);
+  examples::ExampleArgs args = examples::parse_example_args(
+      argc, argv, {.modules = true, .profile = true});
   std::printf("== Stacking every defense on the message pipeline ==\n\n");
 
   scenario::TestbedOptions opts = scenario::fig9_options();

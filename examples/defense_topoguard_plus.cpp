@@ -15,7 +15,8 @@ using namespace tmg;
 using namespace tmg::sim::literals;
 
 int main(int argc, char** argv) {
-  const examples::ExampleArgs args = examples::parse_example_args(argc, argv);
+  const examples::ExampleArgs args = examples::parse_example_args(
+      argc, argv, {.modules = true, .profile = true});
   std::printf("== Deploying TOPOGUARD+ ==\n\n");
 
   // The controller must sign LLDP and seal departure timestamps —

@@ -1,30 +1,37 @@
 // Shared helpers for the example programs.
 //
-// Every example parses its command line through parse_example_args. A
-// valued flag also takes the `--flag VALUE` spelling; any other
+// Every example parses its command line through parse_example_args,
+// naming the shared flags it acts on (ExampleFlags); only those are
+// valid. A valued flag also takes the `--flag VALUE` spelling; any other
 // argument, a malformed value or an unknown --profile exits 2 and lists
-// the valid flags (scenario/cli.hpp). An example that cannot act on a
-// flag of the set rejects it with exit 2 too (reject_flag): those that
-// delegate to the experiment drivers take no --modules, and
-// ids_scan_lab takes no --profile.
+// the valid flags (scenario/cli.hpp). So the examples that delegate to
+// the experiment drivers reject --modules, ids_scan_lab rejects
+// --profile, and only the examples that run independent trials take
+// --jobs.
+//
+// Every example takes --check, --pipeline-stats, --obs-out and
+// --trace-out:
 //
 //   --check            attach the runtime invariant checker (src/check)
 //                      and print a verification footer. A violation
 //                      means the *simulator* is broken — the examples
 //                      abort rather than print numbers computed from
 //                      corrupted state.
-//   --modules=list     print the controller's message-pipeline chain
-//                      (priority order) and exit codes aside, continue.
-//   --modules=+X,-Y    enable (+) / disable (-) pipeline listeners by
-//                      name before the simulation starts. Any other
-//                      token, or a name not in the chain, is a usage
-//                      error.
 //   --pipeline-stats   print per-listener dispatch counters at the end.
 //   --obs-out=DIR      attach the observability layer and write
 //                      metrics.json / metrics.csv / trace.jsonl /
 //                      trace_chrome.json into DIR at the end.
 //   --trace-out=FILE   attach the observability layer and write the
 //                      span/instant trace (JSONL) to FILE.
+//
+// The ones an example names:
+//
+//   --modules=list     print the controller's message-pipeline chain
+//                      (priority order) and exit codes aside, continue.
+//   --modules=+X,-Y    enable (+) / disable (-) pipeline listeners by
+//                      name before the simulation starts. Any other
+//                      token, or a name not in the chain, is a usage
+//                      error.
 //   --profile=NAME     run under that controller pipeline profile
 //                      (floodlight / pox / opendaylight / onos —
 //                      Table III timers, dispatch discipline with its
@@ -70,8 +77,18 @@ struct ExampleArgs {
   }
 };
 
-/// Parse the shared example flags; exits 2 on anything else.
-inline ExampleArgs parse_example_args(int argc, char** argv) {
+/// The shared flags an example acts on beyond the four every example
+/// takes.
+struct ExampleFlags {
+  bool modules = false;  // the example owns its controller
+  bool profile = false;
+  bool jobs = false;     // the example runs independent trials
+};
+
+/// Parse the four common flags and those `takes` names; exits 2 on
+/// anything else.
+inline ExampleArgs parse_example_args(int argc, char** argv,
+                                      ExampleFlags takes) {
   ExampleArgs args;
   // Comma-separated list of "list", "+Name" or "-Name" tokens.
   const auto modules = [&args](const std::string& value) {
@@ -94,15 +111,18 @@ inline ExampleArgs parse_example_args(int argc, char** argv) {
     }
     return std::string{};
   };
-  scenario::parse_cli(
-      argc, argv,
-      {scenario::cli_switch("--check", args.check),
-       scenario::cli_switch("--pipeline-stats", args.pipeline_stats),
-       {"--modules", "LIST", modules},
-       scenario::cli_text("--obs-out", "DIR", args.obs_out),
-       scenario::cli_text("--trace-out", "FILE", args.trace_out),
-       scenario::cli_profile(args.profile),
-       scenario::cli_count("--jobs", args.jobs, "0 = hardware default")});
+  std::vector<scenario::CliFlag> flags{
+      scenario::cli_switch("--check", args.check),
+      scenario::cli_switch("--pipeline-stats", args.pipeline_stats)};
+  if (takes.modules) flags.push_back({"--modules", "LIST", modules});
+  flags.push_back(scenario::cli_text("--obs-out", "DIR", args.obs_out));
+  flags.push_back(scenario::cli_text("--trace-out", "FILE", args.trace_out));
+  if (takes.profile) flags.push_back(scenario::cli_profile(args.profile));
+  if (takes.jobs) {
+    flags.push_back(
+        scenario::cli_count("--jobs", args.jobs, "0 = hardware default"));
+  }
+  scenario::parse_cli(argc, argv, flags);
   return args;
 }
 
@@ -163,22 +183,6 @@ inline void print_pipeline_stats(
 inline void print_pipeline_stats(const ctrl::Controller& ctrl,
                                  const ExampleArgs& args) {
   print_pipeline_stats(ctrl.pipeline().stats(), args);
-}
-
-/// Exit 2 naming `flag` when an example was given a flag of the shared
-/// set that it cannot act on: ignoring it would run the defaults.
-inline void reject_flag(bool given, const char* flag, const char* why) {
-  if (!given) return;
-  std::fprintf(stderr, "error: %s is not supported here: %s\n", flag, why);
-  std::exit(2);
-}
-
-/// Examples that delegate to the experiment drivers never own the
-/// controller, so `--modules=` has nothing to act on there.
-inline void reject_modules_flag(const ExampleArgs& args) {
-  reject_flag(args.list_modules || !args.enable_modules.empty() ||
-                  !args.disable_modules.empty(),
-              "--modules", "the experiment driver owns the controller");
 }
 
 /// Verification footer for a testbed the example built itself. Runs the

@@ -14,12 +14,11 @@ using namespace tmg::sim::literals;
 using attack::ProbeType;
 
 int main(int argc, char** argv) {
-  const examples::ExampleArgs args = examples::parse_example_args(argc, argv);
+  // The probe-timing and scan drivers own their controllers and take
+  // no controller profile.
+  const examples::ExampleArgs args =
+      examples::parse_example_args(argc, argv, {.jobs = true});
   const bool check = args.check;
-  examples::reject_modules_flag(args);
-  examples::reject_flag(args.profile.has_value(), "--profile",
-                        "the probe-timing and scan drivers take no "
-                        "controller profile");
   // --jobs N fans the independent measurements below across N worker
   // threads; output is identical for every N (see DESIGN.md §7).
   scenario::TrialRunner runner{{args.jobs}};

@@ -20,7 +20,8 @@ using namespace tmg;
 using namespace tmg::sim::literals;
 
 int main(int argc, char** argv) {
-  const examples::ExampleArgs args = examples::parse_example_args(argc, argv);
+  const examples::ExampleArgs args = examples::parse_example_args(
+      argc, argv, {.modules = true, .profile = true});
   std::printf("== Inducing the migration you plan to hijack ==\n\n");
 
   scenario::TestbedOptions opts;

@@ -19,7 +19,8 @@ using namespace tmg;
 using namespace tmg::sim::literals;
 
 int main(int argc, char** argv) {
-  const examples::ExampleArgs args = examples::parse_example_args(argc, argv);
+  const examples::ExampleArgs args = examples::parse_example_args(
+      argc, argv, {.modules = true, .profile = true});
   std::printf("== TopoMirage quickstart ==\n\n");
 
   // 1. Wire the network: two switches, one inter-switch link, two hosts.

@@ -43,15 +43,6 @@ void ProfileTrainer::begin_trial() {
   for (auto& [key, state] : ports_) {
     state.s1 = Symbol::Start;
     state.s2 = Symbol::Start;
-    state.peak = std::max(state.peak, state.in_bucket);
-    state.bucket = -1;
-    state.in_bucket = 0;
-  }
-}
-
-void ProfileTrainer::end_trial() {
-  for (auto& [key, state] : ports_) {
-    state.peak = std::max(state.peak, state.in_bucket);
     state.bucket = -1;
     state.in_bucket = 0;
   }
@@ -66,7 +57,6 @@ void ProfileTrainer::observe(PortKey port, Symbol s, sim::SimTime at) {
   ++events_;
   const std::int64_t bucket = at.count_nanos() / 1'000'000'000;
   if (bucket != state.bucket) {
-    state.peak = std::max(state.peak, state.in_bucket);
     state.bucket = bucket;
     state.in_bucket = 0;
   }
@@ -94,16 +84,14 @@ BehaviorProfile ProfileTrainer::finalize() const {
   profile.events = events_;
   for (const auto& [key, state] : ports_) {
     PortProfile p = state.acc;
-    p.peak_rate_per_s = std::max(state.peak, state.in_bucket);
+    p.peak_rate_per_s = state.peak;
     profile.ports[key] = std::move(p);
   }
   for (const auto& [kind, acc] : durations_) {
     DurationEnvelope d;
     d.count = acc.count;
-    if (acc.count > 0) {
-      d.p99_ns = acc.p99.value();
-      d.max_ns = acc.max_ns;
-    }
+    d.p99_ns = acc.p99.value();
+    d.max_ns = acc.max_ns;
     profile.durations[kind] = d;
   }
   return profile;

@@ -106,8 +106,6 @@ class ProfileTrainer {
   /// Start a new clean trial: sequence anchors and rate buckets reset,
   /// accumulated sets persist.
   void begin_trial();
-  /// Close the current trial's rate bucket.
-  void end_trial();
 
   void observe(PortKey port, Symbol s, sim::SimTime at);
   void observe_lldp_src(PortKey dst_port, PortKey src_port);
@@ -121,7 +119,7 @@ class ProfileTrainer {
     Symbol s2 = Symbol::Start;  // symbol before that
     std::int64_t bucket = -1;   // current one-second bucket index
     std::uint64_t in_bucket = 0;
-    std::uint64_t peak = 0;
+    std::uint64_t peak = 0;     // largest in_bucket so far
     PortProfile acc;
   };
   struct DurationAcc {

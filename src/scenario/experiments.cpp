@@ -144,7 +144,7 @@ std::unique_ptr<ids::ProfileAnomalyService> arm(
   auto svc = std::make_unique<ids::ProfileAnomalyService>(tb.loop(), cfg);
   if (config.anomaly_trainer != nullptr) {
     svc->set_trainer(config.anomaly_trainer);
-    config.anomaly_trainer->begin_trial();  // finish() calls end_trial()
+    config.anomaly_trainer->begin_trial();
   } else {
     svc->set_profile(config.anomaly_profile);
   }
@@ -165,7 +165,6 @@ void finish(Testbed& tb, const Config& config,
   out.alerts_anomaly = ctrl.alerts().count_from("AnomalyIDS");
   if (anomaly != nullptr) {
     out.anomaly = anomaly->counters();
-    if (config.anomaly_trainer != nullptr) config.anomaly_trainer->end_trial();
     ctrl.set_anomaly_detector(nullptr);
   }
   if (check::InvariantChecker* checker = tb.invariant_checker()) {

@@ -1,11 +1,11 @@
-// Per-worker trial arena: a warm event-loop slab reused across trials.
+// Per-worker trial arena: a warm event loop reused across trials.
 //
 // The parallel trial runner executes thousands-to-millions of short
-// experiments, each of which used to construct (and tear down) a fresh
-// sim::EventLoop — re-growing the event heap and callback slab from
-// zero every time. A TrialArena keeps one EventLoop per worker alive
-// for the whole sweep; acquire() hands it out freshly reset, with the
-// vector capacity of the previous trial still in place.
+// experiments. A fresh sim::EventLoop per trial would allocate its
+// callback slots and queue buckets from nothing every time. A
+// TrialArena keeps one EventLoop per worker alive for the whole sweep;
+// acquire() hands it out freshly reset, with the slot chunks and small
+// bucket buffers of the previous trial still in place.
 //
 // The reset contract (DESIGN.md §7): a reset arena must be
 // *observationally identical* to a fresh one — clock at zero, empty

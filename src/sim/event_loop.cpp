@@ -1,7 +1,7 @@
 #include "sim/event_loop.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstddef>
 #include <utility>
 
 namespace tmg::sim {
@@ -19,56 +19,18 @@ bool TimerHandle::pending() const {
 EventLoop::EventLoop()
     : cancelled_in_queue_{std::make_shared<std::size_t>(0)} {}
 
-std::uint32_t EventLoop::acquire_slot() {
-  if (free_head_ != kNoSlot) {
-    const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    return slot;
-  }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+void EventLoop::add_chunk() {
+  chunks_.push_back(std::make_unique<Slot[]>(kSlotsPerChunk));
+  Slot* chunk = chunks_.back().get();
+  for (std::size_t i = kSlotsPerChunk; i-- > 0;) release(chunk[i]);
 }
 
-void EventLoop::release_slot(std::uint32_t slot) {
-  slots_[slot].fn = EventFn{};
-  slots_[slot].state.reset();
-  slots_[slot].next_free = free_head_;
-  free_head_ = slot;
-}
-
-void EventLoop::push_entry(SimTime at, std::uint32_t slot) {
-  heap_.push_back(Entry{at, next_seq_++, slot});
-  std::push_heap(heap_.begin(), heap_.end(), Later{});
-}
-
-TimerHandle EventLoop::schedule_at(SimTime at, EventFn fn) {
-  assert(static_cast<bool>(fn));
-  if (at < now_) at = now_;
+TimerHandle EventLoop::enqueue_cancellable(SimTime at, Slot& slot) {
   auto state = std::make_shared<TimerHandle::State>();
   state->cancelled_in_queue = cancelled_in_queue_;
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].fn = std::move(fn);
-  slots_[slot].state = state;
-  push_entry(at, slot);
+  slot.state = state;
+  enqueue(at, slot);
   return TimerHandle{std::move(state)};
-}
-
-TimerHandle EventLoop::schedule_after(Duration delay, EventFn fn) {
-  if (delay.is_negative()) delay = Duration::zero();
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-void EventLoop::post_at(SimTime at, EventFn fn) {
-  assert(static_cast<bool>(fn));
-  if (at < now_) at = now_;
-  const std::uint32_t slot = acquire_slot();
-  slots_[slot].fn = std::move(fn);
-  push_entry(at, slot);
-}
-
-void EventLoop::post_after(Duration delay, EventFn fn) {
-  if (delay.is_negative()) delay = Duration::zero();
-  post_at(now_ + delay, std::move(fn));
 }
 
 void EventLoop::set_post_event_hook(std::uint64_t every_n,
@@ -77,47 +39,116 @@ void EventLoop::set_post_event_hook(std::uint64_t every_n,
   post_event_every_ = post_event_hook_ ? (every_n == 0 ? 1 : every_n) : 0;
 }
 
-void EventLoop::maybe_compact() {
-  constexpr std::size_t kMinQueueForCompaction = 64;
-  if (heap_.size() < kMinQueueForCompaction ||
-      *cancelled_in_queue_ * 2 < heap_.size()) {
-    return;
+void EventLoop::drain(std::vector<Entry>& bucket) {
+  if (bucket.capacity() > kBucketKeepCapacity) {
+    std::vector<Entry>{}.swap(bucket);
+  } else {
+    bucket.clear();
   }
-  std::erase_if(heap_, [&](const Entry& e) {
-    if (!slot_cancelled(e.slot)) return false;
-    release_slot(e.slot);
+}
+
+void EventLoop::rebase(std::uint64_t t) {
+  // Every queued key k >= base_ > t. Where k's highest bit differing
+  // from base_ lies above h (the highest bit where base_ and t differ),
+  // it is also k's highest bit differing from t: the bucket holds. Any
+  // other k agrees with base_ from bit h up, so it differs from t first
+  // at h and moves to bucket h + 1, which no entry could occupy before
+  // (that would put k below base_).
+  const auto up = static_cast<unsigned>(std::bit_width(base_ ^ t));
+  std::vector<Entry>& dst = buckets_[up];
+  std::vector<Entry>& ready = buckets_[0];
+  dst.insert(dst.end(), ready.begin() + static_cast<std::ptrdiff_t>(head_),
+             ready.end());
+  drain(ready);
+  head_ = 0;
+  for (unsigned b = 1; b < up; ++b) {
+    if ((occupied_ >> b & 1U) == 0) continue;
+    dst.insert(dst.end(), buckets_[b].begin(), buckets_[b].end());
+    drain(buckets_[b]);
+  }
+  occupied_ &= ~((std::uint64_t{1} << up) - 1);
+  if (!dst.empty()) occupied_ |= std::uint64_t{1} << up;
+  base_ = t;
+}
+
+void EventLoop::refill() {
+  assert(size_ != 0 && (occupied_ & ~std::uint64_t{1}) != 0);
+  drain(buckets_[0]);
+  head_ = 0;
+  const auto from =
+      static_cast<unsigned>(std::countr_zero(occupied_ & ~std::uint64_t{1}));
+  std::vector<Entry>& src = buckets_[from];
+  std::uint64_t lowest = key(src.front().at);
+  for (const Entry& e : src) lowest = std::min(lowest, key(e.at));
+  base_ = lowest;
+  // Each entry agrees with the new base above bit from-1, so it lands
+  // in a lower bucket; the buckets above keep their entries.
+  for (const Entry& e : src) {
+    const auto b = static_cast<unsigned>(std::bit_width(key(e.at) ^ base_));
+    buckets_[b].push_back(e);
+    occupied_ |= std::uint64_t{1} << b;
+  }
+  drain(src);
+  occupied_ &= ~(std::uint64_t{1} << from);
+}
+
+void EventLoop::pop_front() {
+  --size_;
+  if (++head_ == buckets_[0].size()) {
+    drain(buckets_[0]);
+    head_ = 0;
+  }
+}
+
+void EventLoop::compact() {
+  std::vector<Entry>& ready = buckets_[0];
+  ready.erase(ready.begin(),
+              ready.begin() + static_cast<std::ptrdiff_t>(head_));
+  head_ = 0;
+  const auto cancelled = [this](const Entry& e) {
+    if (!e.slot->state || !e.slot->state->cancelled) return false;
+    e.slot->fn.reset();
+    release(*e.slot);
     return true;
-  });
-  std::make_heap(heap_.begin(), heap_.end(), Later{});
+  };
+  size_ = 0;
+  for (unsigned b = 0; b < buckets_.size(); ++b) {
+    if (b != 0 && (occupied_ >> b & 1U) == 0) continue;
+    std::vector<Entry>& bucket = buckets_[b];
+    std::erase_if(bucket, cancelled);
+    size_ += bucket.size();
+    if (bucket.empty()) {
+      drain(bucket);
+      occupied_ &= ~(std::uint64_t{1} << b);
+    }
+  }
   *cancelled_in_queue_ = 0;
 }
 
-EventLoop::Entry EventLoop::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  const Entry entry = heap_.back();
-  heap_.pop_back();
-  return entry;
-}
-
 bool EventLoop::step() {
-  maybe_compact();
-  while (!heap_.empty()) {
-    const Entry entry = pop_top();
-    Slot& slot = slots_[entry.slot];
-    if (slot.state && slot.state->cancelled) {
-      --*cancelled_in_queue_;
-      release_slot(entry.slot);
-      continue;
+  if (size_ >= kMinQueueForCompaction && *cancelled_in_queue_ * 2 >= size_) {
+    compact();
+  }
+  while (size_ != 0) {
+    const Entry entry = front();
+    pop_front();
+    Slot& slot = *entry.slot;
+    if (slot.state) {
+      if (slot.state->cancelled) {
+        --*cancelled_in_queue_;
+        slot.fn.reset();
+        release(slot);
+        continue;
+      }
+      slot.state->fired = true;
     }
-    if (slot.state) slot.state->fired = true;
-    // Move the callback out before releasing: the event may schedule new
-    // work that immediately reuses this slot.
-    EventFn fn = std::move(slot.fn);
-    release_slot(entry.slot);
     const SimTime before = now_;
     now_ = entry.at;
     ++executed_;
-    fn();
+    // The slot stays taken while its callback runs, so the events it
+    // schedules go to other slots and this one never moves.
+    slot.fn.consume();
+    release(slot);
     if (probe_ != nullptr) {
       probe_->on_event_executed(now_, entry.at - before, live_events());
     }
@@ -130,15 +161,20 @@ bool EventLoop::step() {
 }
 
 void EventLoop::run_until(SimTime deadline) {
-  while (!heap_.empty()) {
+  while (size_ != 0) {
+    // Looking at the next event may refill bucket 0 and raise base_ past
+    // the deadline; push() rebases for a later post below it.
+    const Entry& next = front();
     // Skip cancelled entries without advancing the clock.
-    if (slot_cancelled(heap_.front().slot)) {
-      const Entry entry = pop_top();
-      release_slot(entry.slot);
+    if (next.slot->state && next.slot->state->cancelled) {
+      Slot& slot = *next.slot;
+      pop_front();
       --*cancelled_in_queue_;
+      slot.fn.reset();
+      release(slot);
       continue;
     }
-    if (heap_.front().at > deadline) break;
+    if (next.at > deadline) break;
     step();
   }
   if (now_ < deadline) now_ = deadline;
@@ -150,14 +186,22 @@ void EventLoop::run() {
 }
 
 void EventLoop::reset() {
-  // clear() keeps both vectors' capacity — the warm slab the trial
-  // arenas exist to reuse. Destroying the slots releases every pending
-  // callback (and any out-of-line InlineFn storage).
-  heap_.clear();
-  slots_.clear();
-  free_head_ = kNoSlot;
+  // Destroy every callback still held — queued, or kept by an event
+  // that threw — and relink every slot, keeping the chunks.
+  free_head_ = nullptr;
+  for (auto chunk = chunks_.rbegin(); chunk != chunks_.rend(); ++chunk) {
+    for (std::size_t i = kSlotsPerChunk; i-- > 0;) {
+      Slot& slot = (*chunk)[i];
+      slot.fn.reset();
+      release(slot);
+    }
+  }
+  for (std::vector<Entry>& bucket : buckets_) drain(bucket);
+  head_ = 0;
+  occupied_ = 0;
+  base_ = 0;
+  size_ = 0;
   now_ = SimTime::zero();
-  next_seq_ = 0;
   executed_ = 0;
   // A fresh counter, not a zeroed one: TimerHandles from before the
   // reset still share the old counter, and a late cancel() through one

@@ -1,26 +1,50 @@
 // Discrete-event simulation loop.
 //
-// A single-threaded priority-queue scheduler. Events at equal timestamps
-// fire in insertion order, which (together with the deterministic Rng)
-// makes every experiment bit-reproducible.
+// A single-threaded scheduler. Events at equal timestamps fire in
+// insertion order, which (together with the deterministic Rng) makes
+// every experiment bit-reproducible.
 //
-// Hot-path layout: the pending queue is a binary heap over a flat
-// std::vector with sequence-number tie-breaking, and callbacks are
-// stored in a small-buffer-optimized InlineFn<64> — a scheduled lambda
-// capturing up to 64 bytes costs no callback allocation.
+// Hot-path layout:
+//  - The pending queue is a radix heap on the event time. Bucket 0
+//    holds the entries stamped exactly `base_` (the earliest queued
+//    time), read first in, first out; bucket b >= 1 holds the entries
+//    whose time first differs from `base_` at bit b-1. A push is one
+//    bit scan and an append. A pop reads bucket 0; when it is empty, the
+//    lowest non-empty bucket (found through a 64-bit occupancy mask) is
+//    redistributed against its earliest time. Queue entries are 16-byte
+//    PODs (time, slot).
+//  - Callbacks live in slots that never move: fixed-size chunks of
+//    `Slot`s recycled through an intrusive free list. post_* and
+//    schedule_* construct the callable straight into its slot
+//    (InlineFn::assign), and step() runs and destroys it there with one
+//    call (InlineFn::consume) before freeing the slot, so a callback is
+//    never relocated. Callables up to 64 bytes take no allocation.
+//  - Fire-and-forget events scheduled via post_at/post_after skip the
+//    TimerHandle control-block allocation entirely.
 //
-// The heap itself holds only 24-byte POD records (time, seq, slot
-// index); the callback and cancellation state live in a stable slab
-// recycled through a free list. Heap sifts therefore move trivially
-// copyable structs instead of running InlineFn relocation thunks —
-// the dominant per-event cost before this layout. Fire-and-forget
-// events scheduled via post_at/post_after additionally skip the
-// TimerHandle control-block allocation entirely.
+// Why the order is exact:
+//  - Events stamped alike fire in insertion order without a sequence
+//    number. An entry's bucket is a function of its time and `base_`
+//    alone, so entries stamped alike always share a bucket, and every
+//    operation keeps them in insertion order: a push appends the newest
+//    entry, a refill or a rebase moves a bucket's entries in order into
+//    buckets that hold no entry stamped alike, and compaction erases in
+//    place.
+//  - Entries are only pushed at or after the clock, and the clock only
+//    moves forward, so no key falls below the last popped one. The
+//    single exception is run_until(): its look at the next event may
+//    raise `base_` past the deadline at which it parks the clock, and a
+//    later post between the two is re-bucketed against the lower time
+//    (rebase), which moves only the entries below that post's bucket.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_fn.hpp"
@@ -84,20 +108,38 @@ class EventLoop {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Schedule `fn` to run at absolute time `at` (>= now()).
-  TimerHandle schedule_at(SimTime at, EventFn fn);
+  /// Schedule `fn` to run at absolute time `at` (>= now()). `fn` is any
+  /// callable taking no arguments (an EventFn or a std::function too);
+  /// it is built in the event's slot and never moved after.
+  template <typename F>
+  TimerHandle schedule_at(SimTime at, F&& fn) {
+    Slot& slot = *free_slot();
+    slot.fn.assign(std::forward<F>(fn));
+    return enqueue_cancellable(at, slot);
+  }
 
   /// Schedule `fn` to run `delay` from now. Negative delays are clamped
   /// to zero (models "immediately, after the current event").
-  TimerHandle schedule_after(Duration delay, EventFn fn);
+  template <typename F>
+  TimerHandle schedule_after(Duration delay, F&& fn) {
+    return schedule_at(after(delay), std::forward<F>(fn));
+  }
 
   /// Fire-and-forget variants: identical ordering semantics to
   /// schedule_at/schedule_after, but no TimerHandle is produced and no
   /// per-event control block is allocated. Use for events that are never
   /// cancelled (packet deliveries, flow-mod applies, periodic rounds that
   /// re-arm themselves); keep schedule_* when the caller stores the handle.
-  void post_at(SimTime at, EventFn fn);
-  void post_after(Duration delay, EventFn fn);
+  template <typename F>
+  void post_at(SimTime at, F&& fn) {
+    Slot& slot = *free_slot();
+    slot.fn.assign(std::forward<F>(fn));
+    enqueue(at, slot);
+  }
+  template <typename F>
+  void post_after(Duration delay, F&& fn) {
+    post_at(after(delay), std::forward<F>(fn));
+  }
 
   /// Run events until the queue drains or the clock passes `deadline`.
   /// Events stamped exactly at `deadline` do run.
@@ -108,27 +150,29 @@ class EventLoop {
   void run();
 
   /// Execute the single earliest pending event. Returns false if the
-  /// queue was empty (clock unchanged).
+  /// queue was empty (clock unchanged). A callback that throws stays
+  /// owned by its slot until reset() or the destructor destroys it.
   bool step();
 
   /// Return the loop to its just-constructed observable state — clock at
   /// zero, no pending events, zero executed count, no hook or probe —
-  /// while keeping the heap/slab vector capacity warm. This is the
-  /// arena-reset contract (DESIGN.md §7): a reset loop must be
-  /// observationally identical to a fresh one, so per-worker trial
-  /// arenas can reuse the allocation slabs across trials without
-  /// affecting any simulated result. Outstanding TimerHandles become
-  /// inert (their events never fire).
+  /// while keeping the slot chunks and the small bucket buffers warm.
+  /// This is the arena-reset contract (DESIGN.md §7d): a reset loop must
+  /// be observationally identical to a fresh one, so per-worker trial
+  /// arenas can reuse the allocations across trials without affecting
+  /// any simulated result. Every callback still held is destroyed,
+  /// including one that threw. Outstanding TimerHandles become inert
+  /// (their events never fire).
   void reset();
 
   /// Queue entries physically present, including cancelled-but-unpopped
   /// ones. Prefer live_events() for "how much work is left".
-  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
+  [[nodiscard]] std::size_t pending_events() const { return size_; }
 
   /// Events that will actually fire: queue size minus cancelled entries
   /// still awaiting lazy removal. O(1).
   [[nodiscard]] std::size_t live_events() const {
-    return heap_.size() - *cancelled_in_queue_;
+    return size_ - *cancelled_in_queue_;
   }
 
   /// Total events executed since construction (excludes cancelled).
@@ -145,53 +189,102 @@ class EventLoop {
   [[nodiscard]] LoopProbe* probe() const { return probe_; }
 
  private:
-  /// POD heap record; the callback lives in slots_[slot].
-  struct Entry {
-    SimTime at;
-    std::uint64_t seq;  // tie-break: insertion order
-    std::uint32_t slot;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  /// Stable storage for a pending event's callback and (optional)
-  /// cancellation state; recycled through an intrusive free list.
+  /// A pending event's callback and (optional) cancellation state. Slots
+  /// live in fixed-size chunks and never move, so a callback runs where
+  /// it was built even when it schedules more events.
   struct Slot {
     EventFn fn;
     /// Null for post_at/post_after events (never cancellable).
     std::shared_ptr<TimerHandle::State> state;
-    std::uint32_t next_free = 0;
+    Slot* next_free = nullptr;
+  };
+  /// POD queue record; the callback lives in *slot.
+  struct Entry {
+    SimTime at;
+    Slot* slot;
   };
 
-  [[nodiscard]] bool slot_cancelled(std::uint32_t slot) const {
-    const auto& state = slots_[slot].state;
-    return state && state->cancelled;
+  /// Slots per chunk. A chunk is allocated when the free list runs dry
+  /// and kept until the loop is destroyed.
+  static constexpr std::size_t kSlotsPerChunk = 64;
+  /// A drained bucket keeps its buffer up to this many entries and
+  /// frees a larger one, so a flood that cascades thousands of entries
+  /// through a dozen buckets does not keep each bucket's peak size.
+  static constexpr std::size_t kBucketKeepCapacity = 256;
+  /// Compaction runs only on queues at least this long (and at least
+  /// half cancelled).
+  static constexpr std::size_t kMinQueueForCompaction = 64;
+
+  static std::uint64_t key(SimTime t) {
+    return static_cast<std::uint64_t>(t.count_nanos());
   }
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot);
-  void push_entry(SimTime at, std::uint32_t slot);
+  [[nodiscard]] SimTime after(Duration delay) const {
+    return now_ + (delay.is_negative() ? Duration::zero() : delay);
+  }
+
+  /// Head of the free list, adding a chunk when it is empty. The slot
+  /// stays on the list until enqueue(), so a callable whose
+  /// construction throws leaves no slot behind.
+  Slot* free_slot() {
+    if (free_head_ == nullptr) add_chunk();
+    return free_head_;
+  }
+  void add_chunk();
+  void release(Slot& slot) {
+    slot.state.reset();
+    slot.next_free = free_head_;
+    free_head_ = &slot;
+  }
+
+  /// Take `slot` (the free-list head) off the list and queue it at
+  /// max(at, now()).
+  void enqueue(SimTime at, Slot& slot) {
+    assert(static_cast<bool>(slot.fn));
+    assert(&slot == free_head_);
+    free_head_ = slot.next_free;
+    push(at < now_ ? now_ : at, slot);
+  }
+  TimerHandle enqueue_cancellable(SimTime at, Slot& slot);
+
+  void push(SimTime at, Slot& slot) {
+    const std::uint64_t t = key(at);
+    if (t < base_) rebase(t);
+    const auto b = static_cast<unsigned>(std::bit_width(t ^ base_));
+    buckets_[b].push_back(Entry{at, &slot});
+    occupied_ |= std::uint64_t{1} << b;
+    ++size_;
+  }
+  /// Lower `base_` to `t`, which is below it, moving the entries of the
+  /// buckets under t's new bucket into that bucket.
+  void rebase(std::uint64_t t);
+  /// Bucket 0 is drained and the queue is not empty: redistribute the
+  /// lowest non-empty bucket against its earliest time.
+  void refill();
+  /// Bucket 0's next entry, refilling it first when drained. The queue
+  /// must not be empty.
+  const Entry& front() {
+    if (head_ == buckets_[0].size()) refill();
+    return buckets_[0][head_];
+  }
+  /// Remove front() from the queue.
+  void pop_front();
+  /// Empty `bucket`, freeing a buffer larger than kBucketKeepCapacity.
+  static void drain(std::vector<Entry>& bucket);
 
   /// Drop cancelled entries when they dominate the queue, so a workload
   /// that schedules-and-cancels heavily (e.g. per-packet timeouts) keeps
-  /// memory and pop cost proportional to *live* events. In-place
-  /// erase + re-heapify: O(n), no element is copied more than once.
-  void maybe_compact();
+  /// memory and pop cost proportional to *live* events. In-place erase
+  /// per bucket: O(n), bucket 0 keeps its order.
+  void compact();
 
-  /// Pop the heap top into a local Entry.
-  Entry pop_top();
-
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  // Min-heap on (at, seq) over a flat vector (std::push_heap/pop_heap
-  // with the inverted `Later` comparator).
-  std::vector<Entry> heap_;
-  std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoSlot;
+  std::array<std::vector<Entry>, 64> buckets_;
+  std::size_t head_ = 0;          // next unread entry of buckets_[0]
+  std::uint64_t occupied_ = 0;    // bit b >= 1: buckets_[b] non-empty
+  std::uint64_t base_ = 0;        // time (ns) of bucket 0; no key is lower
+  std::size_t size_ = 0;          // entries in all buckets from head_
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  Slot* free_head_ = nullptr;
   SimTime now_ = SimTime::zero();
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::shared_ptr<std::size_t> cancelled_in_queue_;
   std::function<void()> post_event_hook_;

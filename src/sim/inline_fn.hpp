@@ -4,10 +4,15 @@
 // byte) inline buffer overflows, and libstdc++'s requires the target to
 // be copyable. Event callbacks are scheduled and fired millions of times
 // per trial, so we use a move-only wrapper with a guaranteed inline
-// capacity instead: callables up to `InlineBytes` live inside the Entry
-// itself (no allocation); larger ones fall back to a single heap cell.
+// capacity instead: callables up to `InlineBytes` live inside the
+// wrapper itself (no allocation); larger ones fall back to a single
+// heap cell.
 // Move-only also lets callbacks own shared_ptr / unique_ptr captures,
 // which the packet-forwarding path relies on.
+//
+// The event loop builds each callback in place (assign) and runs and
+// destroys it there (consume), so a scheduled callable is constructed
+// once from the caller's argument and never relocated.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +55,29 @@ class InlineFn {
 
   void operator()() { ops_->invoke(&storage_); }
 
+  /// Replace the target with `fn`, constructed straight from the
+  /// argument in this object's storage: no temporary InlineFn and no
+  /// relocation. Assigning an InlineFn moves its target in.
+  template <typename F>
+  void assign(F&& fn) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InlineFn>) {
+      *this = std::forward<F>(fn);
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>);
+      reset();
+      emplace<D>(std::forward<F>(fn));
+    }
+  }
+
+  /// Invoke the target, then destroy it: one indirect call. A target
+  /// that throws is not destroyed and stays owned here, so reset() or
+  /// the destructor destroys it exactly once.
+  void consume() {
+    ops_->consume(&storage_);
+    ops_ = nullptr;
+  }
+
   void reset() noexcept {
     if (ops_ != nullptr) {
       ops_->destroy(&storage_);
@@ -75,6 +103,7 @@ class InlineFn {
  private:
   struct Ops {
     void (*invoke)(void*);
+    void (*consume)(void*);  // invoke, then destroy (skipped if it throws)
     void (*relocate)(void* dst, void* src);  // move-construct + destroy src
     void (*destroy)(void*);
     bool inline_stored;
@@ -86,6 +115,11 @@ class InlineFn {
       ::new (static_cast<void*>(&storage_)) D(std::forward<F>(fn));
       static constexpr Ops ops{
           [](void* s) { (*std::launder(reinterpret_cast<D*>(s)))(); },
+          [](void* s) {
+            D* target = std::launder(reinterpret_cast<D*>(s));
+            (*target)();
+            target->~D();
+          },
           [](void* dst, void* src) {
             D* from = std::launder(reinterpret_cast<D*>(src));
             ::new (dst) D(std::move(*from));
@@ -99,6 +133,11 @@ class InlineFn {
       ::new (static_cast<void*>(&storage_)) D*(new D(std::forward<F>(fn)));
       static constexpr Ops ops{
           [](void* s) { (**std::launder(reinterpret_cast<D**>(s)))(); },
+          [](void* s) {
+            D* target = *std::launder(reinterpret_cast<D**>(s));
+            (*target)();
+            delete target;
+          },
           [](void* dst, void* src) {
             ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
           },

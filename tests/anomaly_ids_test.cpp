@@ -72,7 +72,6 @@ TEST(AnomalyTraining, LinkRemovedCreditedToBothEndpoints) {
   const of::Location b{0x2, 11};
   trainer.begin_trial();
   service.on_link_removed(topo::Link{a, b});
-  trainer.end_trial();
 
   const ids::BehaviorProfile profile = trainer.finalize();
   EXPECT_EQ(profile.events, 2u);

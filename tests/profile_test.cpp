@@ -70,8 +70,8 @@ TEST(ProfileNames, ExampleParseProfileValue) {
   // empty name is an error listing the valid names, which parse_cli
   // turns into exit 2 (the bench harness shares the flag).
   const char* argv[] = {"example", "--profile=onos"};
-  const auto args =
-      examples::parse_example_args(2, const_cast<char**>(argv));
+  const auto args = examples::parse_example_args(
+      2, const_cast<char**>(argv), {.profile = true});
   ASSERT_TRUE(args.profile.has_value());
   EXPECT_EQ(args.profile->name, "ONOS");
   std::optional<ctrl::ControllerProfile> out;

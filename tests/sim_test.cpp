@@ -2,12 +2,20 @@
 // latency models.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_loop.hpp"
@@ -440,6 +448,345 @@ TEST(EventLoop, CancelledTimerRescheduledAcrossCompactionFiresOnce) {
   EXPECT_EQ(loop.events_executed(), 1u);
 }
 
+TEST(EventLoop, PostBelowPeekedEventAfterRunUntil) {
+  // run_until() looks at the next event to decide whether to stop, and
+  // parks the clock at the deadline below it. Posts made afterwards
+  // between the deadline and that event must still fire first, in
+  // insertion order among themselves, with the far-future entries
+  // undisturbed.
+  EventLoop loop;
+  std::vector<int> order;
+  loop.post_at(SimTime::zero() + 100_ms, [&order] { order.push_back(4); });
+  loop.post_at(SimTime::zero() + 100_ms, [&order] { order.push_back(5); });
+  loop.post_at(SimTime::zero() + 10_s, [&order] { order.push_back(6); });
+  loop.run_until(SimTime::zero() + 50_ms);
+  EXPECT_EQ(loop.now(), SimTime::zero() + 50_ms);
+  EXPECT_TRUE(order.empty());
+  loop.post_at(SimTime::zero() + 60_ms, [&order] { order.push_back(1); });
+  loop.post_after(Duration::zero(), [&order] { order.push_back(0); });
+  loop.post_at(SimTime::zero() + 60_ms, [&order] { order.push_back(2); });
+  loop.post_at(SimTime::zero() + 100_ms, [&order] { order.push_back(7); });
+  loop.post_at(SimTime::zero() + 99_ms, [&order] { order.push_back(3); });
+  EXPECT_EQ(loop.pending_events(), 8u);
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 7, 6}));
+  EXPECT_EQ(loop.now(), SimTime::zero() + 10_s);
+}
+
+/// Drives an EventLoop with a seeded random mix of posts and schedules
+/// (zero delays, exact-time ties, far-future times), cancellations
+/// (cancel-then-reschedule, bursts that trigger compaction), posts from
+/// inside callbacks, run_until deadlines that park the clock below
+/// queued events followed by posts before the next queued time, and a
+/// reset partway through. Each fired (id, time) is checked against a
+/// reference queue ordered by (time, insertion index) that applies the
+/// loop's lazy-cancellation rules, and pending_events()/live_events()
+/// against the reference after every operation.
+class LoopFuzz {
+ public:
+  LoopFuzz(std::uint64_t seed, std::shared_ptr<int> token)
+      : rng_{seed}, token_{std::move(token)} {}
+
+  void run(int ops) {
+    for (int op = 0; op < ops; ++op) {
+      if (op == ops / 2) do_reset();
+      const std::int64_t pick = rng_.uniform_int(0, 99);
+      if (pick < 30) {
+        add(pick_time(), rng_.chance(0.5));
+      } else if (pick < 40) {
+        cancel_random();
+      } else if (pick < 45) {
+        cancel_then_reschedule();
+      } else if (pick < 75) {
+        step();
+      } else if (pick < 87) {
+        park_then_post_below();
+      } else if (pick < 90) {
+        cancel_burst();
+      } else {
+        run_until(pick_time());
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    while (step()) {
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_EQ(fired_, expected_);
+    EXPECT_GT(parked_posts_, 0);
+    EXPECT_GT(compactions_, 0);
+  }
+
+ private:
+  struct Info {
+    SimTime at;
+    int epoch = 0;
+    bool cancellable = false;  // scheduled, not posted
+    bool cancelled = false;
+    bool fired = false;
+    TimerHandle handle;
+  };
+  using Key = std::tuple<std::int64_t, std::uint64_t, int>;  // time, seq, id
+
+  enum class Mode { Step, RunUntil };
+
+  SimTime pick_time() {
+    switch (rng_.uniform_int(0, 5)) {
+      case 0: return now_;  // zero delay
+      case 1:               // a tie with a queued event
+        if (!queue_.empty()) {
+          auto it = queue_.begin();
+          std::advance(it, rng_.uniform_int(
+                               0, static_cast<std::int64_t>(
+                                      std::min<std::size_t>(queue_.size(), 8)) -
+                                      1));
+          return SimTime::from_nanos(std::get<0>(*it));
+        }
+        return now_;
+      case 2: return now_ + Duration::nanos(rng_.uniform_int(1, 16));
+      case 3: return now_ + Duration::nanos(rng_.uniform_int(1, 5'000));
+      case 4: return now_ + Duration::nanos(rng_.uniform_int(1, 1'000'000));
+      default:
+        return now_ + Duration::nanos(rng_.uniform_int(1, 1'000'000'000'000));
+    }
+  }
+
+  /// Queue one event at `at` through one of the four entry points and
+  /// three callable kinds; returns its id.
+  int add(SimTime at, bool cancellable) {
+    const int id = static_cast<int>(infos_.size());
+    Info info;
+    info.at = at < now_ ? now_ : at;
+    info.epoch = epoch_;
+    info.cancellable = cancellable;
+    queue_.emplace(info.at.count_nanos(), seq_++, id);
+    const bool absolute = rng_.chance(0.5);
+    const Duration delay = at - now_;
+    auto small = [this, id, token = token_] { on_fire(id); };
+    std::array<std::uint64_t, 8> pad{};
+    pad[0] = static_cast<std::uint64_t>(id);
+    auto large = [this, pad, token = token_] {
+      on_fire(static_cast<int>(pad[0]));
+    };
+    const auto submit = [&](auto&& fn) {
+      if (cancellable) {
+        info.handle = absolute ? loop_.schedule_at(at, std::move(fn))
+                               : loop_.schedule_after(delay, std::move(fn));
+      } else if (absolute) {
+        loop_.post_at(at, std::move(fn));
+      } else {
+        loop_.post_after(delay, std::move(fn));
+      }
+    };
+    switch (rng_.uniform_int(0, 3)) {
+      case 0: submit(small); break;
+      case 1: submit(large); break;
+      case 2: submit(EventFn{small}); break;
+      default: submit(std::function<void()>{small}); break;
+    }
+    infos_.push_back(std::move(info));
+    return id;
+  }
+
+  void cancel(int id) {
+    Info& info = infos_[static_cast<std::size_t>(id)];
+    if (info.epoch == epoch_) {
+      const bool live = info.cancellable && !info.cancelled && !info.fired;
+      EXPECT_EQ(info.handle.pending(), live);
+      if (live) {
+        info.cancelled = true;
+        ++cancelled_;
+      }
+    }
+    info.handle.cancel();
+    check_counts();
+  }
+
+  void cancel_random() {
+    if (infos_.empty()) return;
+    cancel(static_cast<int>(rng_.uniform_int(
+        0, static_cast<std::int64_t>(infos_.size()) - 1)));
+  }
+
+  void cancel_then_reschedule() {
+    const int id = add(pick_time(), true);
+    const SimTime at = infos_[static_cast<std::size_t>(id)].at;
+    cancel(id);
+    add(at, true);
+  }
+
+  void cancel_burst() {
+    std::vector<int> ids;
+    for (int i = 0; i < 80; ++i) ids.push_back(add(pick_time(), true));
+    for (int id : ids) {
+      if (rng_.chance(0.9)) cancel(id);
+    }
+  }
+
+  /// Park the clock at a deadline below the next queued live event,
+  /// then post between the two.
+  void park_then_post_below() {
+    const SimTime next = next_live_time();
+    if (next == SimTime::max() || next <= now_ + Duration::nanos(2)) {
+      add(now_ + Duration::nanos(rng_.uniform_int(1'000, 1'000'000)), false);
+      return;
+    }
+    const std::int64_t gap = (next - now_).count_nanos();
+    run_until(now_ + Duration::nanos(rng_.uniform_int(0, gap / 2)));
+    const std::int64_t room = (next - now_).count_nanos();
+    if (room <= 1) return;
+    const int posts = static_cast<int>(rng_.uniform_int(1, 3));
+    for (int i = 0; i < posts; ++i) {
+      add(now_ + Duration::nanos(rng_.uniform_int(0, room - 1)),
+          rng_.chance(0.3));
+      ++parked_posts_;
+    }
+  }
+
+  SimTime next_live_time() const {
+    for (const Key& k : queue_) {
+      if (!infos_[static_cast<std::size_t>(std::get<2>(k))].cancelled) {
+        return SimTime::from_nanos(std::get<0>(k));
+      }
+    }
+    return SimTime::max();
+  }
+
+  // ---- the reference queue, applying the loop's rules ----
+
+  void ref_compact_if_due() {
+    if (queue_.size() < 64 || cancelled_ * 2 < queue_.size()) return;
+    std::erase_if(queue_, [this](const Key& k) {
+      return infos_[static_cast<std::size_t>(std::get<2>(k))].cancelled;
+    });
+    cancelled_ = 0;
+    ++compactions_;
+  }
+
+  /// Drop cancelled entries at the head; true if a live head remains.
+  bool ref_skip_cancelled() {
+    while (!queue_.empty()) {
+      const int id = std::get<2>(*queue_.begin());
+      if (!infos_[static_cast<std::size_t>(id)].cancelled) return true;
+      queue_.erase(queue_.begin());
+      --cancelled_;
+    }
+    return false;
+  }
+
+  /// Pop the reference's next event as the loop is about to fire it.
+  int ref_pop() {
+    const std::int64_t at = std::get<0>(*queue_.begin());
+    const int id = std::get<2>(*queue_.begin());
+    queue_.erase(queue_.begin());
+    now_ = SimTime::from_nanos(at);
+    infos_[static_cast<std::size_t>(id)].fired = true;
+    expected_.emplace_back(id, at);
+    return id;
+  }
+
+  int ref_step() {
+    ref_compact_if_due();
+    return ref_skip_cancelled() ? ref_pop() : -1;
+  }
+
+  void on_fire(int id) {
+    fired_.emplace_back(id, loop_.now().count_nanos());
+    ++fired_in_call_;
+    int want = -1;
+    if (mode_ == Mode::Step) {
+      want = ref_step();
+    } else if (ref_skip_cancelled() &&
+               std::get<0>(*queue_.begin()) <= deadline_.count_nanos()) {
+      ref_compact_if_due();
+      want = ref_pop();
+    }
+    ASSERT_EQ(id, want) << "at " << loop_.now().count_nanos();
+    ASSERT_EQ(loop_.now(), now_);
+    // Posts from inside the callback.
+    if (rng_.chance(0.3)) {
+      const int children = static_cast<int>(rng_.uniform_int(1, 2));
+      for (int i = 0; i < children; ++i) add(pick_time(), rng_.chance(0.3));
+    }
+  }
+
+  bool step() {
+    mode_ = Mode::Step;
+    fired_in_call_ = 0;
+    const bool ran = loop_.step();
+    if (!ran) {
+      EXPECT_EQ(ref_step(), -1);
+    }
+    EXPECT_EQ(fired_in_call_, ran ? 1 : 0);
+    check_counts();
+    return ran;
+  }
+
+  void run_until(SimTime deadline) {
+    mode_ = Mode::RunUntil;
+    deadline_ = deadline;
+    loop_.run_until(deadline);
+    if (ref_skip_cancelled()) {
+      EXPECT_GT(std::get<0>(*queue_.begin()), deadline.count_nanos());
+    }
+    if (now_ < deadline) now_ = deadline;
+    EXPECT_EQ(loop_.now(), now_);
+    check_counts();
+  }
+
+  void do_reset() {
+    loop_.reset();
+    queue_.clear();
+    cancelled_ = 0;
+    seq_ = 0;
+    now_ = SimTime::zero();
+    ++epoch_;
+    check_counts();
+    EXPECT_EQ(loop_.now(), SimTime::zero());
+    EXPECT_EQ(loop_.events_executed(), 0u);
+    // A handle from before the reset is inert.
+    for (Info& info : infos_) info.handle.cancel();
+    check_counts();
+  }
+
+  void check_counts() {
+    ASSERT_EQ(loop_.pending_events(), queue_.size());
+    ASSERT_EQ(loop_.live_events(), queue_.size() - cancelled_);
+  }
+
+  EventLoop loop_;
+  Rng rng_;
+  std::shared_ptr<int> token_;  // captured by every callback
+  std::vector<Info> infos_;
+  std::set<Key> queue_;
+  std::size_t cancelled_ = 0;
+  std::uint64_t seq_ = 0;
+  SimTime now_ = SimTime::zero();
+  int epoch_ = 0;
+  Mode mode_ = Mode::Step;
+  SimTime deadline_ = SimTime::zero();
+  int fired_in_call_ = 0;
+  std::vector<std::pair<int, std::int64_t>> fired_;
+  std::vector<std::pair<int, std::int64_t>> expected_;
+  int parked_posts_ = 0;
+  int compactions_ = 0;
+};
+
+class EventLoopFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(EventLoopFuzz, FiresInReferenceOrder) {
+  const auto token = std::make_shared<int>(0);
+  {
+    LoopFuzz fuzz{GetParam(), token};
+    fuzz.run(3'000);
+  }
+  // Every callback was destroyed exactly once: fired, cancelled, reset
+  // away or released with the loop.
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventLoopFuzz,
+                         ::testing::Values(1u, 7u, 2026u, 90210u));
+
 // ---------------- InlineFn ----------------
 
 TEST(InlineFn, SmallCallablesStoredInline) {
@@ -503,6 +850,146 @@ TEST(InlineFn, DestructionReleasesCapture) {
     EXPECT_EQ(counter.use_count(), 3);
   }
   EXPECT_EQ(counter.use_count(), 1);  // both storage modes destroyed
+}
+
+/// Counts the moves of the capture it sits in.
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* m) : moves{m} {}
+  MoveCounter(const MoveCounter&) = default;
+  MoveCounter(MoveCounter&& other) noexcept : moves{other.moves} {
+    ++*moves;
+  }
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+};
+
+/// A callable that counts its runs and the destruction of its live
+/// (not moved-from) instances; `Pad` bytes push it past the inline
+/// buffer.
+template <std::size_t Pad>
+struct Tracked {
+  int* runs;
+  int* destroyed;
+  bool live = true;
+  std::array<std::byte, Pad> pad{};
+  Tracked(int* r, int* d) : runs{r}, destroyed{d} {}
+  Tracked(Tracked&& other) noexcept
+      : runs{other.runs}, destroyed{other.destroyed}, pad{other.pad} {
+    other.live = false;
+  }
+  Tracked(const Tracked&) = delete;
+  Tracked& operator=(const Tracked&) = delete;
+  Tracked& operator=(Tracked&&) = delete;
+  ~Tracked() {
+    if (live) ++*destroyed;
+  }
+  void operator()() { ++*runs; }
+};
+
+TEST(InlineFn, AssignConstructsInPlace) {
+  int moves = 0;
+  int runs = 0;
+  auto cb = [counter = MoveCounter{&moves}, &runs] {
+    (void)counter;
+    ++runs;
+  };
+  ASSERT_EQ(moves, 0);
+  InlineFn<64> fn;
+  fn.assign(cb);  // copy-constructed straight into the storage
+  EXPECT_EQ(moves, 0);
+  fn.assign(std::move(cb));  // one move: the construction itself
+  EXPECT_EQ(moves, 1);
+  fn();
+  EXPECT_EQ(runs, 1);
+  // Wrapping first and then assigning relocates the capture once more.
+  InlineFn<64> wrapped;
+  wrapped = InlineFn<64>{cb};  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moves, 2);
+}
+
+TEST(InlineFn, ConsumeRunsThenDestroysOnce) {
+  int runs = 0;
+  int destroyed = 0;
+  InlineFn<64> small;
+  small.assign(Tracked<8>{&runs, &destroyed});
+  InlineFn<64> large;
+  large.assign(Tracked<96>{&runs, &destroyed});
+  ASSERT_TRUE(small.is_inline());
+  ASSERT_FALSE(large.is_inline());
+  EXPECT_EQ(destroyed, 0);
+  small.consume();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(static_cast<bool>(small));
+  large.consume();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(destroyed, 2);
+  EXPECT_FALSE(static_cast<bool>(large));
+  small.reset();
+  large.reset();
+  EXPECT_EQ(destroyed, 2);  // nothing left to destroy twice
+}
+
+TEST(EventLoop, CallbacksAreBuiltAndRunInTheirSlots) {
+  // Each entry point constructs the capture once from its argument and
+  // runs it where it was built: no relocation on the way in or out.
+  EventLoop loop;
+  int moves = 0;
+  int runs = 0;
+  const auto make = [&moves, &runs] {
+    return [counter = MoveCounter{&moves}, &runs] {
+      (void)counter;
+      ++runs;
+    };
+  };
+  loop.post_at(SimTime::zero() + 1_ms, make());
+  loop.post_after(2_ms, make());
+  const TimerHandle a = loop.schedule_at(SimTime::zero() + 3_ms, make());
+  const TimerHandle b = loop.schedule_after(4_ms, make());
+  loop.run();
+  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(moves, 4);
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(b.pending());
+}
+
+TEST(EventLoop, ThrowingEventStaysOwnedUntilReset) {
+  int runs = 0;
+  int destroyed = 0;
+  const auto boom = [] { throw std::runtime_error("event failed"); };
+  {
+    EventLoop loop;
+    // An inline and a heap-stored capture that throw, and one that
+    // stays queued.
+    loop.post_after(1_ms, [t = Tracked<8>{&runs, &destroyed}, boom] {
+      boom();
+    });
+    loop.schedule_after(2_ms, [t = Tracked<96>{&runs, &destroyed}, boom] {
+      boom();
+    });
+    loop.post_after(3_ms, Tracked<8>{&runs, &destroyed});
+    EXPECT_THROW(loop.step(), std::runtime_error);
+    EXPECT_THROW(loop.step(), std::runtime_error);
+    EXPECT_EQ(destroyed, 0);  // both throwers are still owned
+    EXPECT_EQ(loop.pending_events(), 1u);
+    loop.reset();
+    EXPECT_EQ(destroyed, 3);
+    EXPECT_EQ(loop.pending_events(), 0u);
+    // The reset loop runs normally.
+    loop.post_after(1_ms, Tracked<96>{&runs, &destroyed});
+    loop.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(destroyed, 4);
+    // A thrower left in place when the loop is destroyed.
+    loop.post_after(1_ms, [t = Tracked<8>{&runs, &destroyed}, boom] {
+      boom();
+    });
+    EXPECT_THROW(loop.run(), std::runtime_error);
+    EXPECT_EQ(destroyed, 4);
+  }
+  EXPECT_EQ(destroyed, 5);
 }
 
 TEST(EventLoop, ResetIsObservationallyFresh) {
