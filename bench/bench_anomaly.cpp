@@ -99,7 +99,6 @@ struct RowAcc {
     dev.rate_breach += c.rate_breach;
     dev.duration_outlier += c.duration_outlier;
     dev.alerts += c.alerts;
-    dev.vetoes += c.vetoes;
   }
   void merge(const RowAcc& o) {
     trials += o.trials;
@@ -114,7 +113,6 @@ struct RowAcc {
     dev.rate_breach += o.dev.rate_breach;
     dev.duration_outlier += o.dev.duration_outlier;
     dev.alerts += o.dev.alerts;
-    dev.vetoes += o.dev.vetoes;
   }
 };
 

@@ -16,7 +16,6 @@ void FlowRuleRelay::send(of::FlowMod::Command command, of::PortNo in_port,
   fm.priority = config_.priority;
   fm.notify_on_removal = false;
   channel_.to_switch(fm);
-  ++sent_;
 }
 
 void FlowRuleRelay::start() {

@@ -56,7 +56,6 @@ class FlowRuleRelay {
   void stop();
 
   [[nodiscard]] bool active() const { return active_; }
-  [[nodiscard]] std::uint64_t flow_mods_sent() const { return sent_; }
 
  private:
   void send(of::FlowMod::Command command, of::PortNo in_port,
@@ -65,7 +64,6 @@ class FlowRuleRelay {
   of::ControlChannel& channel_;
   Config config_;
   bool active_ = false;
-  std::uint64_t sent_ = 0;
 };
 
 }  // namespace tmg::attack

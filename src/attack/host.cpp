@@ -83,7 +83,6 @@ void Host::flap_interface(sim::Duration hold, std::function<void()> done) {
 
 void Host::send(net::Packet pkt) {
   if (!up_ || !link_) return;
-  ++tx_;
   if (pkt.ip) {
     pkt.ip->ident = ip_id_++;
   }
@@ -161,7 +160,6 @@ void Host::flush_pending(net::Ipv4Address ip, net::MacAddress mac) {
 
 void Host::on_rx(const net::Packet& pkt) {
   if (!up_) return;
-  ++rx_;
   if (hook_ && hook_(pkt)) return;
   for (const auto& l : listeners_) l(pkt);
   auto_respond(pkt);

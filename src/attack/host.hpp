@@ -102,9 +102,6 @@ class Host {
   /// cache or an ARP exchange; the packet is queued while resolution is
   /// in flight and dropped if it fails within the resolve timeout (1 s).
   void send_resolved(net::Ipv4Address dst_ip, net::Packet pkt);
-  [[nodiscard]] std::uint64_t rx_count() const { return rx_; }
-  [[nodiscard]] std::uint64_t tx_count() const { return tx_; }
-  [[nodiscard]] std::uint16_t current_ip_id() const { return ip_id_; }
 
  private:
   void on_rx(const net::Packet& pkt);
@@ -123,8 +120,6 @@ class Host {
   bool up_ = true;
   PacketHook hook_;
   std::vector<PacketListener> listeners_;
-  std::uint64_t rx_ = 0;
-  std::uint64_t tx_ = 0;
   std::uint16_t ip_id_ = 1;
   std::unordered_map<net::Ipv4Address, net::MacAddress> arp_cache_;
   struct PendingResolution {

@@ -39,9 +39,6 @@ class OutOfBandChannel {
   void signal(std::function<void()> action);
 
   [[nodiscard]] std::uint64_t transfers() const { return transfers_; }
-  [[nodiscard]] sim::Duration nominal_delay() const {
-    return config_.latency + config_.codec_overhead;
-  }
 
  private:
   [[nodiscard]] sim::Duration sample_delay();

@@ -369,9 +369,9 @@ void Controller::set_observability(obs::Observability* obs) {
     m.gauge("ctrl.hosts_tracked")
         .set(static_cast<double>(host_tracker().host_count()));
     const auto& flow = obs_->flow_stats();
-    m.gauge("flow.packets").set(static_cast<double>(flow.total().packets));
-    m.gauge("flow.bytes").set(static_cast<double>(flow.total().bytes));
-    m.gauge("flow.mean_packet_bytes").set(flow.total().size.mean);
+    m.gauge("flow.packets").set(static_cast<double>(flow.packets()));
+    m.gauge("flow.bytes").set(static_cast<double>(flow.bytes()));
+    m.gauge("flow.mean_packet_bytes").set(flow.mean_packet_bytes());
     m.gauge("flow.switch_cells")
         .set(static_cast<double>(flow.switch_cells()));
     m.gauge("flow.port_cells").set(static_cast<double>(flow.port_cells()));

@@ -45,9 +45,9 @@ inline constexpr int kCoreSlot = 0;
 /// preserving installation order.
 inline constexpr int kDefenseBase = 100;
 inline constexpr int kDefenseStep = 10;
-/// Trace-profile anomaly IDS: after the defense band (it scores the
-/// same pre-commit event stream the defenses see) and before the
-/// verdict gate (so a veto-enabled detector can still block).
+/// Trace-profile anomaly IDS: after the defense band and before the
+/// verdict gate, so it scores every pre-commit event the defenses see,
+/// including one a defense's Block is about to stop.
 inline constexpr int kAnomalyIdsSlot = 800;
 /// Built only under DispatchDiscipline::OrderedStop.
 inline constexpr int kVerdictGateSlot = 900;

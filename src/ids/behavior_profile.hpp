@@ -49,7 +49,7 @@ inline constexpr std::size_t kSymbolCount = 10;
 
 const char* to_string(Symbol s);
 
-/// (dpid << 16) | port — the stats::FlowStats cell packing.
+/// (dpid << 16) | port, packed by stats::FlowStats::port_key.
 using PortKey = std::uint64_t;
 [[nodiscard]] PortKey port_key(of::Location loc);
 [[nodiscard]] of::Location port_key_location(PortKey key);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "stats/flow_stats.hpp"
-
 namespace tmg::ids {
 
 namespace {
@@ -44,16 +42,12 @@ Symbol classify(const net::Packet& pkt) {
 
 }  // namespace
 
-ProfileAnomalyService::ProfileAnomalyService(sim::EventLoop& loop,
-                                             AnomalyConfig config)
-    : loop_{loop}, config_{config} {}
-
 void ProfileAnomalyService::set_observability(obs::Observability* obs) {
   obs_ = obs;
   if (obs_ == nullptr) {
     c_scored_ = c_unseen_port_ = c_unseen_transition_ = c_unseen_trigram_ =
         c_lldp_src_ = c_rate_breach_ = c_duration_outlier_ = c_alerts_ =
-            c_vetoes_ = nullptr;
+            nullptr;
     g_score_ = g_ports_ = nullptr;
     return;
   }
@@ -66,7 +60,7 @@ void ProfileAnomalyService::set_observability(obs::Observability* obs) {
   c_rate_breach_ = &m.counter("ids.anomaly.rate_breach");
   c_duration_outlier_ = &m.counter("ids.anomaly.duration_outlier");
   c_alerts_ = &m.counter("ids.anomaly.alerts");
-  c_vetoes_ = &m.counter("ids.anomaly.vetoes");
+  m.counter("ids.anomaly.vetoes");  // exported as 0: the IDS never blocks
   g_score_ = &m.gauge("ids.anomaly.score");
   g_ports_ = &m.gauge("ids.anomaly.ports_tracked");
 }
@@ -86,7 +80,7 @@ const PortProfile* ProfileAnomalyService::baseline(PortKey port) const {
 }
 
 template <typename MessageFn>
-bool ProfileAnomalyService::deviate(Deviation kind, PortKey port,
+void ProfileAnomalyService::deviate(Deviation kind, PortKey port,
                                     MessageFn&& message) {
   const int k = static_cast<int>(kind);
   obs::Counter* per_kind = nullptr;
@@ -122,7 +116,7 @@ bool ProfileAnomalyService::deviate(Deviation kind, PortKey port,
                            !alerted_.contains(std::pair{port, k});
   // The text is built only when a trace instant or a first alert reads
   // it: a repeat deviation with observability off costs no string.
-  if (obs_ == nullptr && !first_alert) return alert_grade;
+  if (obs_ == nullptr && !first_alert) return;
   std::string text = message();
   if (obs_ != nullptr) {
     const obs::SpanId id =
@@ -140,15 +134,14 @@ bool ProfileAnomalyService::deviate(Deviation kind, PortKey port,
     ++counters_.alerts;
     bump(c_alerts_);
   }
-  return alert_grade;
 }
 
-ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
+void ProfileAnomalyService::score(PortKey port, Symbol sym) {
   if (trainer_ != nullptr) {
     trainer_->observe(port, sym, loop_.now());
-    return ctrl::Verdict::Allow;
+    return;
   }
-  if (profile_ == nullptr) return ctrl::Verdict::Allow;
+  if (profile_ == nullptr) return;
   ++counters_.scored;
   bump(c_scored_);
   const bool fresh_port = state_.count(port) == 0;
@@ -156,17 +149,16 @@ ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
   if (fresh_port && g_ports_ != nullptr) {
     g_ports_->set(static_cast<double>(state_.size()));
   }
-  bool flagged = false;
   const PortProfile* base = baseline(port);
   if (base == nullptr) {
-    flagged |= deviate(Deviation::UnseenPort, port, [] {
+    deviate(Deviation::UnseenPort, port, [] {
       return std::string{"event at port with no trained baseline"};
     });
   } else {
     const Symbol s1 = st.s1;
     const Symbol s2 = st.s2;
     if (base->bigrams.count(bigram_key(s1, sym)) == 0) {
-      flagged |= deviate(Deviation::UnseenTransition, port, [s1, sym] {
+      deviate(Deviation::UnseenTransition, port, [s1, sym] {
         return std::string{"unseen transition "} + to_string(s1) + ">" +
                to_string(sym);
       });
@@ -193,43 +185,31 @@ ctrl::Verdict ProfileAnomalyService::score(PortKey port, Symbol sym) {
     if (static_cast<double>(st.in_bucket) > limit) {
       const std::uint64_t seen = st.in_bucket;
       const std::uint64_t peak = base->peak_rate_per_s;
-      flagged |= deviate(Deviation::RateBreach, port, [seen, peak] {
+      deviate(Deviation::RateBreach, port, [seen, peak] {
         return "rate envelope breach: " + std::to_string(seen) +
                " events/s vs trained peak " + std::to_string(peak);
       });
     }
   }
-  if (flagged && config_.veto) {
-    ++counters_.vetoes;
-    bump(c_vetoes_);
-    return ctrl::Verdict::Block;
-  }
-  return ctrl::Verdict::Allow;
 }
 
 ctrl::Verdict ProfileAnomalyService::on_packet_in(const of::PacketIn& pi) {
   if (pi.in_port >= kReservedPortFloor) return ctrl::Verdict::Allow;
   const PortKey port = port_key(of::Location{pi.dpid, pi.in_port});
-  const Symbol sym = classify(*pi.packet);
-  ctrl::Verdict v = score(port, sym);
+  score(port, classify(*pi.packet));
   if (const auto* lldp = pi.packet->lldp(); lldp != nullptr) {
     const PortKey src =
-        stats::FlowStats::port_key(lldp->chassis_id(), lldp->port_id());
+        port_key(of::Location{lldp->chassis_id(), lldp->port_id()});
     if (trainer_ != nullptr) {
       trainer_->observe_lldp_src(port, src);
     } else if (const PortProfile* base = baseline(port);
                base != nullptr && base->lldp_srcs.count(src) == 0) {
-      const bool alert_grade = deviate(Deviation::LldpSrc, port, [src] {
+      deviate(Deviation::LldpSrc, port, [src] {
         return "LLDP from untrained source " + port_key_to_string(src);
       });
-      if (alert_grade && config_.veto) {
-        ++counters_.vetoes;
-        bump(c_vetoes_);
-        v = ctrl::Verdict::Block;
-      }
     }
   }
-  return v;
+  return ctrl::Verdict::Allow;
 }
 
 void ProfileAnomalyService::on_port_status(const of::PortStatus& ps) {
@@ -260,14 +240,9 @@ ctrl::Verdict ProfileAnomalyService::on_lldp_observation(
       std::max(env.max_ns * kDurationMultiplier, env.p99_ns);
   if (static_cast<double>(ns) > limit) {
     const PortKey port = port_key(obs.dst);
-    const bool alert_grade = deviate(Deviation::DurationOutlier, port, [ns] {
+    deviate(Deviation::DurationOutlier, port, [ns] {
       return "lldp.rtt " + std::to_string(ns) + "ns beyond trained envelope";
     });
-    if (alert_grade && config_.veto) {
-      ++counters_.vetoes;
-      bump(c_vetoes_);
-      return ctrl::Verdict::Block;
-    }
   }
   return ctrl::Verdict::Allow;
 }
@@ -279,10 +254,9 @@ void ProfileAnomalyService::on_link_removed(const topo::Link& link) {
 
 ctrl::Verdict ProfileAnomalyService::on_host_event(
     const ctrl::HostEvent& ev) {
-  const PortKey port = port_key(ev.new_loc);
-  return score(port, ev.kind == ctrl::HostEvent::Kind::New
-                         ? Symbol::HostNew
-                         : Symbol::HostMoved);
+  const bool is_new = ev.kind == ctrl::HostEvent::Kind::New;
+  score(port_key(ev.new_loc), is_new ? Symbol::HostNew : Symbol::HostMoved);
+  return ctrl::Verdict::Allow;
 }
 
 }  // namespace tmg::ids

@@ -9,8 +9,8 @@
 // never saw in training, a span duration beyond the trained envelope.
 // It hangs off the controller's always-present "anomaly-ids" chain slot
 // (Controller::set_anomaly_detector), after the defense band and before
-// the verdict gate: observe-only under BroadcastObserve profiles,
-// veto-capable (AnomalyConfig::veto) under OrderedStop ones.
+// the verdict gate. It only observes: deviations raise alerts, and every
+// hook returns Allow.
 //
 // Everything is simulated-time derived (the obs wall-clock ban
 // applies): with the same profile and seed, a run's deviation stream,
@@ -32,12 +32,6 @@
 
 namespace tmg::ids {
 
-struct AnomalyConfig {
-  /// Return Block from verdict-bearing hooks on alert-grade deviations
-  /// (only bites under OrderedStop profiles with a verdict gate).
-  bool veto = false;
-};
-
 /// Deviation + bookkeeping totals (mirrored into ids.anomaly.* when
 /// observability is attached; harvested into bench/scenario outcomes).
 struct AnomalyCounters {
@@ -49,7 +43,9 @@ struct AnomalyCounters {
   std::uint64_t rate_breach = 0;
   std::uint64_t duration_outlier = 0;
   std::uint64_t alerts = 0;  // AlertBus raises (per-port/reason deduped)
-  std::uint64_t vetoes = 0;  // Block verdicts returned
+  /// Always 0: the detector never blocks. Kept only because the
+  /// benchmark's outcome digest reads it (perfbench/src/workloads.cpp).
+  std::uint64_t vetoes = 0;
   [[nodiscard]] std::uint64_t deviations() const {
     return unseen_port + unseen_transition + unseen_trigram +
            lldp_src_violation + rate_breach + duration_outlier;
@@ -58,8 +54,7 @@ struct AnomalyCounters {
 
 class ProfileAnomalyService final : public ctrl::DefenseModule {
  public:
-  explicit ProfileAnomalyService(sim::EventLoop& loop,
-                                 AnomalyConfig config = {});
+  explicit ProfileAnomalyService(sim::EventLoop& loop) : loop_{loop} {}
 
   /// Detect mode: score against `profile` (borrowed; nullptr disables).
   void set_profile(const BehaviorProfile* profile) { profile_ = profile; }
@@ -104,21 +99,19 @@ class ProfileAnomalyService final : public ctrl::DefenseModule {
     std::uint64_t in_bucket = 0;
   };
 
-  /// Feed one symbol at one port; returns the hook verdict.
-  ctrl::Verdict score(PortKey port, Symbol sym);
+  /// Feed one symbol at one port.
+  void score(PortKey port, Symbol sym);
   /// Record a deviation (counters, trace instant, deduped alert).
   /// `message()` builds the deviation's text; it is called only when a
   /// trace instant or the first alert for (port, kind) will carry it.
-  /// Returns true when the deviation is alert-grade.
   template <typename MessageFn>
-  bool deviate(Deviation kind, PortKey port, MessageFn&& message);
+  void deviate(Deviation kind, PortKey port, MessageFn&& message);
   [[nodiscard]] const PortProfile* baseline(PortKey port) const;
   void bump(obs::Counter* counter) {
     if (counter != nullptr) counter->add(1);
   }
 
   sim::EventLoop& loop_;
-  AnomalyConfig config_;
   const BehaviorProfile* profile_ = nullptr;
   ProfileTrainer* trainer_ = nullptr;
   ctrl::AlertBus* alerts_ = nullptr;
@@ -137,7 +130,6 @@ class ProfileAnomalyService final : public ctrl::DefenseModule {
   obs::Counter* c_rate_breach_ = nullptr;
   obs::Counter* c_duration_outlier_ = nullptr;
   obs::Counter* c_alerts_ = nullptr;
-  obs::Counter* c_vetoes_ = nullptr;
   obs::Gauge* g_score_ = nullptr;
   obs::Gauge* g_ports_ = nullptr;
 };

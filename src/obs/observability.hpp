@@ -21,8 +21,7 @@
 
 namespace tmg::obs {
 
-/// The trace keeps TraceLog's default record cap; cumulative counters
-/// are exact regardless.
+/// The trace keeps TraceLog's default record cap.
 struct ObsConfig {
   /// Open a span tree around every MessagePipeline dispatch (per-listener
   /// child spans). Turn off for long runs that only need metrics.
@@ -41,15 +40,11 @@ class Observability {
   [[nodiscard]] TraceLog& trace() { return trace_; }
   [[nodiscard]] const TraceLog& trace() const { return trace_; }
 
-  /// Streaming per-port/per-switch traffic statistics, fed by the
-  /// controller's Packet-In dispatch when observability is attached
-  /// (null obs pointer = nothing recorded, preserving the zero-cost
-  /// guard). Detail export via stats::FlowStats::to_json; summary
-  /// gauges are mirrored into the registry by a controller collector.
+  /// Streaming Packet-In traffic totals, fed by the controller's
+  /// Packet-In dispatch when observability is attached (null obs
+  /// pointer = nothing recorded, preserving the zero-cost guard). A
+  /// controller collector mirrors them into the five flow.* gauges.
   [[nodiscard]] stats::FlowStats& flow_stats() { return flow_stats_; }
-  [[nodiscard]] const stats::FlowStats& flow_stats() const {
-    return flow_stats_;
-  }
   [[nodiscard]] bool trace_dispatch() const { return config_.trace_dispatch; }
 
   /// Export-time metric mirroring: collectors run right before a
@@ -79,9 +74,10 @@ class Observability {
   /// with loop.set_probe(&obs.loop_probe()).
   [[nodiscard]] sim::LoopProbe& loop_probe();
 
-  /// Trial-reset path: zero metrics, drop trace records, forget
-  /// collectors. A shared Observability reused across trials must go
-  /// through here so no trial starts with a predecessor's totals.
+  /// Trial-reset path: zero metrics and flow totals, drop trace
+  /// records, forget collectors. A shared Observability reused across
+  /// trials must go through here so no trial starts with a
+  /// predecessor's totals.
   void reset();
 
  private:

@@ -1,5 +1,6 @@
 #include "obs/trace_log.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace tmg::obs {
@@ -60,8 +61,6 @@ TraceLog::Record* TraceLog::find(SpanId id) {
 
 SpanId TraceLog::begin_span(sim::SimTime at, std::string category,
                             std::string name, SpanId parent) {
-  ++name_counts_[category + '\x1f' + name];
-  ++category_counts_[category].records;
   if (records_.size() >= max_records_) {
     ++dropped_;
     return 0;
@@ -93,10 +92,6 @@ void TraceLog::annotate(SpanId id, std::string key, std::string value) {
 
 SpanId TraceLog::instant(sim::SimTime at, std::string category,
                          std::string name, std::string detail, SpanId parent) {
-  ++name_counts_[category + '\x1f' + name];
-  CategoryCounts& counts = category_counts_[category];
-  ++counts.records;
-  ++counts.instants;
   if (records_.size() >= max_records_) {
     ++dropped_;
     return 0;
@@ -115,20 +110,11 @@ SpanId TraceLog::instant(sim::SimTime at, std::string category,
   return records_.back().id;
 }
 
-std::uint64_t TraceLog::count(const std::string& category,
-                              const std::string& name) const {
-  const auto it = name_counts_.find(category + '\x1f' + name);
-  return it == name_counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t TraceLog::category_total(const std::string& category) const {
-  const auto it = category_counts_.find(category);
-  return it == category_counts_.end() ? 0 : it->second.records;
-}
-
-std::uint64_t TraceLog::instant_total(const std::string& category) const {
-  const auto it = category_counts_.find(category);
-  return it == category_counts_.end() ? 0 : it->second.instants;
+std::size_t TraceLog::instant_total(const std::string& category) const {
+  return static_cast<std::size_t>(
+      std::count_if(records_.begin(), records_.end(), [&](const Record& r) {
+        return !r.is_span && r.category == category;
+      }));
 }
 
 std::string TraceLog::to_jsonl() const {

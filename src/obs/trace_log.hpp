@@ -15,8 +15,8 @@
 // which is what makes the zero-cost-when-disabled call sites trivial.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,9 +34,8 @@ using SpanId = std::uint64_t;
 
 class TraceLog {
  public:
-  /// Record cap: once reached, new records are dropped (counted in
-  /// dropped()) but the cumulative per-name counters keep advancing, so
-  /// count()/category_total() stay exact regardless of the cap.
+  /// Record cap: once reached, new records are dropped and counted in
+  /// dropped().
   static constexpr std::size_t kDefaultMaxRecords = 1u << 20;
 
   explicit TraceLog(std::size_t max_records = kDefaultMaxRecords);
@@ -70,13 +69,9 @@ class TraceLog {
   [[nodiscard]] std::size_t size() const { return records_.size(); }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
 
-  /// Cumulative records ever begun for (category, name) / for category /
-  /// instants only for category — unaffected by the record cap or
-  /// clear().
-  [[nodiscard]] std::uint64_t count(const std::string& category,
-                                    const std::string& name) const;
-  [[nodiscard]] std::uint64_t category_total(const std::string& category) const;
-  [[nodiscard]] std::uint64_t instant_total(const std::string& category) const;
+  /// Stored instants of `category` (dropped or cleared ones not
+  /// included).
+  [[nodiscard]] std::size_t instant_total(const std::string& category) const;
 
   /// One JSON object per line, byte-stable. Spans:
   ///   {"ph":"span","id":N,"parent":P,"cat":"...","name":"...",
@@ -96,22 +91,15 @@ class TraceLog {
   [[nodiscard]] std::string to_console(const std::string& category,
                                        std::size_t last_n = 50) const;
 
-  /// Drop the stored records (cumulative counters survive).
+  /// Drop the stored records.
   void clear();
 
  private:
-  struct CategoryCounts {
-    std::uint64_t records = 0;
-    std::uint64_t instants = 0;
-  };
-
   Record* find(SpanId id);
 
   std::size_t max_records_;
   std::vector<Record> records_;  // id == index + 1
   std::uint64_t dropped_ = 0;
-  std::map<std::string, std::uint64_t> name_counts_;  // "cat\x1fname"
-  std::map<std::string, CategoryCounts> category_counts_;
 };
 
 }  // namespace tmg::obs

@@ -44,7 +44,7 @@ class ControlChannel {
 
   /// Per-message-type counters, indexed by the variant alternative index
   /// of CtrlToSwitch / SwitchToCtrl. Each array sums to the matching
-  /// total above; the pipeline observability layer reports them.
+  /// total above. No export reads them; the channel and fleet tests do.
   using DownCounts = std::array<std::uint64_t, std::variant_size_v<CtrlToSwitch>>;
   using UpCounts = std::array<std::uint64_t, std::variant_size_v<SwitchToCtrl>>;
   [[nodiscard]] const DownCounts& to_switch_counts() const {

@@ -73,9 +73,6 @@ class BackgroundTraffic {
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t endpoint_count() const {
-    return endpoints_.size();
-  }
 
  private:
   struct Endpoint {

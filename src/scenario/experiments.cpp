@@ -139,9 +139,7 @@ std::unique_ptr<ids::ProfileAnomalyService> arm(
   if (config.anomaly_profile == nullptr && config.anomaly_trainer == nullptr) {
     return nullptr;
   }
-  ids::AnomalyConfig cfg;
-  cfg.veto = config.anomaly_veto;
-  auto svc = std::make_unique<ids::ProfileAnomalyService>(tb.loop(), cfg);
+  auto svc = std::make_unique<ids::ProfileAnomalyService>(tb.loop());
   if (config.anomaly_trainer != nullptr) {
     svc->set_trainer(config.anomaly_trainer);
     config.anomaly_trainer->begin_trial();

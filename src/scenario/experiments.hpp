@@ -143,8 +143,6 @@ struct LinkAttackConfig {
   /// Train mode: install the IDS forwarding its featurization into this
   /// trainer (borrowed; overrides anomaly_profile). Serial runs only.
   ids::ProfileTrainer* anomaly_trainer = nullptr;
-  /// Let the IDS veto (only bites under OrderedStop profiles).
-  bool anomaly_veto = false;
 };
 
 LinkAttackOutcome run_link_attack(const LinkAttackConfig& config);
@@ -191,7 +189,6 @@ struct HijackConfig {
   /// Anomaly IDS hooks (see LinkAttackConfig).
   const ids::BehaviorProfile* anomaly_profile = nullptr;
   ids::ProfileTrainer* anomaly_trainer = nullptr;
-  bool anomaly_veto = false;
 };
 
 struct HijackOutcome {

@@ -58,7 +58,6 @@ class Hypervisor {
   [[nodiscard]] double server_utilization(ServerId id) const;
   [[nodiscard]] ServerId server_of(const std::string& vm_name) const;
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-  [[nodiscard]] bool migration_in_progress() const { return migrating_; }
 
   /// Observer invoked when a migration begins (vm name, from, to,
   /// downtime). The port-probing attacker doesn't get this callback —

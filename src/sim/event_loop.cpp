@@ -187,11 +187,14 @@ void EventLoop::run() {
 
 void EventLoop::reset() {
   // Destroy every callback still held — queued, or kept by an event
-  // that threw — and relink every slot, keeping the chunks.
+  // that threw — and relink every slot, keeping the chunks. A queued
+  // schedule_* event's handle is marked cancelled, so it stops reporting
+  // pending() for an event that will never fire.
   free_head_ = nullptr;
   for (auto chunk = chunks_.rbegin(); chunk != chunks_.rend(); ++chunk) {
     for (std::size_t i = kSlotsPerChunk; i-- > 0;) {
       Slot& slot = (*chunk)[i];
+      if (slot.state) slot.state->cancelled = true;
       slot.fn.reset();
       release(slot);
     }

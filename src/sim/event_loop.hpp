@@ -161,8 +161,9 @@ class EventLoop {
   /// be observationally identical to a fresh one, so per-worker trial
   /// arenas can reuse the allocations across trials without affecting
   /// any simulated result. Every callback still held is destroyed,
-  /// including one that threw. Outstanding TimerHandles become inert
-  /// (their events never fire).
+  /// including one that threw. Outstanding TimerHandles become inert:
+  /// their events never fire, pending() reports false, and cancel() is
+  /// a no-op.
   void reset();
 
   /// Queue entries physically present, including cancelled-but-unpopped

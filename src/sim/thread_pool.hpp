@@ -45,8 +45,6 @@ class ThreadPool {
   /// Block until the queue is empty and every worker is idle.
   void wait_idle();
 
-  [[nodiscard]] std::size_t thread_count() const { return workers_.size(); }
-
   /// Dense index of the pool worker the calling thread is, or 0 when the
   /// caller is not a pool worker. The trial runner's serial path runs on
   /// the caller's thread, so "not a worker" and "worker 0" deliberately

@@ -1,128 +1,59 @@
-// Streaming per-port / per-switch traffic statistics (DESIGN.md §12).
+// Streaming Packet-In traffic totals (DESIGN.md §10a).
 //
-// Modeled on ID2T's aggregate-statistics engine: every Packet-In
-// contributes to a handful of constant-size accumulators — packet and
-// byte totals plus Welford running moments of the packet size — instead
-// of being buffered or sampled. Memory is O(active cells), never
-// O(packets), and there is no reservoir: moments are exact for the
-// whole stream.
+// Every Packet-In the controller dispatches while observability is
+// attached adds to the byte total, the Welford running moments of the
+// packet size, and the sets of switches and (switch, port) pairs seen.
+// Memory grows with the distinct switches and ports, never with the
+// packets. The controller mirrors the totals into the five flow.*
+// gauges at export time; nothing else reads them.
 //
-// The stats layer sits below the protocol layers, so cells are keyed by
-// caller-packed opaque u64s (the controller packs (dpid << 16) | port —
-// see port_key). Cell storage is a dense vector addressed through an
-// open-addressed index table: a record() in steady state probes one
-// cache line and allocates nothing; only a first-seen cell appends.
-//
-// Iteration over the index table is hash-ordered and never exported:
-// snapshots go through sorted() / to_json(), which order by key.
+// The stats layer sits below the protocol layers, so switches and ports
+// arrive as caller-packed opaque u64s (the controller packs
+// (dpid << 16) | port — see port_key).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <unordered_set>
+
+#include "stats/descriptive.hpp"
 
 namespace tmg::stats {
-
-/// Welford single-pass running moments: numerically stable mean and
-/// variance without storing samples.
-struct RunningMoments {
-  std::uint64_t count = 0;
-  double mean = 0.0;
-  double m2 = 0.0;
-  double min_v = 0.0;
-  double max_v = 0.0;
-
-  void add(double x) {
-    if (count == 0) {
-      min_v = x;
-      max_v = x;
-    } else {
-      if (x < min_v) min_v = x;
-      if (x > max_v) max_v = x;
-    }
-    ++count;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(count);
-    m2 += delta * (x - mean);
-  }
-
-  /// Population variance (0 for fewer than 2 samples).
-  [[nodiscard]] double variance() const {
-    return count < 2 ? 0.0 : m2 / static_cast<double>(count);
-  }
-};
 
 class FlowStats {
  public:
   using Key = std::uint64_t;
 
-  /// One traffic cell: totals plus packet-size moments.
-  struct Cell {
-    Key key = 0;
-    std::uint64_t packets = 0;
-    std::uint64_t bytes = 0;
-    RunningMoments size;
-  };
-
-  /// Key for a (switch, port) cell, mirroring std::hash<of::Location>'s
+  /// Key for a (switch, port), mirroring std::hash<of::Location>'s
   /// packing. The stats layer never sees the protocol types themselves.
   [[nodiscard]] static constexpr Key port_key(std::uint64_t dpid,
                                               std::uint16_t port) {
     return (dpid << 16) | port;
   }
 
-  FlowStats();
-
-  /// Account one packet of `bytes` bytes to its switch cell, its port
-  /// cell, and the stream total. Steady state allocates nothing.
-  void record(Key switch_key, Key port_key, std::uint64_t bytes);
-
-  [[nodiscard]] const Cell* find_switch(Key key) const {
-    return find(switches_, key);
+  /// Account one packet of `bytes` bytes seen at `port_key` of
+  /// `switch_key`.
+  void record(Key switch_key, Key port_key, std::uint64_t bytes) {
+    sizes_.add(static_cast<double>(bytes));
+    bytes_ += bytes;
+    switches_.insert(switch_key);
+    ports_.insert(port_key);
   }
-  [[nodiscard]] const Cell* find_port(Key key) const {
-    return find(ports_, key);
-  }
-  [[nodiscard]] std::size_t switch_cells() const {
-    return switches_.cells.size();
-  }
-  [[nodiscard]] std::size_t port_cells() const { return ports_.cells.size(); }
-  [[nodiscard]] const Cell& total() const { return total_; }
 
-  /// Key-sorted snapshots (deterministic export order).
-  [[nodiscard]] std::vector<Cell> switches_sorted() const;
-  [[nodiscard]] std::vector<Cell> ports_sorted() const;
+  [[nodiscard]] std::uint64_t packets() const { return sizes_.count(); }
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+  [[nodiscard]] double mean_packet_bytes() const { return sizes_.mean(); }
+  /// Distinct switches / (switch, port) pairs seen.
+  [[nodiscard]] std::size_t switch_cells() const { return switches_.size(); }
+  [[nodiscard]] std::size_t port_cells() const { return ports_.size(); }
 
-  /// Byte-stable JSON: {"total": {...}, "switches": [...], "ports":
-  /// [...]} with key-sorted arrays and fixed number formats. `max_cells`
-  /// truncates the per-cell arrays (totals stay exact); 0 = no limit.
-  [[nodiscard]] std::string to_json(std::size_t max_cells = 0) const;
-
-  void reset();
-
-  /// Self-consistency: table/cell cross-references, per-table totals
-  /// matching the grand total, moment sanity. Sorted findings.
-  [[nodiscard]] std::vector<std::string> audit() const;
+  void reset() { *this = FlowStats{}; }
 
  private:
-  /// Dense cell store + open-addressed key -> cell-index table.
-  struct Table {
-    std::vector<Cell> cells;
-    std::vector<std::uint32_t> slots;  // cell index or kEmptySlot
-    [[nodiscard]] std::size_t mask() const { return slots.size() - 1; }
-  };
-  static constexpr std::uint32_t kEmptySlot = 0xffff'ffffu;
-  static constexpr std::size_t kInitialSlots = 64;
-
-  [[nodiscard]] static std::uint64_t mix(Key key);
-  [[nodiscard]] static const Cell* find(const Table& t, Key key);
-  static Cell& upsert(Table& t, Key key);
-  static void grow(Table& t);
-  [[nodiscard]] static std::vector<Cell> sorted(const Table& t);
-
-  Table switches_;
-  Table ports_;
-  Cell total_;
+  RunningStats sizes_;
+  std::uint64_t bytes_ = 0;
+  std::unordered_set<Key> switches_;
+  std::unordered_set<Key> ports_;
 };
 
 }  // namespace tmg::stats

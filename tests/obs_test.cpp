@@ -3,8 +3,8 @@
 // Three contracts under test:
 //   1. The metrics registry and trace log are deterministic: exports
 //      are byte-stable, handles survive reset(), names are validated.
-//   2. The span log reconstructs causal trees (hijack race windows) and
-//      its cumulative counters survive the record cap and clear().
+//   2. The span log reconstructs causal trees (hijack race windows), and
+//      its record cap drops and counts what overflows.
 //   3. Determinism end to end: attaching the observability layer to a
 //      full hijack experiment yields byte-identical metrics JSON and
 //      trace JSONL across repeated runs and across --jobs 1 vs --jobs 8
@@ -12,19 +12,26 @@
 //      per-trial pipeline counters start from zero on every trial.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "check/assert.hpp"
+#include "ctrl/controller.hpp"
 #include "ctrl/message_pipeline.hpp"
+#include "net/packet.hpp"
 #include "obs/metrics.hpp"
 #include "obs/observability.hpp"
 #include "obs/trace_log.hpp"
+#include "of/control_channel.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/fig1_testbed.hpp"
 #include "scenario/trial_runner.hpp"
+#include "sim/event_loop.hpp"
+#include "sim/latency_model.hpp"
 #include "sim/time.hpp"
 
 namespace tmg {
@@ -199,8 +206,17 @@ TEST(TraceLog, SpanTreeAndExports) {
   EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(chrome.find("\"ph\":\"i\""), std::string::npos);
 
-  EXPECT_EQ(log.count("attack", "probe"), 1u);
-  EXPECT_EQ(log.category_total("attack"), 2u);
+  const auto& recs = log.records();
+  EXPECT_EQ(std::count_if(recs.begin(), recs.end(),
+                          [](const obs::TraceLog::Record& r) {
+                            return r.category == "attack" && r.name == "probe";
+                          }),
+            1);
+  EXPECT_EQ(std::count_if(recs.begin(), recs.end(),
+                          [](const obs::TraceLog::Record& r) {
+                            return r.category == "attack";
+                          }),
+            2);
 }
 
 TEST(TraceLog, NullIdIsNoOpEverywhere) {
@@ -210,7 +226,7 @@ TEST(TraceLog, NullIdIsNoOpEverywhere) {
   EXPECT_EQ(log.size(), 0u);
 }
 
-TEST(TraceLog, CumulativeCountsSurviveCapAndClear) {
+TEST(TraceLog, CapDropsRecordsAndClearEmptiesTheLog) {
   obs::TraceLog log{2};  // tiny cap
   log.instant(sim::SimTime::zero(), "c", "n");
   log.instant(sim::SimTime::zero(), "c", "n");
@@ -218,11 +234,11 @@ TEST(TraceLog, CumulativeCountsSurviveCapAndClear) {
   EXPECT_EQ(dropped, 0u);
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.dropped(), 1u);
-  EXPECT_EQ(log.count("c", "n"), 3u);  // exact despite the cap
+  EXPECT_EQ(log.instant_total("c"), 2u);  // stored instants only
 
   log.clear();
   EXPECT_EQ(log.size(), 0u);
-  EXPECT_EQ(log.count("c", "n"), 3u);  // survives clear()
+  EXPECT_EQ(log.instant_total("c"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -374,6 +390,50 @@ TEST(Observability, ResetClearsStateAndDropsCollectors) {
   EXPECT_EQ(obs.trace().size(), 0u);
   obs.collect(sim::SimTime::zero());
   EXPECT_EQ(calls, 1);  // collector was dropped
+}
+
+// The five flow.* gauges, read by value through the export. The
+// benchmark's Packet-In count reads flow.packets by name, and a gauge
+// looked up under a name nothing sets reads 0 instead of failing.
+TEST(Observability, FlowGaugesCountPacketInsBySwitchAndPort) {
+  sim::EventLoop loop;
+  obs::Observability obs;
+  of::ControlChannel ch1{loop, sim::Rng{2}, sim::make_fixed(1_ms)};
+  of::ControlChannel ch2{loop, sim::Rng{3}, sim::make_fixed(1_ms)};
+  ch1.attach_switch([](const of::CtrlToSwitch&) {});
+  ch2.attach_switch([](const of::CtrlToSwitch&) {});
+  ctrl::Controller ctrl{loop, sim::Rng{1}, ctrl::ControllerConfig{}};
+  ctrl.connect_switch(0x1, ch1, {1, 2});
+  ctrl.connect_switch(0x2, ch2, {1});
+  ctrl.set_observability(&obs);
+  // A raw UDP frame of `wire` bytes: 14 Ethernet + 20 IP + payload.
+  const auto packet_in = [](of::Dpid dpid, of::PortNo port,
+                            std::size_t wire, std::uint32_t host) {
+    of::PacketIn pi;
+    pi.dpid = dpid;
+    pi.in_port = port;
+    pi.packet = std::make_shared<const net::Packet>(net::make_raw(
+        net::MacAddress::host(host), net::Ipv4Address::host(host),
+        net::MacAddress::host(99), net::Ipv4Address::host(99), "flow",
+        wire - 34));
+    return pi;
+  };
+  // Two switches, three ports: 0x1:1 twice.
+  ch1.to_controller(packet_in(0x1, 1, 100, 1));
+  ch1.to_controller(packet_in(0x1, 2, 200, 2));
+  ch1.to_controller(packet_in(0x1, 1, 300, 3));
+  ch2.to_controller(packet_in(0x2, 1, 400, 4));
+  loop.run();  // start() was never called, so the queue drains
+
+  obs.finalize(loop.now());
+  const std::string json = obs.metrics_json(obs.final_time());
+  EXPECT_NE(json.find("\"flow.packets\": 4.000000"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"flow.bytes\": 1000.000000"), std::string::npos);
+  EXPECT_NE(json.find("\"flow.mean_packet_bytes\": 250.000000"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"flow.switch_cells\": 2.000000"), std::string::npos);
+  EXPECT_NE(json.find("\"flow.port_cells\": 3.000000"), std::string::npos);
 }
 
 TEST(Observability, FinalizeRunsCollectorsOnceThenDetaches) {

@@ -1037,6 +1037,23 @@ TEST(EventLoop, ResetIsObservationallyFresh) {
   EXPECT_EQ(recycled.pending_events(), 0u);
 }
 
+TEST(EventLoop, ResetLeavesNoHandlePending) {
+  // reset() discards a queued schedule_* event, so its handle must stop
+  // reporting pending(); a late cancel() through it must not touch the
+  // new epoch's live count, and the callback never runs.
+  EventLoop loop;
+  bool fired = false;
+  TimerHandle handle = loop.schedule_after(5_ms, [&fired] { fired = true; });
+  loop.reset();
+  EXPECT_FALSE(handle.pending());
+  loop.schedule_after(1_ms, [] {});
+  handle.cancel();
+  EXPECT_EQ(loop.live_events(), 1u);
+  loop.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(loop.events_executed(), 1u);
+}
+
 TEST(EventLoop, ResetKeepsSlabCapacityWorking) {
   // Not observable, but the recycled slab must still run correctly: a
   // second batch after reset reuses slots and fires in order.
