@@ -1,7 +1,9 @@
 #include "ctrl/controller.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "check/assert.hpp"
 #include "ctrl/host_tracker.hpp"
@@ -146,7 +148,7 @@ void deliver(DefenseModule& module, const PipelineMessage& msg,
   Verdict v = Verdict::Allow;
   switch (msg.type) {
     case MessageType::PacketIn:
-      v = module.on_packet_in(*msg.packet_in);
+      v = module.on_packet_in(*msg.packet_in, msg.switch_index);
       break;
     case MessageType::PortStatus:
       module.on_port_status(*msg.port_status);
@@ -257,12 +259,16 @@ Controller::~Controller() = default;
 
 void Controller::connect_switch(of::Dpid dpid, of::ControlChannel& channel,
                                 std::vector<of::PortNo> ports) {
-  auto [it, inserted] = switches_.try_emplace(dpid);
-  if (!inserted) throw std::logic_error("switch already connected");
-  it->second.channel = &channel;
-  it->second.ports = std::move(ports);
+  const auto pos = std::lower_bound(dpids_.begin(), dpids_.end(), dpid);
+  if (pos != dpids_.end() && *pos == dpid) {
+    throw std::logic_error("switch already connected");
+  }
+  dpids_.insert(pos, dpid);
   // Interned once here; every message from this switch carries the index.
   const std::uint32_t index = topology_.intern(dpid);
+  if (index >= conns_.size()) conns_.resize(std::size_t{index} + 1);
+  conns_[index].channel = &channel;
+  conns_[index].ports = std::move(ports);
   channel.attach_controller([this, dpid, index](const of::SwitchToCtrl& msg) {
     dispatch(dpid, index, msg);
   });
@@ -285,25 +291,29 @@ DefenseModule& Controller::add_defense(std::unique_ptr<DefenseModule> module) {
   return ref;
 }
 
-std::vector<of::Dpid> Controller::switch_dpids() const {
-  std::vector<of::Dpid> out;
-  out.reserve(switches_.size());
-  for (const auto& [dpid, _] : switches_) out.push_back(dpid);
-  return out;
+Controller::SwitchConn* Controller::conn(of::Dpid dpid) {
+  return const_cast<SwitchConn*>(std::as_const(*this).conn(dpid));
+}
+
+const Controller::SwitchConn* Controller::conn(of::Dpid dpid) const {
+  const auto index = topology_.switch_index(dpid);
+  if (!index || *index >= conns_.size()) return nullptr;
+  const SwitchConn& c = conns_[*index];
+  return c.channel != nullptr ? &c : nullptr;
 }
 
 const std::vector<of::PortNo>& Controller::switch_ports(of::Dpid dpid) const {
-  return switches_.at(dpid).ports;
+  const SwitchConn* c = conn(dpid);
+  if (c == nullptr) throw std::out_of_range("switch not connected");
+  return c->ports;
 }
 
 std::optional<sim::Duration> Controller::control_rtt(of::Dpid dpid) const {
-  const auto it = switches_.find(dpid);
-  if (it == switches_.end() || it->second.recent_rtts.empty()) {
-    return std::nullopt;
-  }
+  const SwitchConn* c = conn(dpid);
+  if (c == nullptr || c->recent_rtts.empty()) return std::nullopt;
   sim::Duration sum = sim::Duration::zero();
-  for (const auto d : it->second.recent_rtts) sum += d;
-  return sum / static_cast<std::int64_t>(it->second.recent_rtts.size());
+  for (const auto d : c->recent_rtts) sum += d;
+  return sum / static_cast<std::int64_t>(c->recent_rtts.size());
 }
 
 net::MacAddress Controller::mac() const {
@@ -316,10 +326,9 @@ net::Ipv4Address Controller::ip() const {
 
 void Controller::send_packet_out(of::Dpid dpid, of::PortNo out_port,
                                  net::PacketPtr pkt, of::PortNo in_port) {
-  const auto it = switches_.find(dpid);
-  if (it == switches_.end()) return;
-  it->second.channel->to_switch(
-      of::PacketOut{out_port, in_port, std::move(pkt)});
+  SwitchConn* c = conn(dpid);
+  if (c == nullptr) return;
+  c->channel->to_switch(of::PacketOut{out_port, in_port, std::move(pkt)});
 }
 
 void Controller::send_packet_out(of::Dpid dpid, of::PortNo out_port,
@@ -330,8 +339,8 @@ void Controller::send_packet_out(of::Dpid dpid, of::PortNo out_port,
 }
 
 void Controller::send_flow_mod(of::Dpid dpid, of::FlowMod fm) {
-  const auto it = switches_.find(dpid);
-  if (it == switches_.end()) return;
+  SwitchConn* c = conn(dpid);
+  if (c == nullptr) return;
   pipeline_.dispatch(PipelineMessage::from(dpid, fm));
   if (obs_ != nullptr) {
     trace_event(EventKind::FlowMod,
@@ -339,7 +348,7 @@ void Controller::send_flow_mod(of::Dpid dpid, of::FlowMod fm) {
                     fm.match.to_string(),
                 of::Location{dpid, fm.action.out_port});
   }
-  it->second.channel->to_switch(std::move(fm));
+  c->channel->to_switch(std::move(fm));
 }
 
 void Controller::set_observability(obs::Observability* obs) {
@@ -365,7 +374,7 @@ void Controller::set_observability(obs::Observability* obs) {
   // twice is idempotent.
   obs_->add_collector([this](obs::MetricsRegistry& m, sim::SimTime) {
     m.gauge("ctrl.alerts_total").set(static_cast<double>(alerts_.count()));
-    m.gauge("ctrl.switches").set(static_cast<double>(switches_.size()));
+    m.gauge("ctrl.switches").set(static_cast<double>(dpids_.size()));
     m.gauge("ctrl.hosts_tracked")
         .set(static_cast<double>(host_tracker().host_count()));
     const auto& flow = obs_->flow_stats();
@@ -404,15 +413,15 @@ void Controller::trace_event(EventKind kind, std::string detail,
 }
 
 void Controller::request_flow_stats(of::Dpid dpid) {
-  const auto it = switches_.find(dpid);
-  if (it == switches_.end()) return;
-  it->second.channel->to_switch(of::FlowStatsRequest{next_flow_stats_xid_++});
+  SwitchConn* c = conn(dpid);
+  if (c == nullptr) return;
+  c->channel->to_switch(of::FlowStatsRequest{next_flow_stats_xid_++});
 }
 
 void Controller::request_port_stats(of::Dpid dpid) {
-  const auto it = switches_.find(dpid);
-  if (it == switches_.end()) return;
-  it->second.channel->to_switch(of::PortStatsRequest{next_port_stats_xid_++});
+  SwitchConn* c = conn(dpid);
+  if (c == nullptr) return;
+  c->channel->to_switch(of::PortStatsRequest{next_port_stats_xid_++});
 }
 
 void Controller::probe_reachability(of::Location loc, net::MacAddress dst_mac,
@@ -523,16 +532,15 @@ void Controller::dispatch(of::Dpid dpid, std::uint32_t index,
 }
 
 void Controller::handle_echo_reply(of::Dpid dpid, const of::EchoReply& er) {
-  auto it = switches_.find(dpid);
-  if (it == switches_.end()) return;
-  auto& conn = it->second;
-  const auto sent = conn.pending_echo.find(er.token);
-  if (sent == conn.pending_echo.end()) return;
+  SwitchConn* c = conn(dpid);
+  if (c == nullptr) return;
+  const auto sent = c->pending_echo.find(er.token);
+  if (sent == c->pending_echo.end()) return;
   const sim::Duration rtt = loop_.now() - sent->second;
-  conn.pending_echo.erase(sent);
-  conn.recent_rtts.push_back(rtt);
+  c->pending_echo.erase(sent);
+  c->recent_rtts.push_back(rtt);
   // Paper Sec. VI-D: average of the latest three measurements.
-  while (conn.recent_rtts.size() > 3) conn.recent_rtts.pop_front();
+  if (c->recent_rtts.size() > 3) c->recent_rtts.erase(c->recent_rtts.begin());
   if (obs_echo_rtt_ != nullptr) obs_echo_rtt_->add(rtt.to_millis_f());
   if (obs_ != nullptr) {
     char buf[48];
@@ -542,10 +550,11 @@ void Controller::handle_echo_reply(of::Dpid dpid, const of::EchoReply& er) {
 }
 
 void Controller::echo_tick() {
-  for (auto& [dpid, conn] : switches_) {
+  for (const of::Dpid dpid : dpids_) {
+    SwitchConn& c = *conn(dpid);
     const std::uint64_t token = next_echo_token_++;
-    conn.pending_echo.emplace(token, loop_.now());
-    conn.channel->to_switch(of::EchoRequest{token});
+    c.pending_echo.emplace(token, loop_.now());
+    c.channel->to_switch(of::EchoRequest{token});
   }
   loop_.post_after(kEchoInterval, [this] { echo_tick(); });
 }

@@ -9,10 +9,16 @@
 // controller also tracks per-switch control-link RTT (average of the
 // latest three echo exchanges), which TOPOGUARD+'s LLI subtracts from
 // LLDP propagation time (paper Sec. VI-D).
+//
+// Switch connections live in a vector indexed by the switch index the
+// topology interns at connect_switch (DESIGN.md §8f): a Packet-Out or
+// Flow-Mod resolves its dpid with one hash and one load, with no tree
+// walk. A sorted dpid list drives every walk over the switches
+// (LLDP rounds, echo probes, routing's Flow-Mod order), in ascending
+// dpid order.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -144,7 +150,11 @@ class Controller {
   [[nodiscard]] sim::EventLoop& loop() { return loop_; }
   [[nodiscard]] sim::Rng& rng() { return rng_; }
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
-  [[nodiscard]] std::vector<of::Dpid> switch_dpids() const;
+  /// Connected switches, ascending.
+  [[nodiscard]] const std::vector<of::Dpid>& switch_dpids() const {
+    return dpids_;
+  }
+  /// Dataplane ports of a connected switch (std::out_of_range otherwise).
   [[nodiscard]] const std::vector<of::PortNo>& switch_ports(
       of::Dpid dpid) const;
 
@@ -163,6 +173,8 @@ class Controller {
   [[nodiscard]] const crypto::XteaKey& ts_key() const { return ts_key_; }
 
   // --- Transport (services and defenses send through these) ---
+  // Each is a silent no-op for a dpid with no connected switch, whether
+  // unknown or interned only through a topology link.
   /// Packet-Out of a packet already in flight, such as a Packet-In's own
   /// pointer: the switch receives this very object, not a copy.
   void send_packet_out(of::Dpid dpid, of::PortNo out_port, net::PacketPtr pkt,
@@ -208,9 +220,12 @@ class Controller {
 
  private:
   struct SwitchConn {
-    of::ControlChannel* channel = nullptr;
+    of::ControlChannel* channel = nullptr;  // nullptr: never connected
     std::vector<of::PortNo> ports;
-    std::deque<sim::Duration> recent_rtts;  // latest 3
+    // Latest 3, oldest first. A vector, not a deque: a default deque
+    // allocates, and its move may throw, so conns_ would copy every
+    // connection each time it grows.
+    std::vector<sim::Duration> recent_rtts;
     std::map<std::uint64_t, sim::SimTime> pending_echo;  // token -> sent
   };
   struct PendingProbe {
@@ -221,6 +236,9 @@ class Controller {
   class CoreListener;
   class VerdictGate;
 
+  /// The connection of `dpid`; nullptr if no switch connected as it.
+  [[nodiscard]] SwitchConn* conn(of::Dpid dpid);
+  [[nodiscard]] const SwitchConn* conn(of::Dpid dpid) const;
   void dispatch(of::Dpid dpid, std::uint32_t index,
                 const of::SwitchToCtrl& msg);
   void finish_probe_span(obs::SpanId span, bool reachable);
@@ -235,7 +253,10 @@ class Controller {
   AlertBus alerts_;
   topo::TopologyGraph topology_;
   MessagePipeline pipeline_;
-  std::map<of::Dpid, SwitchConn> switches_;
+  // Connections by interned switch index; an index the topology interned
+  // for a dpid that never connected has a null channel.
+  std::vector<SwitchConn> conns_;
+  std::vector<of::Dpid> dpids_;  // connected dpids, ascending
   std::vector<std::unique_ptr<DefenseModule>> modules_;
   std::unique_ptr<LinkDiscoveryService> links_;
   std::unique_ptr<HostTrackingService> hosts_;

@@ -8,6 +8,7 @@
 // and blocking are independent).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,8 +56,13 @@ class DefenseModule {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Every Packet-In, before any service processes it.
-  virtual Verdict on_packet_in(const of::PacketIn&) { return Verdict::Allow; }
+  /// Every Packet-In, before any service processes it. `switch_index` is
+  /// the sending switch's interned index (topo::TopologyGraph), so a
+  /// hook can classify the ingress port without hashing the dpid.
+  virtual Verdict on_packet_in(const of::PacketIn&,
+                               std::uint32_t /*switch_index*/) {
+    return Verdict::Allow;
+  }
 
   /// Every Port-Status (Up/Down).
   virtual void on_port_status(const of::PortStatus&) {}

@@ -189,7 +189,9 @@ void LinkDiscoveryService::handle_lldp_packet_in(const of::PacketIn& pi) {
   if (obs.is_new_link) {
     links_.emplace(link, LinkState{link, now, now});
     ctrl_.topology().add_link(src, dst);
-    ctrl_.trace_event(EventKind::LinkAdded, link.to_string(), dst);
+    if (ctrl_.observability() != nullptr) {
+      ctrl_.trace_event(EventKind::LinkAdded, link.to_string(), dst);
+    }
   } else {
     existing->second.last_verified = now;
   }
@@ -202,8 +204,10 @@ void LinkDiscoveryService::handle_port_down(of::Location loc) {
       const topo::Link link = it->first;
       it = links_.erase(it);
       ctrl_.topology().remove_link(link.a, link.b);
-      ctrl_.trace_event(EventKind::LinkRemoved,
-                        link.to_string() + " (port down)", loc);
+      if (ctrl_.observability() != nullptr) {
+        ctrl_.trace_event(EventKind::LinkRemoved,
+                          link.to_string() + " (port down)", loc);
+      }
       ctrl_.notify_link_removed(link);
     } else {
       ++it;
@@ -220,8 +224,10 @@ void LinkDiscoveryService::sweep() {
       const topo::Link link = it->first;
       it = links_.erase(it);
       ctrl_.topology().remove_link(link.a, link.b);
-      ctrl_.trace_event(EventKind::LinkRemoved,
-                        link.to_string() + " (timeout)", link.a);
+      if (ctrl_.observability() != nullptr) {
+        ctrl_.trace_event(EventKind::LinkRemoved,
+                          link.to_string() + " (timeout)", link.a);
+      }
       ctrl_.notify_link_removed(link);
     } else {
       ++it;

@@ -104,7 +104,8 @@ void ActiveLinkVerifier::send_probe(const topo::Link& link) {
   }
 }
 
-Verdict ActiveLinkVerifier::on_packet_in(const of::PacketIn& pi) {
+Verdict ActiveLinkVerifier::on_packet_in(const of::PacketIn& pi,
+                                         std::uint32_t /*switch_index*/) {
   const auto* raw = pi.packet->raw();
   if (!raw || raw->label != kProbeLabel) return Verdict::Allow;
 

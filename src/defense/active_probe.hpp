@@ -46,7 +46,8 @@ class ActiveLinkVerifier : public ctrl::DefenseModule {
   [[nodiscard]] std::string name() const override { return "ActiveProbe"; }
 
   ctrl::Verdict on_lldp_observation(const ctrl::LldpObservation& obs) override;
-  ctrl::Verdict on_packet_in(const of::PacketIn& pi) override;
+  ctrl::Verdict on_packet_in(const of::PacketIn& pi,
+                             std::uint32_t switch_index) override;
   void on_port_status(const of::PortStatus& ps) override;
 
   enum class State { Probing, Verified, Failed };

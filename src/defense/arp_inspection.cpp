@@ -33,7 +33,8 @@ void DynamicArpInspection::deploy() {
   }
 }
 
-Verdict DynamicArpInspection::on_packet_in(const of::PacketIn& pi) {
+Verdict DynamicArpInspection::on_packet_in(const of::PacketIn& pi,
+                                           std::uint32_t /*switch_index*/) {
   const auto* arp = pi.packet->arp();
   if (!arp) return Verdict::Allow;
   ++inspected_;

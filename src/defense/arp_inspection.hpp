@@ -32,7 +32,8 @@ class DynamicArpInspection : public ctrl::DefenseModule {
   /// the testbed has started (switches must be registered).
   void deploy();
 
-  ctrl::Verdict on_packet_in(const of::PacketIn& pi) override;
+  ctrl::Verdict on_packet_in(const of::PacketIn& pi,
+                             std::uint32_t switch_index) override;
 
   [[nodiscard]] std::uint64_t inspected() const { return inspected_; }
   [[nodiscard]] std::uint64_t violations() const { return violations_; }

@@ -20,7 +20,8 @@ const Enrollment* SecureBinding::authenticated_device(
   return reg == config_.registry.end() ? nullptr : &reg->second;
 }
 
-Verdict SecureBinding::on_packet_in(const of::PacketIn& pi) {
+Verdict SecureBinding::on_packet_in(const of::PacketIn& pi,
+                                    std::uint32_t /*switch_index*/) {
   const auto maybe_token = net::auth_token_of(*pi.packet);
   if (!maybe_token) return Verdict::Allow;
   const std::uint64_t token = *maybe_token;

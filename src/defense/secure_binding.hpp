@@ -46,7 +46,8 @@ class SecureBinding : public ctrl::DefenseModule {
 
   [[nodiscard]] std::string name() const override { return "SecureBinding"; }
 
-  ctrl::Verdict on_packet_in(const of::PacketIn& pi) override;
+  ctrl::Verdict on_packet_in(const of::PacketIn& pi,
+                             std::uint32_t switch_index) override;
   void on_port_status(const of::PortStatus& ps) override;
   ctrl::Verdict on_host_event(const ctrl::HostEvent& ev) override;
 

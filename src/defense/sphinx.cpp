@@ -71,7 +71,8 @@ void Sphinx::check_link_symmetry() {
   }
 }
 
-Verdict Sphinx::on_packet_in(const of::PacketIn& pi) {
+Verdict Sphinx::on_packet_in(const of::PacketIn& pi,
+                             std::uint32_t switch_index) {
   const net::Packet& pkt = *pi.packet;
   if (pkt.is_lldp() || pkt.src_mac.is_multicast()) return Verdict::Allow;
   const of::Location loc{pi.dpid, pi.in_port};
@@ -83,7 +84,7 @@ Verdict Sphinx::on_packet_in(const of::PacketIn& pi) {
     const auto fit = flows_.find(pkt.dst_mac);
     if (fit != flows_.end() && !fit->second.waypoints.empty() &&
         !fit->second.waypoints.contains(pi.dpid) &&
-        ctrl_.topology().is_switch_port(loc)) {
+        ctrl_.topology().is_switch_port(switch_index, pi.in_port)) {
       ctrl_.alerts().raise(
           Alert{now, name(), AlertType::SphinxWaypointChange,
                 "flow to " + pkt.dst_mac.to_string() +
@@ -95,7 +96,9 @@ Verdict Sphinx::on_packet_in(const of::PacketIn& pi) {
   // Identifier-binding invariant. Transit (switch-internal) ports carry
   // everyone's packets and are excluded, as in SPHINX's own
   // attachment-point inference.
-  if (ctrl_.topology().is_switch_port(loc)) return Verdict::Allow;
+  if (ctrl_.topology().is_switch_port(switch_index, pi.in_port)) {
+    return Verdict::Allow;
+  }
 
   auto it = bindings_.find(pkt.src_mac);
   if (it == bindings_.end()) {

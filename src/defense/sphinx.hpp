@@ -48,7 +48,8 @@ class Sphinx : public ctrl::DefenseModule {
   /// Begin periodic flow-stats polling.
   void start();
 
-  ctrl::Verdict on_packet_in(const of::PacketIn& pi) override;
+  ctrl::Verdict on_packet_in(const of::PacketIn& pi,
+                             std::uint32_t switch_index) override;
   void on_flow_mod(of::Dpid dpid, const of::FlowMod& fm) override;
   void on_flow_stats(const of::FlowStatsReply& fsr) override;
   void on_port_stats(const of::PortStatsReply& psr) override;

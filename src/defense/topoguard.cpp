@@ -35,7 +35,8 @@ std::optional<sim::SimTime> TopoGuard::last_reset(of::Location loc) const {
   return it->second;
 }
 
-Verdict TopoGuard::on_packet_in(const of::PacketIn& pi) {
+Verdict TopoGuard::on_packet_in(const of::PacketIn& pi,
+                                std::uint32_t switch_index) {
   // Controller-originated frames (reachability pings, active link
   // probes) are not host traffic and never drive classification.
   if (pi.packet->src_mac == ctrl_.mac()) return Verdict::Allow;
@@ -62,7 +63,9 @@ Verdict TopoGuard::on_packet_in(const of::PacketIn& pi) {
   // for long — any amnesia flap tears the port's links down
   // (LinkDiscoveryService::handle_port_down), making it an attachment
   // port again.
-  if (ctrl_.topology().is_switch_port(loc)) return Verdict::Allow;
+  if (ctrl_.topology().is_switch_port(switch_index, pi.in_port)) {
+    return Verdict::Allow;
+  }
   if (type == PortType::Switch) {
     ctrl_.alerts().raise(Alert{
         ctrl_.loop().now(), name(), AlertType::FirstHopFromSwitchPort,

@@ -43,7 +43,8 @@ class TopoGuard : public ctrl::DefenseModule {
 
   [[nodiscard]] std::string name() const override { return "TopoGuard"; }
 
-  ctrl::Verdict on_packet_in(const of::PacketIn& pi) override;
+  ctrl::Verdict on_packet_in(const of::PacketIn& pi,
+                             std::uint32_t switch_index) override;
   void on_port_status(const of::PortStatus& ps) override;
   ctrl::Verdict on_host_event(const ctrl::HostEvent& ev) override;
 

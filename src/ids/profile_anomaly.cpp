@@ -193,7 +193,8 @@ void ProfileAnomalyService::score(PortKey port, Symbol sym) {
   }
 }
 
-ctrl::Verdict ProfileAnomalyService::on_packet_in(const of::PacketIn& pi) {
+ctrl::Verdict ProfileAnomalyService::on_packet_in(
+    const of::PacketIn& pi, std::uint32_t /*switch_index*/) {
   if (pi.in_port >= kReservedPortFloor) return ctrl::Verdict::Allow;
   const PortKey port = port_key(of::Location{pi.dpid, pi.in_port});
   score(port, classify(*pi.packet));

@@ -76,7 +76,8 @@ class ProfileAnomalyService final : public ctrl::DefenseModule {
 
   // --- ctrl::DefenseModule ---
   [[nodiscard]] std::string name() const override { return "AnomalyIDS"; }
-  ctrl::Verdict on_packet_in(const of::PacketIn& pi) override;
+  ctrl::Verdict on_packet_in(const of::PacketIn& pi,
+                             std::uint32_t switch_index) override;
   void on_port_status(const of::PortStatus& ps) override;
   ctrl::Verdict on_lldp_observation(
       const ctrl::LldpObservation& obs) override;

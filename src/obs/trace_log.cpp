@@ -209,6 +209,9 @@ std::string TraceLog::to_console(const std::string& category,
   return out;
 }
 
-void TraceLog::clear() { records_.clear(); }
+void TraceLog::clear() {
+  records_.clear();
+  dropped_ = 0;
+}
 
 }  // namespace tmg::obs

@@ -91,7 +91,8 @@ class TraceLog {
   [[nodiscard]] std::string to_console(const std::string& category,
                                        std::size_t last_n = 50) const;
 
-  /// Drop the stored records.
+  /// Drop the stored records and zero dropped(), so a reset trial
+  /// starts with no predecessor's drops.
   void clear();
 
  private:

@@ -1,6 +1,5 @@
 #include "of/switch.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -21,10 +20,6 @@ constexpr sim::Duration kExpirySweep = sim::Duration::seconds(1);
 /// Dataplane forwarding latency within the switch.
 constexpr sim::Duration kForwardDelay = sim::Duration::micros(10);
 
-constexpr auto kByPortNo = [](const auto& port, PortNo no) {
-  return port.no < no;
-};
-
 }  // namespace
 
 Switch::Switch(sim::EventLoop& loop, sim::Rng rng, Dpid dpid,
@@ -35,8 +30,8 @@ Switch::Switch(sim::EventLoop& loop, sim::Rng rng, Dpid dpid,
 }
 
 const Switch::Port* Switch::find_port(PortNo no) const {
-  const auto it = std::lower_bound(ports_.begin(), ports_.end(), no, kByPortNo);
-  return it != ports_.end() && it->no == no ? &*it : nullptr;
+  if (no >= ports_.size() || ports_[no].link == nullptr) return nullptr;
+  return &ports_[no];
 }
 
 Switch::Port* Switch::find_port(PortNo no) {
@@ -45,18 +40,13 @@ Switch::Port* Switch::find_port(PortNo no) {
 
 void Switch::attach_link(PortNo port, DataLink& link, Side side) {
   assert(port != 0 && port < kPortFlood);
-  const auto it =
-      std::lower_bound(ports_.begin(), ports_.end(), port, kByPortNo);
-  if (it != ports_.end() && it->no == port) {
-    throw std::logic_error("port already attached");
-  }
-  Port p;
-  p.no = port;
+  if (port >= ports_.size()) ports_.resize(std::size_t{port} + 1);
+  Port& p = ports_[port];
+  if (p.link != nullptr) throw std::logic_error("port already attached");
   p.link = &link;
   p.side = side;
   p.peer_carrier_up = link.carrier(other(side));
   p.oper_up = p.peer_carrier_up;
-  ports_.insert(it, p);
   link.attach(side,
               DataLink::Peer{
                   [this, port](const net::PacketPtr& pkt) { on_rx(port, pkt); },
@@ -77,8 +67,9 @@ const PortStats& Switch::port_stats(PortNo port) const {
 
 std::vector<PortNo> Switch::ports() const {
   std::vector<PortNo> out;
-  out.reserve(ports_.size());
-  for (const Port& p : ports_) out.push_back(p.no);
+  for (std::size_t no = 0; no < ports_.size(); ++no) {
+    if (ports_[no].link != nullptr) out.push_back(static_cast<PortNo>(no));
+  }
   return out;
 }
 
@@ -105,11 +96,12 @@ void Switch::handle_ctrl(const CtrlToSwitch& msg) {
       PortStatsReply reply;
       reply.dpid = sw.dpid();
       reply.xid = req.xid;
-      reply.entries.reserve(sw.ports_.size());
-      for (const Port& port : sw.ports_) {
+      for (std::size_t no = 0; no < sw.ports_.size(); ++no) {
+        const Port& port = sw.ports_[no];
+        if (port.link == nullptr) continue;
         reply.entries.push_back(PortStatsEntry{
-            port.no, port.stats.rx_packets, port.stats.tx_packets,
-            port.stats.rx_bytes, port.stats.tx_bytes});
+            static_cast<PortNo>(no), port.stats.rx_packets,
+            port.stats.tx_packets, port.stats.rx_bytes, port.stats.tx_bytes});
       }
       sw.channel_.to_controller(std::move(reply));
     }
@@ -223,8 +215,10 @@ void Switch::forward_shared(net::PacketPtr pkt, Port& p) {
 }
 
 void Switch::flood(const net::PacketPtr& pkt, PortNo except_port) {
-  for (Port& p : ports_) {
-    if (p.no == except_port || !p.oper_up) continue;
+  // Ascending port number: the order the egress events are posted in.
+  for (std::size_t no = 0; no < ports_.size(); ++no) {
+    Port& p = ports_[no];
+    if (p.link == nullptr || no == except_port || !p.oper_up) continue;
     forward_shared(pkt, p);
   }
 }

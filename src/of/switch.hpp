@@ -7,6 +7,12 @@
 // flap shorter than the sampled detection delay produces *no* Port-Down,
 // which is the physical fact the in-band port-amnesia attack must respect
 // (paper Sec. V-A).
+//
+// Ports are found by number, not searched for: the port table is indexed
+// by port number (DESIGN.md §8f), so every link delivery and every
+// forward is a bounds check and a load. Numbers with no attached link
+// hold an empty record; walks over the table (floods, port lists, stats
+// replies) skip those and visit attached ports in ascending number.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +44,9 @@ class Switch {
   Switch& operator=(const Switch&) = delete;
 
   /// Attach one side of a data link as port `port`. Port numbers are
-  /// switch-local and must be unique (std::logic_error otherwise).
+  /// switch-local and must be unique (std::logic_error otherwise). The
+  /// port table grows to `port`, so it may reallocate: nothing keeps a
+  /// Port reference across an attach.
   void attach_link(PortNo port, DataLink& link, Side side);
 
   [[nodiscard]] Dpid dpid() const { return dpid_; }
@@ -51,8 +59,7 @@ class Switch {
 
  private:
   struct Port {
-    PortNo no = 0;
-    DataLink* link = nullptr;
+    DataLink* link = nullptr;  // nullptr: no link attached at this number
     Side side = Side::A;
     bool peer_carrier_up = true;  // last raw signal from the far end
     bool oper_up = true;          // state as reported to the controller
@@ -60,7 +67,7 @@ class Switch {
     PortStats stats;
   };
 
-  /// Binary search of ports_; nullptr if `no` is not attached.
+  /// The port attached as `no`; nullptr if none is.
   [[nodiscard]] Port* find_port(PortNo no);
   [[nodiscard]] const Port* find_port(PortNo no) const;
   void handle_ctrl(const CtrlToSwitch& msg);
@@ -86,7 +93,7 @@ class Switch {
   sim::Rng rng_;
   Dpid dpid_;
   ControlChannel& channel_;
-  std::vector<Port> ports_;  // sorted by port number
+  std::vector<Port> ports_;  // indexed by port number; 0 is never attached
   FlowTable table_;
 };
 

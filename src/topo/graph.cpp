@@ -1,6 +1,10 @@
 #include "topo/graph.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <map>
+
+#include "check/assert.hpp"
 
 namespace tmg::topo {
 
@@ -27,7 +31,7 @@ std::uint32_t TopologyGraph::intern(Dpid dpid) {
   if (inserted) {
     index_to_dpid_.push_back(dpid);
     adj_.emplace_back();
-    switch_ports_.emplace_back();
+    port_refs_.emplace_back();
   }
   return it->second;
 }
@@ -39,24 +43,16 @@ std::optional<std::uint32_t> TopologyGraph::switch_index(Dpid dpid) const {
 }
 
 void TopologyGraph::add_port_ref(std::uint32_t index, PortNo port) {
-  std::vector<PortRef>& ports = switch_ports_[index];
-  const auto it =
-      std::lower_bound(ports.begin(), ports.end(), port,
-                       [](const PortRef& r, PortNo p) { return r.port < p; });
-  if (it != ports.end() && it->port == port) {
-    ++it->refs;
-  } else {
-    ports.insert(it, PortRef{port, 1});
-  }
+  std::vector<PortRefs>& refs = port_refs_[index];
+  if (port >= refs.size()) refs.resize(std::size_t{port} + 1);
+  TMG_ASSERT(refs[port] < std::numeric_limits<PortRefs>::max(),
+             "TopologyGraph: too many links end at one port");
+  ++refs[port];
 }
 
 void TopologyGraph::drop_port_ref(std::uint32_t index, PortNo port) {
-  std::vector<PortRef>& ports = switch_ports_[index];
-  const auto it =
-      std::lower_bound(ports.begin(), ports.end(), port,
-                       [](const PortRef& r, PortNo p) { return r.port < p; });
-  if (it == ports.end() || it->port != port) return;
-  if (--it->refs == 0) ports.erase(it);
+  std::vector<PortRefs>& refs = port_refs_[index];
+  if (port < refs.size() && refs[port] != 0) --refs[port];
 }
 
 bool TopologyGraph::add_link(Location x, Location y) {
@@ -113,12 +109,9 @@ bool TopologyGraph::is_switch_port(Location loc) const {
 }
 
 bool TopologyGraph::is_switch_port(std::uint32_t index, PortNo port) const {
-  if (index >= switch_ports_.size()) return false;
-  const std::vector<PortRef>& ports = switch_ports_[index];
-  const auto it =
-      std::lower_bound(ports.begin(), ports.end(), port,
-                       [](const PortRef& r, PortNo p) { return r.port < p; });
-  return it != ports.end() && it->port == port;
+  if (index >= port_refs_.size()) return false;
+  const std::vector<PortRefs>& refs = port_refs_[index];
+  return port < refs.size() && refs[port] != 0;
 }
 
 std::vector<Link> TopologyGraph::links() const {
@@ -177,7 +170,7 @@ void TopologyGraph::clear() {
   link_slots_.clear();
   key_to_slot_.clear();
   for (auto& arcs : adj_) arcs.clear();
-  for (auto& ports : switch_ports_) ports.clear();
+  for (auto& refs : port_refs_) std::fill(refs.begin(), refs.end(), 0);
   ++epoch_;
 }
 
@@ -231,19 +224,34 @@ std::vector<std::string> TopologyGraph::audit() const {
                        " points at a mismatched slot");
     }
   }
-  // Per-port refcounts must equal the number of stored links touching
-  // that (switch, port) endpoint.
-  for (std::size_t i = 0; i < switch_ports_.size(); ++i) {
-    for (const PortRef& r : switch_ports_[i]) {
-      const Location loc{index_to_dpid_[i], r.port};
-      std::uint32_t expect = 0;
-      for (const Link& l : link_slots_) {
-        if (l.a == loc || l.b == loc) ++expect;
-      }
-      if (r.refs != expect) {
-        issues.push_back("port ref " + loc.to_string() + " counts " +
-                         std::to_string(r.refs) + " links, graph stores " +
-                         std::to_string(expect));
+  // Per-port refcounts must equal the number of stored link ends at that
+  // (switch, port) endpoint, checked from both sides: every link end
+  // against its count, and every nonzero count against the link ends.
+  std::map<Location, std::uint32_t> ends;
+  for (const Link& l : link_slots_) {
+    ++ends[l.a];
+    ++ends[l.b];
+  }
+  const auto count_issue = [&](Location loc, std::uint32_t refs,
+                               std::uint32_t expect) {
+    issues.push_back("port ref " + loc.to_string() + " counts " +
+                     std::to_string(refs) + " links, graph stores " +
+                     std::to_string(expect));
+  };
+  for (const auto& [loc, expect] : ends) {
+    const auto idx = switch_index(loc.dpid);
+    std::uint32_t refs = 0;
+    if (idx && loc.port < port_refs_[*idx].size()) {
+      refs = port_refs_[*idx][loc.port];
+    }
+    if (refs != expect) count_issue(loc, refs, expect);
+  }
+  for (std::size_t i = 0; i < port_refs_.size(); ++i) {
+    const std::vector<PortRefs>& refs = port_refs_[i];
+    for (std::size_t port = 0; port < refs.size(); ++port) {
+      const Location loc{index_to_dpid_[i], static_cast<PortNo>(port)};
+      if (refs[port] != 0 && !ends.contains(loc)) {
+        count_issue(loc, refs[port], 0);
       }
     }
   }

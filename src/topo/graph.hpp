@@ -12,7 +12,10 @@
 // and never hashes a dpid per edge. The traversal order (per-switch
 // adjacency in insertion order, FIFO frontier) is bit-identical to the
 // original hash-bucket implementation, so every paper-size result is
-// unchanged.
+// unchanged. Which ports are switch-internal is a per-switch table of
+// link refcounts indexed by port number (DESIGN.md §8f), so host
+// tracking classifies each Packet-In's ingress with one bounds check and
+// one load.
 #pragma once
 
 #include <cstdint>
@@ -65,9 +68,11 @@ class TopologyGraph {
 
   /// True if this (dpid, port) is an endpoint of any known link (i.e. a
   /// switch-internal port; host tracking ignores traffic from such ports).
-  /// O(log degree): binary search in the switch's sorted port-ref list.
+  /// One dpid hash, then the indexed overload.
   [[nodiscard]] bool is_switch_port(Location loc) const;
-  /// Same, for the switch interned at `index` (no dpid hash).
+  /// Same, for the switch interned at `index`: a bounds check and a load
+  /// in that switch's refcount table. An unknown index, or a port past
+  /// the table, is not a switch port.
   [[nodiscard]] bool is_switch_port(std::uint32_t index, PortNo port) const;
 
   /// Sorted snapshot of every link (copy). No benchmark trial calls
@@ -129,26 +134,27 @@ class TopologyGraph {
   [[nodiscard]] std::optional<std::vector<Traversal>> tree_path(
       const BfsTree& tree, std::uint32_t to) const;
 
-  /// Drops every link. Interned indices survive, so side tables keyed
-  /// on switch_index() stay valid.
+  /// Drops every link and zeroes the port refcounts. Interned indices
+  /// survive, so side tables keyed on switch_index() stay valid.
   void clear();
 
   /// Self-consistency audit: every stored link must appear in the
   /// adjacency index oriented both ways (a->b and b->a), every
   /// adjacency traversal must correspond to a stored link, and the
-  /// per-port link refcounts must match the stored link set. Returns a
-  /// deterministic, sorted list of violation descriptions (empty when
-  /// healthy). Used by the runtime invariant checker.
+  /// per-port link refcounts must match the stored link set both ways
+  /// (every nonzero count equals the link ends at that port, and every
+  /// link end has a nonzero count). Returns a deterministic, sorted list
+  /// of violation descriptions (empty when healthy). Used by the runtime
+  /// invariant checker.
   [[nodiscard]] std::vector<std::string> audit() const;
 
  private:
-  /// One (port, refcount) entry in a switch's sorted switch-port list.
-  /// Distinct links may share an endpoint port (a fabricated link can
-  /// claim a port a real link already uses), hence the refcount.
-  struct PortRef {
-    PortNo port = 0;
-    std::uint32_t refs = 0;
-  };
+  /// Count of stored link ends at one (switch, port). Distinct links
+  /// may share an endpoint port (a fabricated link can claim a port a
+  /// real link already uses), hence a count, not a flag. 16 bits: a
+  /// fabricated LLDP can name any of the 65,535 port numbers, so a
+  /// table may grow that long.
+  using PortRefs = std::uint16_t;
 
   /// One adjacency entry: the traversal plus its far switch's index.
   struct Arc {
@@ -174,8 +180,9 @@ class TopologyGraph {
   // Flat adjacency: index -> oriented traversals out of that switch, in
   // link-insertion order (the order BFS ties break on).
   std::vector<std::vector<Arc>> adj_;
-  // index -> sorted (port, refcount) list backing is_switch_port().
-  std::vector<std::vector<PortRef>> switch_ports_;
+  // index -> link ends per port number, backing is_switch_port(); grown
+  // to the largest port a stored link has touched.
+  std::vector<std::vector<PortRefs>> port_refs_;
 
   std::uint64_t epoch_ = 0;
 

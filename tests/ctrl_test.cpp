@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,9 @@
 #include "ctrl/host_tracker.hpp"
 #include "ctrl/link_discovery.hpp"
 #include "ctrl/routing.hpp"
+#include "of/control_channel.hpp"
 #include "scenario/testbed.hpp"
+#include "sim/latency_model.hpp"
 #include "host_inbox.hpp"
 
 namespace tmg::ctrl {
@@ -27,7 +30,7 @@ using sim::Duration;
 class Recorder final : public DefenseModule {
  public:
   [[nodiscard]] std::string name() const override { return "recorder"; }
-  Verdict on_packet_in(const of::PacketIn& pi) override {
+  Verdict on_packet_in(const of::PacketIn& pi, std::uint32_t) override {
     packet_ins.push_back(pi);
     return Verdict::Allow;
   }
@@ -359,6 +362,81 @@ TEST(Controller, ControlRttUnknownSwitch) {
   TwoSwitchNet net;
   net.tb.start(1_s);
   EXPECT_FALSE(net.tb.controller().control_rtt(0x99).has_value());
+}
+
+// ---------------- Connections by switch index ----------------
+
+/// A controller over bare control channels, never started: each switch
+/// side counts the messages the controller sends it.
+struct BareSwitches {
+  sim::EventLoop loop;
+  Controller ctrl{loop, sim::Rng{1}, ControllerConfig{}};
+  std::vector<std::unique_ptr<of::ControlChannel>> channels;
+  std::vector<std::size_t> received;
+
+  void connect(of::Dpid dpid) {
+    channels.push_back(std::make_unique<of::ControlChannel>(
+        loop, sim::Rng{dpid}, sim::make_fixed(1_ms)));
+    received.push_back(0);
+    const std::size_t slot = received.size() - 1;
+    channels.back()->attach_switch(
+        [this, slot](const of::CtrlToSwitch&) { ++received[slot]; });
+    ctrl.connect_switch(dpid, *channels.back(), {1, 2});
+  }
+};
+
+net::Packet probe_frame() {
+  return net::make_raw(net::MacAddress::host(1), net::Ipv4Address::host(1),
+                       net::MacAddress::host(2), net::Ipv4Address::host(2),
+                       "probe", 64);
+}
+
+TEST(Controller, SendsNothingToADpidWithoutAConnection) {
+  BareSwitches net;
+  // 0x5 and 0x7 are interned through a topology link before any switch
+  // connects, so their indices sit inside the connection table; 0x8 is
+  // interned after it, past the table; 0x99 was never seen.
+  net.ctrl.topology().add_link({0x5, 1}, {0x7, 3});
+  net.connect(0x1);
+  net.ctrl.topology().add_link({0x1, 1}, {0x8, 2});
+  ASSERT_EQ(net.ctrl.topology().switch_index(0x1), 2u);
+  ASSERT_EQ(net.ctrl.topology().switch_index(0x8), 3u);
+
+  constexpr of::Dpid kUnconnected[] = {0x5, 0x7, 0x8, 0x99};
+  for (const of::Dpid dpid : kUnconnected) {
+    net.ctrl.send_packet_out(dpid, 1, probe_frame());
+    net.ctrl.send_flow_mod(dpid, of::FlowMod{});
+    net.ctrl.request_flow_stats(dpid);
+    net.ctrl.request_port_stats(dpid);
+    EXPECT_THROW((void)net.ctrl.switch_ports(dpid), std::out_of_range);
+    EXPECT_FALSE(net.ctrl.control_rtt(dpid).has_value());
+  }
+  net.loop.run();
+  EXPECT_EQ(net.received[0], 0u);
+
+  net.ctrl.send_packet_out(0x1, 1, probe_frame());
+  net.ctrl.send_flow_mod(0x1, of::FlowMod{});
+  net.loop.run();
+  EXPECT_EQ(net.received[0], 2u);
+  EXPECT_EQ(net.ctrl.switch_dpids(), (std::vector<of::Dpid>{0x1}));
+}
+
+TEST(Controller, SwitchDpidsAscendWhateverTheConnectOrder) {
+  BareSwitches net;
+  constexpr of::Dpid kDescending[] = {0x30, 0x20, 0x10};
+  for (const of::Dpid dpid : kDescending) net.connect(dpid);
+  EXPECT_EQ(net.ctrl.switch_dpids(), (std::vector<of::Dpid>{0x10, 0x20, 0x30}));
+  // Interned in connect order, so index order is the reverse of dpid
+  // order; each message still reaches its own switch.
+  EXPECT_EQ(net.ctrl.topology().switch_index(0x30), 0u);
+  EXPECT_EQ(net.ctrl.topology().switch_index(0x10), 2u);
+  net.ctrl.send_packet_out(0x10, 1, probe_frame());
+  net.ctrl.send_flow_mod(0x30, of::FlowMod{});
+  net.ctrl.send_flow_mod(0x30, of::FlowMod{});
+  net.loop.run();
+  EXPECT_EQ(net.received, (std::vector<std::size_t>{2, 0, 1}));
+  EXPECT_THROW(net.connect(0x20), std::logic_error);
+  EXPECT_EQ(net.ctrl.switch_dpids(), (std::vector<of::Dpid>{0x10, 0x20, 0x30}));
 }
 
 // ---------------- Host tracking ----------------

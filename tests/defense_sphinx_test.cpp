@@ -222,7 +222,8 @@ TEST(SphinxWaypoints, OffPathTransitPacketAlerts) {
   pi.in_port = 10;
   pi.packet = std::make_shared<const net::Packet>(net::make_raw(
       net.h1->mac(), net.h1->ip(), dst, net.h2->ip(), "transit", 64));
-  (void)net.sphinx->on_packet_in(pi);
+  (void)net.sphinx->on_packet_in(
+      pi, *net.tb.controller().topology().switch_index(pi.dpid));
   EXPECT_TRUE(
       net.tb.controller().alerts().any(AlertType::SphinxWaypointChange));
 }
@@ -237,7 +238,8 @@ TEST(SphinxWaypoints, OnPathPacketSilent) {
   pi.in_port = 10;
   pi.packet = std::make_shared<const net::Packet>(net::make_raw(
       net.h1->mac(), net.h1->ip(), dst, net.h2->ip(), "transit", 64));
-  (void)net.sphinx->on_packet_in(pi);
+  (void)net.sphinx->on_packet_in(
+      pi, *net.tb.controller().topology().switch_index(pi.dpid));
   EXPECT_FALSE(
       net.tb.controller().alerts().any(AlertType::SphinxWaypointChange));
 }

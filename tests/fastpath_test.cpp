@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -415,6 +417,100 @@ TEST(PathCache, OneTreePerSourcePerEpoch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PathCacheFuzz,
                          ::testing::Values(21u, 22u, 23u));
+
+// ---------------- Switch-port tables vs a link-end multiset ----------------
+
+class PortTableFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PortTableFuzz, SwitchPortsMatchLinkEndMultiset) {
+  Rng rng{GetParam()};
+  topo::TopologyGraph graph;
+  constexpr of::Dpid kSwitches = 8;
+  constexpr of::PortNo kMaxPort = 300;
+  // Reference: the stored links and one entry per link end.
+  std::set<topo::Link> links;
+  std::multiset<of::Location> ends;
+
+  // Most draws come from six ports, so endpoints are shared; the rest
+  // reach port 300, so tables grow unevenly.
+  const auto random_loc = [&] {
+    const std::int64_t hi = rng.uniform_int(0, 3) == 0 ? kMaxPort : 6;
+    return of::Location{static_cast<of::Dpid>(rng.uniform_int(1, kSwitches)),
+                        static_cast<of::PortNo>(rng.uniform_int(1, hi))};
+  };
+  const auto probe = [&](of::Location loc, const std::string& where) {
+    const bool expect = ends.contains(loc);
+    ASSERT_EQ(graph.is_switch_port(loc), expect) << where << loc.to_string();
+    if (const auto index = graph.switch_index(loc.dpid)) {
+      ASSERT_EQ(graph.is_switch_port(*index, loc.port), expect)
+          << where << loc.to_string();
+    }
+  };
+
+  std::optional<topo::Link> last_removed;
+  for (int step = 0; step < 2000; ++step) {
+    const std::string where = "step " + std::to_string(step) + " ";
+    const int op = static_cast<int>(rng.uniform_int(0, 99));
+    of::Location x = random_loc();
+    of::Location y = random_loc();
+    if (op < 10 && last_removed) {
+      x = last_removed->b;  // re-add, endpoints swapped
+      y = last_removed->a;
+    } else if (op >= 40 && op < 70 && !links.empty()) {
+      const auto last = static_cast<std::int64_t>(links.size()) - 1;
+      auto it = links.begin();
+      std::advance(it, rng.uniform_int(0, last));
+      x = it->b;  // remove a stored link, endpoints swapped
+      y = it->a;
+    }
+    if (op < 40) {
+      const bool added = graph.add_link(x, y);
+      ASSERT_EQ(added, links.insert(topo::Link{x, y}).second) << where;
+      if (added) {
+        ends.insert(x);
+        ends.insert(y);
+      }
+    } else if (op < 97) {
+      const bool removed = graph.remove_link(x, y);
+      ASSERT_EQ(removed, links.erase(topo::Link{x, y}) == 1) << where;
+      if (removed) {
+        ends.erase(ends.find(x));
+        ends.erase(ends.find(y));
+        last_removed = topo::Link{x, y};
+      }
+    } else {
+      graph.clear();
+      links.clear();
+      ends.clear();
+    }
+
+    // The endpoints just touched, random ones, and the table edges of
+    // every switch, including the never-linked dpid kSwitches + 1.
+    probe(x, where);
+    probe(y, where);
+    for (int i = 0; i < 16; ++i) probe(random_loc(), where);
+    constexpr of::PortNo kEdges[] = {0, kMaxPort, kMaxPort + 1, 65535};
+    for (of::Dpid dpid = 1; dpid <= kSwitches + 1; ++dpid) {
+      for (const of::PortNo port : kEdges) probe({dpid, port}, where);
+    }
+    // An index no dpid was interned at is never a switch port.
+    const auto unknown = static_cast<std::uint32_t>(graph.switch_count());
+    ASSERT_FALSE(graph.is_switch_port(unknown, 1));
+    ASSERT_FALSE(graph.is_switch_port(topo::kNoSwitch, 1));
+    ASSERT_FALSE(HasFatalFailure()) << where;
+    const std::vector<std::string> issues = graph.audit();
+    ASSERT_TRUE(issues.empty()) << where << issues.front();
+  }
+  // One full sweep of every switch's ports against the reference.
+  for (of::Dpid dpid = 1; dpid <= kSwitches + 1; ++dpid) {
+    for (std::uint32_t port = 0; port <= kMaxPort + 1; ++port) {
+      probe(of::Location{dpid, static_cast<of::PortNo>(port)}, "sweep ");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PortTableFuzz,
+                         ::testing::Values(41u, 42u, 43u));
 
 // ---------------- DedupRing vs set+deque reference ----------------
 

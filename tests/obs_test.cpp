@@ -236,9 +236,14 @@ TEST(TraceLog, CapDropsRecordsAndClearEmptiesTheLog) {
   EXPECT_EQ(log.dropped(), 1u);
   EXPECT_EQ(log.instant_total("c"), 2u);  // stored instants only
 
+  // A cleared log is a fresh trial's log (Observability::reset clears it
+  // between trials): the drop count restarts at zero too.
   log.clear();
   EXPECT_EQ(log.size(), 0u);
   EXPECT_EQ(log.instant_total("c"), 0u);
+  EXPECT_EQ(log.dropped(), 0u);
+  for (int i = 0; i < 3; ++i) log.instant(sim::SimTime::zero(), "c", "n");
+  EXPECT_EQ(log.dropped(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -679,9 +679,11 @@ TEST(Switch, PortsListed) {
   EXPECT_EQ(f.sw.dpid(), 0xAu);
 }
 
-// Ports attached out of order and far apart: the sorted port table must
-// list, flood and report them in ascending order, reject a duplicate,
-// and throw on an unknown port like the old std::map::at did.
+// Ports attached out of order and far apart: the port table, indexed by
+// port number, must list, flood and report them in ascending order,
+// reject a duplicate, throw on an unknown port like the old std::map::at
+// did, and treat every number with no link (0, gaps, past the table) as
+// absent without growing.
 TEST(Switch, SparsePortNumbers) {
   EventLoop loop;
   ControlChannel channel{loop, Rng{7}, sim::make_fixed(1_ms)};
@@ -729,9 +731,32 @@ TEST(Switch, SparsePortNumbers) {
   EXPECT_EQ(sw.port_stats(7).rx_packets, 1u);
   EXPECT_EQ(sw.port_stats(300).tx_packets, 1u);
 
+  // A flood in on port 1 leaves on 7, then 300.
+  delivered.clear();
+  l1.send(Side::B, ping(3, 4));
+  loop.run_until(loop.now() + 10_ms);
+  EXPECT_EQ(delivered, (std::vector<PortNo>{7, 300}));
+
+  // Numbers with no link: Packet-Outs to them deliver nothing, and a
+  // flood that names one as its ingress excludes no real port.
+  delivered.clear();
+  constexpr PortNo kAbsent[] = {0, 2, 301, 65000};
+  for (const PortNo absent : kAbsent) {
+    channel.to_switch(PacketOut{absent, kPortNone, shared(ping(1, 2))});
+    EXPECT_FALSE(sw.port_oper_up(absent)) << absent;
+    EXPECT_THROW((void)sw.port_stats(absent), std::out_of_range) << absent;
+  }
+  loop.run_until(loop.now() + 10_ms);
+  EXPECT_TRUE(delivered.empty());
+  channel.to_switch(PacketOut{kPortFlood, 2, shared(ping(1, 2))});
+  loop.run_until(loop.now() + 10_ms);
+  EXPECT_EQ(delivered, (std::vector<PortNo>{1, 7, 300}));
+  EXPECT_TRUE(sw.port_oper_up(300));
+
   DataLink spare{loop, Rng{12}, sim::make_fixed(100_us)};
   EXPECT_THROW(sw.attach_link(7, spare, Side::A), std::logic_error);
   EXPECT_THROW((void)sw.port_stats(2), std::out_of_range);
+  EXPECT_THROW((void)sw.port_stats(301), std::out_of_range);
   EXPECT_EQ(sw.ports(), (std::vector<PortNo>{1, 7, 300}));
 }
 
